@@ -51,12 +51,14 @@ from .models import (
     example_initial_state,
     example_model,
     model_from_config,
+    steps_per_period,
 )
 from .tomography import (
     FixedState,
     FrozenSystem,
     TrueEnvironment,
     check_cptp,
+    policy_label,
     reconstruct_family,
 )
 from .transfer import (
@@ -245,11 +247,8 @@ def resolve_memory(config: dict, model: LindbladModel, dt: float, policy=None):
     elif policy is not None and not isinstance(policy, FixedState):
         c = -1
     elif model.period is not None:
-        ratio = model.period / dt
-        c = max(1, round(ratio))
-        if abs(ratio - c) > 1e-9:
-            # grid incommensurate with the driving period
-            c = -1
+        # -1: grid incommensurate with the driving period
+        c = steps_per_period(model.period, dt) or -1
     else:
         c = 1  # static generator: maps are invariant under any step shift
     try:
@@ -453,7 +452,9 @@ def run_propagate(config: dict, out: Path, args) -> list[Path]:
 def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
     """Cutoff-error landscape. Columns: wt_m, wdt, m, c, error (long-time
     max), bound (second-window envelope), heuristic (max longest-tensor
-    norm), unphysical (error > 2), bound_ok."""
+    norm), unphysical (error > 2), bound_ok. Each cell reuses one period of
+    tensors, so a policy for which :func:`resolve_memory` allows no periodic
+    reuse is refused as a config error."""
     model, rho0 = build_model(config)
     substeps = int(config.get("substeps", 64))
     policy = build_policy(config, model, rho0)
@@ -466,6 +467,11 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
     rows = []
     for c in c_values:
         dt = model.period / c
+        if not resolve_memory(config, model, dt, policy)[1]:
+            raise ConfigError(
+                f"error-sweep needs periodic tensor reuse, which the "
+                f"{policy_label(policy)} reference policy does not allow"
+            )
         total = int(round(horizon / dt))
         grid_long = TimeGrid(0.0, dt, total)
         cache = PropagatorCache(model, grid_long, substeps)

@@ -31,12 +31,18 @@ from .linalg import (
     apply_superop,
     devectorize,
     embed_environment_superop,
-    matrix_exponential,
     operator_norm,
     trace_out_superop,
     vectorize,
 )
-from .models import LindbladModel, TimeGrid, _commutator_part, _dissipator_superop
+from .models import (
+    LindbladModel,
+    TimeGrid,
+    generator_stack,
+    liouvillian,
+    midpoints,
+    ordered_exponential,
+)
 from .tomography import (
     DynamicalMapFamily,
     ReferencePolicy,
@@ -79,10 +85,9 @@ class _KernelContext:
             choice.policy, model, rho_se0, t0=t0, substep=integration_substep
         )
         self.trace_e = trace_out_superop(self.layout, "system")
-        self.diss = _dissipator_superop(model)
 
     def generator(self, t):
-        return _commutator_part(self.model, t) + self.diss
+        return liouvillian(self.model, t)
 
     def projector(self, t):
         p = embed_environment_superop(self.refs.state(t), self.layout) @ self.trace_e
@@ -100,19 +105,19 @@ class _KernelContext:
     def projector_derivative(self, s):
         return embed_environment_superop(self.tau_derivative(s), self.layout) @ self.trace_e
 
+    def q_generators(self, times):
+        """Stack of ``Q_t L_t`` at each of ``times``."""
+        eye = np.eye(self.layout.dim_joint ** 2)
+        qs = np.stack([eye - self.projector(t) for t in times])
+        return qs @ generator_stack(self.model, times)
+
     def ordered_q_exponential(self, s, t, substeps):
         """Time-ordered exponential of ``Q L`` over ``[s, t]``."""
-        d2 = self.layout.dim_joint ** 2
-        g = np.eye(d2, dtype=complex)
+        g = np.eye(self.layout.dim_joint ** 2, dtype=complex)
         if t == s:
             return g
-        h = (t - s) / substeps
-        eye = np.eye(d2)
-        for k in range(substeps):
-            mid = s + (k + 0.5) * h
-            q = eye - self.projector(mid)
-            g = matrix_exponential(q @ self.generator(mid), h) @ g
-        return g
+        times, h = midpoints(s, t, substeps)
+        return ordered_exponential(self.q_generators, times, h, g)
 
 
 def _default_x(layout):

@@ -112,45 +112,44 @@ def partial_trace(x: np.ndarray, layout: SpaceLayout, keep: str = "system") -> n
 def trace_out_superop(layout: SpaceLayout, keep: str = "system") -> np.ndarray:
     """Matrix form of :func:`partial_trace` (joint vec -> factor vec)."""
     ds, de = layout.dim_system, layout.dim_environment
-    d = ds * de
-    dk = ds if keep == "system" else de
-    mat = np.zeros((dk * dk, d * d), dtype=complex)
-    for col in range(d * d):
-        unit = np.zeros(d * d)
-        unit[col] = 1.0
-        mat[:, col] = vectorize(partial_trace(devectorize(unit, d), layout, keep))
-    return mat
+    eye_s, eye_e = np.eye(ds), np.eye(de)
+    # axes: (column, row) of the kept factor, then the joint column and row,
+    # each split into (system, environment); identities on the kept pairs,
+    # and one on the traced pair that performs the trace
+    if keep == "system":
+        mat = np.einsum("bB,aA,fe->baBfAe", eye_s, eye_s, eye_e)
+        return mat.reshape(ds * ds, -1).astype(complex)
+    if keep == "environment":
+        mat = np.einsum("fF,eE,ba->febFaE", eye_e, eye_e, eye_s)
+        return mat.reshape(de * de, -1).astype(complex)
+    raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
 def embed_environment_superop(tau: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """Matrix of ``X -> X (x) tau`` (system vec -> joint vec)."""
-    ds = layout.dim_system
-    d = layout.dim_joint
-    mat = np.empty((d * d, ds * ds), dtype=complex)
-    for col in range(ds * ds):
-        unit = np.zeros(ds * ds)
-        unit[col] = 1.0
-        mat[:, col] = vectorize(np.kron(devectorize(unit, ds), tau))
-    return mat
+    ds, d = layout.dim_system, layout.dim_joint
+    eye_s = np.eye(ds)
+    mat = np.einsum("bB,aA,ef->bfaeBA", eye_s, eye_s, np.asarray(tau, dtype=complex))
+    return mat.reshape(d * d, ds * ds)
 
 
 def embed_system_superop(sigma: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """Matrix of ``Y -> sigma (x) Y`` (environment vec -> joint vec)."""
-    de = layout.dim_environment
-    d = layout.dim_joint
-    mat = np.empty((d * d, de * de), dtype=complex)
-    for col in range(de * de):
-        unit = np.zeros(de * de)
-        unit[col] = 1.0
-        mat[:, col] = vectorize(np.kron(sigma, devectorize(unit, de)))
-    return mat
+    de, d = layout.dim_environment, layout.dim_joint
+    eye_e = np.eye(de)
+    mat = np.einsum("ab,fF,eE->bfaeFE", np.asarray(sigma, dtype=complex), eye_e, eye_e)
+    return mat.reshape(d * d, de * de)
 
 
 def matrix_exponential(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """``exp(scale * M)`` via scaling-and-squaring Pade approximation."""
+    """``exp(scale * M)`` via scaling-and-squaring Pade approximation.
+
+    ``M`` may be a stack ``(K, n, n)``; each matrix is exponentiated on its
+    own, in one call.
+    """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return expm(scale * m)
 
 

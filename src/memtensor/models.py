@@ -11,6 +11,16 @@ midpoint-sampled generators (second order in the substep size). Time-ordered
 products rather than single exponentials are required because the driving
 makes generators at different times non-commuting.
 
+One primitive, :func:`ordered_exponential`, forms every such product in the
+package: joint propagators here, reference-state integration in
+``tomography`` and the ``Q L`` exponential of the direct kernel route. It
+asks a callback for the generator stack ``(K, n, n)`` at a chunk of substep
+midpoints and exponentiates each chunk in one batched call; chunks are
+bounded in bytes. :func:`generator_stack` builds joint generators as such
+stacks, the jump part computed once per model. :class:`PropagatorCache`
+builds each grid step once and, for a declared period commensurate with the
+grid, only the steps of the first period.
+
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
 """
@@ -20,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -106,31 +117,89 @@ class LindbladModel:
                 if np.max(np.abs(self.hamiltonian(t + self.period) - h)) > tol:
                     raise ValueError(f"hamiltonian not periodic with period {self.period}")
 
+    @cached_property
+    def dissipator(self) -> np.ndarray:
+        """Static jump-term part of the generator, built on first use."""
+        d2 = self.layout.dim_joint ** 2
+        diss = np.zeros((d2, d2), dtype=complex)
+        for op, rate in self.jump_terms:
+            op = np.asarray(op)
+            opdop = op.conj().T @ op
+            diss += rate * (
+                sandwich_superop(op, op)
+                - 0.5 * (left_mult_superop(opdop) + right_mult_superop(opdop))
+            )
+        return diss
 
-def _dissipator_superop(model: LindbladModel) -> np.ndarray:
-    """Static jump-term part of the generator."""
-    d2 = model.layout.dim_joint ** 2
-    diss = np.zeros((d2, d2), dtype=complex)
-    for op, rate in model.jump_terms:
-        op = np.asarray(op)
-        opdop = op.conj().T @ op
-        diss += rate * (
-            sandwich_superop(op, op)
-            - 0.5 * (left_mult_superop(opdop) + right_mult_superop(opdop))
-        )
-    return diss
+
+# Byte cap of one ``(K, n, n)`` generator or exponential stack: whole substep
+# batches for small joint spaces, one matrix at a time for large ones, so the
+# peak memory of a batched product stays that of the unbatched loop.
+_STACK_BYTES = 256 * 1024
 
 
-def _commutator_part(model: LindbladModel, t: float) -> np.ndarray:
-    h = np.asarray(model.hamiltonian(t))
-    if hermiticity_defect(h) > 1e-12:
-        raise ValueError(f"hamiltonian({t}) is not Hermitian to 1e-12")
-    return -1j * (left_mult_superop(h) - right_mult_superop(h))
+def steps_per_period(period: float, dt: float) -> int | None:
+    """Grid steps in one driving period, or ``None`` when ``period / dt`` is
+    not a positive integer to within 1e-9 (grid incommensurate with the drive)."""
+    ratio = period / dt
+    c = round(ratio)
+    return c if c >= 1 and abs(ratio - c) <= 1e-9 else None
+
+
+def midpoints(s: float, t: float, substeps: int) -> tuple[np.ndarray, float]:
+    """Substep midpoints of ``[s, t]`` and the substep size."""
+    h = (t - s) / substeps
+    return s + (np.arange(substeps) + 0.5) * h, h
+
+
+def ordered_exponential(
+    generators: Callable[[np.ndarray], np.ndarray],
+    times: np.ndarray,
+    h: float,
+    start: np.ndarray,
+) -> np.ndarray:
+    """Time-ordered product ``exp(h G(t_K)) ... exp(h G(t_1)) start``.
+
+    The midpoint-sampled, piecewise-constant ordered exponential (second
+    order in ``h``) on which every propagator of the package is built.
+    ``generators(times)`` returns the generator stack ``(K, n, n)`` at the
+    given midpoints; it is called on consecutive chunks of ``times``, each
+    exponentiated in one batched call. ``start`` is an ``n``-vector or an
+    ``(n, m)`` matrix (the identity gives the propagator itself).
+    """
+    out = np.asarray(start, dtype=complex)
+    n = out.shape[0]
+    chunk = max(1, _STACK_BYTES // (16 * n * n))
+    for lo in range(0, len(times), chunk):
+        for step in matrix_exponential(generators(times[lo : lo + chunk]), h):
+            out = step @ out
+    return out
+
+
+def generator_stack(model: LindbladModel, times) -> np.ndarray:
+    """Generator superoperators ``(K, d^2, d^2)`` at each of ``times``.
+
+    The commutator part ``-i (I (x) H - H^T (x) I)`` is broadcast over the
+    stack of sampled Hamiltonians, each checked Hermitian to 1e-12; the
+    static jump part is the model's cached :attr:`~LindbladModel.dissipator`.
+    """
+    hs = np.stack([np.asarray(model.hamiltonian(t), dtype=complex) for t in times])
+    defect = np.abs(hs - hs.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(defect > 1e-12)
+    if bad.size:
+        raise ValueError(f"hamiltonian({times[bad[0]]}) is not Hermitian to 1e-12")
+    k, d = hs.shape[0], hs.shape[-1]
+    eye = np.eye(d)
+    # entry [(j, i), (l, k)] is delta_jl H_ik for I (x) H and H_lj delta_ik
+    # for H^T (x) I (column stacking: the column index is the outer one)
+    left = eye[None, :, None, :, None] * hs[:, None, :, None, :]
+    right = hs.swapaxes(-1, -2)[:, :, None, :, None] * eye[None, None, :, None, :]
+    return (-1j * (left - right)).reshape(k, d * d, d * d) + model.dissipator
 
 
 def liouvillian(model: LindbladModel, t: float) -> np.ndarray:
     """Generator superoperator at time ``t`` (trace-annihilating)."""
-    return _commutator_part(model, t) + _dissipator_superop(model)
+    return generator_stack(model, [t])[0]
 
 
 def propagator(model: LindbladModel, s: float, t: float, substeps: int = 64) -> np.ndarray:
@@ -143,24 +212,27 @@ def propagator(model: LindbladModel, s: float, t: float, substeps: int = 64) -> 
         raise ValueError(f"need t >= s, got s={s}, t={t}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    d2 = model.layout.dim_joint ** 2
-    u = np.eye(d2, dtype=complex)
+    u = np.eye(model.layout.dim_joint ** 2, dtype=complex)
     if t == s:
         return u
-    diss = _dissipator_superop(model)
-    h = (t - s) / substeps
-    for k in range(substeps):
-        mid = s + (k + 0.5) * h
-        u = matrix_exponential(_commutator_part(model, mid) + diss, h) @ u
-    return u
+    times, h = midpoints(s, t, substeps)
+    return ordered_exponential(lambda ts: generator_stack(model, ts), times, h, u)
 
 
 class PropagatorCache:
-    """Adjacent-step propagators on a grid, composed on demand.
+    """Single-step propagators on a grid, built once each.
 
-    ``interval(i, j)`` returns the propagator from ``t_i`` to ``t_j`` built
-    by composing cached single-step factors, so divisibility
-    ``U(j,k) @ U(i,j) = U(i,k)`` holds exactly for composed entries.
+    Products of ``adjacent`` steps give the propagator between any two grid
+    points, so divisibility ``U(j,k) @ U(i,j) = U(i,k)`` holds exactly for
+    such products.
+
+    Phase reuse: when the model declares a ``period`` that is an integer
+    number ``c`` of grid steps (to within 1e-9), step ``i`` is the step
+    ``i mod c`` of the first period and only ``c`` steps are ever built. The
+    reuse rests on the generator's periodicity alone, whatever reference
+    policy the propagators later serve. Before the first reuse the declared
+    period is checked once: the Hamiltonian at the midpoints of step 0 must
+    equal its value one period later to 1e-12, else ``ValueError``.
     """
 
     def __init__(self, model: LindbladModel, grid: TimeGrid, substeps: int = 64):
@@ -168,30 +240,24 @@ class PropagatorCache:
         self.grid = grid
         self.substeps = substeps
         self._adjacent: dict[int, np.ndarray] = {}
-        self._entries: dict[tuple[int, int], np.ndarray] = {}
+        self._phases = None if model.period is None else steps_per_period(model.period, grid.dt)
+        self._period_checked = False
 
     def adjacent(self, i: int) -> np.ndarray:
         """Propagator over the single step ``[t_i, t_{i+1}]``."""
         if not 0 <= i < self.grid.steps:
             raise ValueError(f"step index {i} outside grid of {self.grid.steps} steps")
+        if self._phases is not None and i >= self._phases:
+            if not self._period_checked:
+                step0, _ = midpoints(self.grid.time(0), self.grid.time(1), self.substeps)
+                self.model.validate(sample_times=step0)
+                self._period_checked = True
+            i %= self._phases
         if i not in self._adjacent:
             self._adjacent[i] = propagator(
                 self.model, self.grid.time(i), self.grid.time(i + 1), self.substeps
             )
         return self._adjacent[i]
-
-    def interval(self, i: int, j: int) -> np.ndarray:
-        """Propagator from ``t_i`` to ``t_j`` (``i <= j``)."""
-        if j < i:
-            raise ValueError(f"need i <= j, got ({i}, {j})")
-        if i == j:
-            return np.eye(self.model.layout.dim_joint ** 2, dtype=complex)
-        if (i, j) not in self._entries:
-            u = self.adjacent(i)
-            for k in range(i + 1, j):
-                u = self.adjacent(k) @ u
-            self._entries[(i, j)] = u
-        return self._entries[(i, j)]
 
 
 def evolve_state(

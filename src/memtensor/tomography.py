@@ -31,13 +31,19 @@ from .linalg import (
     devectorize,
     embed_environment_superop,
     embed_system_superop,
-    matrix_exponential,
     partial_trace,
     trace_out_superop,
     validate_density_operator,
     vectorize,
 )
-from .models import LindbladModel, PropagatorCache, TimeGrid, _commutator_part, _dissipator_superop
+from .models import (
+    LindbladModel,
+    PropagatorCache,
+    TimeGrid,
+    generator_stack,
+    midpoints,
+    ordered_exponential,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +94,10 @@ def policy_label(policy: ReferencePolicy) -> str:
 class ReferenceStates:
     """Evaluates ``tau(t)`` for a policy at arbitrary times ``t >= t0``.
 
-    Time-dependent policies are integrated with the same midpoint-product
-    scheme as the propagators, caching along the way so that repeated or
-    monotone queries stay cheap.
+    Time-dependent policies are integrated with
+    :func:`~memtensor.models.ordered_exponential`, the primitive behind the
+    propagators, caching along the way so that repeated or monotone queries
+    stay cheap.
     """
 
     def __init__(
@@ -111,7 +118,6 @@ class ReferenceStates:
         if rho_se0 is None:
             raise ValueError(f"{policy_label(policy)} policy needs the initial joint state")
         validate_density_operator(rho_se0)
-        self._diss = _dissipator_superop(model)
         self._trace_s = trace_out_superop(self._layout, "environment")
         if isinstance(policy, TrueEnvironment):
             # cache of vectorized joint states, keyed by time
@@ -144,28 +150,28 @@ class ReferenceStates:
         if t - t_start < 1e-13:
             return vec
         n = max(1, int(np.ceil((t - t_start) / self.substep - 1e-9)))
-        h = (t - t_start) / n
-        for k in range(n):
-            mid = t_start + (k + 0.5) * h
-            vec = matrix_exponential(self._generator(mid), h) @ vec
-            # cache waypoints so later queries below t stay cheap regardless
-            # of the access pattern
-            if k + 1 < n and (k + 1) % 32 == 0:
-                waypoint = t_start + (k + 1) * h
-                if waypoint not in self._cache:
-                    bisect.insort(self._times, waypoint)
-                    self._cache[waypoint] = vec
+        times, h = midpoints(t_start, t, n)
+        # cache a waypoint every 32 substeps so later queries below t stay
+        # cheap regardless of the access pattern
+        for lo in range(0, n, 32):
+            vec = ordered_exponential(self._generators, times[lo : lo + 32], h, vec)
+            waypoint = t_start + (lo + 32) * h
+            if lo + 32 < n and waypoint not in self._cache:
+                bisect.insort(self._times, waypoint)
+                self._cache[waypoint] = vec
         if t not in self._cache:
             bisect.insort(self._times, t)
             self._cache[t] = vec
         return vec
 
-    def _generator(self, t: float) -> np.ndarray:
-        joint_gen = _commutator_part(self.model, t) + self._diss
+    def _generators(self, times: np.ndarray) -> np.ndarray:
+        joint = generator_stack(self.model, times)
         if isinstance(self.policy, TrueEnvironment):
-            return joint_gen
-        sigma = self.policy.sigma(t)
-        return self._trace_s @ joint_gen @ embed_system_superop(sigma, self._layout)
+            return joint
+        embeds = np.stack(
+            [embed_system_superop(self.policy.sigma(t), self._layout) for t in times]
+        )
+        return self._trace_s @ joint @ embeds
 
 
 def reference_state(
@@ -296,14 +302,10 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise ValueError(f"superoperator size {d2} is not a perfect square")
-    choi = np.zeros((d2, d2), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d))
-            unit[i, j] = 1.0
-            out = devectorize(s @ vectorize(unit), d)
-            choi += np.kron(unit, out)
-    return choi
+    # s[(l, k), (j, i)] = S(E_ij)[k, l] under column stacking; the Choi
+    # entry at ((i, k), (j, l)) is that same number
+    s4 = np.asarray(s, dtype=complex).reshape(d, d, d, d)
+    return s4.transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
 @dataclass(frozen=True)
@@ -332,14 +334,12 @@ def extend_to_joint(a: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """Joint-space matrix of a system superoperator acting as ``A (x) id``."""
     ds, de = layout.dim_system, layout.dim_environment
     d = layout.dim_joint
-    a4 = a.reshape(ds, ds, ds, ds, order="F")
-    mat = np.empty((d * d, d * d), dtype=complex)
-    for col in range(d * d):
-        unit = devectorize(np.eye(d * d)[:, col], d)
-        x4 = unit.reshape(ds, de, ds, de)
-        out = np.einsum("abcd,cedf->aebf", a4, x4).reshape(d, d)
-        mat[:, col] = vectorize(out)
-    return mat
+    # a4[a, b, c, d]: weight of X[c, d] in A(X)[a, b]; joint vec indices are
+    # (column b, f; row a, e) with the environment pair passed through
+    a4 = np.asarray(a, dtype=complex).reshape(ds, ds, ds, ds, order="F")
+    eye_e = np.eye(de)
+    mat = np.einsum("abCD,fF,eE->bfaeDFCE", a4, eye_e, eye_e)
+    return mat.reshape(d * d, d * d)
 
 
 def superchannel_apply(

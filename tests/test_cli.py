@@ -130,6 +130,18 @@ def test_error_sweep_single_cell(tmp_path):
     assert bound_ok == "1" and unphysical == "0"
 
 
+def test_error_sweep_refuses_policy_without_tensor_reuse(tmp_path, capsys):
+    # a true-env reference state breaks the periodic reuse the sweep relies on
+    config = {"sweep": {"c_values": [4], "tm_targets": [2.5], "horizon": 15.0}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    args = ["error-sweep", "--config", str(cfg_path), "--out", str(out), "--policy", "true-env"]
+    assert run_cli(args) == 2
+    assert "true-env" in capsys.readouterr().err
+    assert not (out / "error_sweep.csv").exists()
+
+
 def test_kernel_norms_three_policies(tmp_path):
     out = tmp_path / "out"
     config = {"grid": {"dt": 0.5, "steps": 2}, "substeps": 8}

@@ -8,6 +8,7 @@ from memtensor.linalg import (
     apply_superop,
     devectorize,
     embed_environment_superop,
+    embed_system_superop,
     hermitize,
     is_density_operator,
     left_mult_superop,
@@ -163,6 +164,53 @@ def test_embed_environment_superop():
     np.testing.assert_allclose(
         devectorize(mat @ vectorize(x), 4), np.kron(x, tau), atol=1e-13
     )
+
+
+# Column-loop definitions of the superoperator builders: column ``k`` is the
+# image of the ``k``-th matrix unit under the map. The builders themselves
+# are single reshapes/einsums and must agree exactly.
+
+
+def column_loop(fn, dim_in):
+    cols = []
+    for k in range(dim_in * dim_in):
+        unit = np.zeros(dim_in * dim_in)
+        unit[k] = 1.0
+        cols.append(vectorize(fn(devectorize(unit, dim_in))))
+    return np.column_stack(cols)
+
+
+LAYOUTS = [SpaceLayout(ds, de) for ds in (2, 3) for de in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda l: f"{l.dim_system}x{l.dim_environment}")
+def test_superop_builders_match_column_loops(layout):
+    ds, de = layout.dim_system, layout.dim_environment
+    tau = random_complex(de)
+    sigma = random_complex(ds)
+    for keep in ("system", "environment"):
+        want = column_loop(lambda x: partial_trace(x, layout, keep), layout.dim_joint)
+        np.testing.assert_array_equal(trace_out_superop(layout, keep), want)
+    np.testing.assert_array_equal(
+        embed_environment_superop(tau, layout), column_loop(lambda x: np.kron(x, tau), ds)
+    )
+    np.testing.assert_array_equal(
+        embed_system_superop(sigma, layout), column_loop(lambda y: np.kron(sigma, y), de)
+    )
+
+
+def test_trace_out_superop_rejects_unknown_factor():
+    with pytest.raises(ValueError):
+        trace_out_superop(SpaceLayout(2, 2), "bath")
+
+
+def test_matrix_exponential_of_a_stack():
+    stack = np.stack([random_complex(3) for _ in range(4)])
+    batched = matrix_exponential(stack, 0.3)
+    for m, e in zip(stack, batched):
+        np.testing.assert_array_equal(e, matrix_exponential(m, 0.3))
+    with pytest.raises(ValueError):
+        matrix_exponential(np.zeros((2, 3)))
 
 
 def test_matrix_exponential_small_cases():

@@ -26,6 +26,7 @@ from memtensor.models import (
     example_model,
     liouvillian,
     model_from_config,
+    ordered_exponential,
     propagator,
 )
 
@@ -146,8 +147,76 @@ def test_propagator_cache_divisibility():
     model = example_model()
     grid = TimeGrid(0.0, 0.625, 4)
     cache = PropagatorCache(model, grid, substeps=16)
-    lhs = cache.interval(1, 3) @ cache.interval(0, 1)
-    np.testing.assert_allclose(lhs, cache.interval(0, 3), atol=1e-10)
+    u_13 = cache.adjacent(2) @ cache.adjacent(1)
+    lhs = u_13 @ cache.adjacent(0)
+    # t_0 -> t_3 in one ordered exponential with the same substep size
+    np.testing.assert_allclose(lhs, propagator(model, grid.time(0), grid.time(3), 48), atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 40, 64, 150])
+@pytest.mark.parametrize("vector_start", [False, True])
+def test_ordered_exponential_matches_one_exponential_per_substep(k, vector_start):
+    # n = 16 puts 64 generators in a chunk: K = 1, below, equal to and not
+    # a multiple of the chunk
+    n, h = 16, 0.1
+    gens = 0.5 * (RNG.standard_normal((k, n, n)) + 1j * RNG.standard_normal((k, n, n)))
+    start = RNG.standard_normal(n) if vector_start else np.eye(n)
+    calls = []
+
+    def generators(times):
+        calls.append(len(times))
+        return gens[times.astype(int)]
+
+    got = ordered_exponential(generators, np.arange(k) + 0.5, h, start)
+    want = start.astype(complex)
+    for g in gens:
+        want = matrix_exponential(g, h) @ want
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    assert sum(calls) == k and max(calls) == min(k, 64)
+
+
+def test_propagator_cache_builds_one_period_and_reuses_it():
+    model = example_model()
+    c, substeps = 4, 16
+    grid = TimeGrid(0.0, model.period / c, 11)
+    cache = PropagatorCache(model, grid, substeps)
+    steps = [cache.adjacent(i) for i in range(grid.steps)]
+    assert len({id(u) for u in steps}) == c
+    for i in range(grid.steps - c):
+        literal = propagator(model, grid.time(i + c), grid.time(i + c + 1), substeps)
+        np.testing.assert_allclose(cache.adjacent(i + c), literal, rtol=0, atol=1e-12)
+
+
+def test_propagator_cache_no_reuse_without_commensurate_period():
+    static_h = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["X"], PAULI["X"])
+    models_grids = [
+        (example_model(), TimeGrid(0.0, 0.625, 7)),  # period pi, incommensurate
+        (LindbladModel(SpaceLayout(2, 2), lambda t: static_h), TimeGrid(0.0, 0.5, 7)),
+    ]
+    for model, grid in models_grids:
+        cache = PropagatorCache(model, grid, substeps=4)
+        assert len({id(cache.adjacent(i)) for i in range(grid.steps)}) == grid.steps
+
+
+def test_propagator_cache_refuses_wrong_declared_period():
+    # cos(t) has period 2 pi, not the declared pi
+    h = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["X"], PAULI["X"])
+    model = LindbladModel(SpaceLayout(2, 2), lambda t: math.cos(t) * h, period=math.pi)
+    cache = PropagatorCache(model, TimeGrid(0.0, math.pi / 4, 8), substeps=4)
+    for i in range(4):
+        cache.adjacent(i)
+    with pytest.raises(ValueError, match="periodic"):
+        cache.adjacent(4)
+
+
+def test_propagator_rejects_non_hermitian_hamiltonian_at_a_midpoint():
+    h = np.kron(PAULI["Z"], PAULI["I"])
+    xx = np.kron(PAULI["X"], PAULI["X"])
+    # Hermitian at t = 0 but not from t = 0.3 on
+    model = LindbladModel(SpaceLayout(2, 2), lambda t: h + (1j * xx if t > 0.3 else 0))
+    propagator(model, 0.0, 0.25, 8)
+    with pytest.raises(ValueError, match="Hermitian"):
+        propagator(model, 0.0, 1.0, 8)
 
 
 def test_evolve_state_zero_generator_is_constant():

@@ -341,6 +341,43 @@ def test_extend_to_joint_action():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def choi_loop(s):
+    """Reference: ``sum_ij E_ij (x) S(E_ij)`` one matrix unit at a time."""
+    d = int(round(np.sqrt(s.shape[0])))
+    choi = np.zeros_like(s, dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d))
+            unit[i, j] = 1.0
+            choi += np.kron(unit, devectorize(s @ vectorize(unit), d))
+    return choi
+
+
+def extend_loop(a, layout):
+    """Reference: ``A (x) id`` applied to each joint matrix unit."""
+    ds, de, d = layout.dim_system, layout.dim_environment, layout.dim_joint
+    cols = []
+    for k in range(d * d):
+        x4 = devectorize(np.eye(d * d)[:, k], d).reshape(ds, de, ds, de)
+        out = np.zeros((ds, de, ds, de), dtype=complex)
+        for e in range(de):
+            for f in range(de):
+                out[:, e, :, f] = apply_superop(a, x4[:, e, :, f])
+        cols.append(vectorize(out.reshape(d, d)))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("ds,de", [(ds, de) for ds in (2, 3) for de in (1, 2, 3)])
+def test_choi_and_joint_extension_match_loops(ds, de):
+    rng = np.random.default_rng(ds * 10 + de)
+    layout = SpaceLayout(ds, de)
+    d2 = layout.dim_joint ** 2
+    s = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
+    np.testing.assert_array_equal(choi_matrix(s), choi_loop(s))
+    a = rng.standard_normal((ds * ds, ds * ds)) + 1j * rng.standard_normal((ds * ds, ds * ds))
+    np.testing.assert_allclose(extend_to_joint(a, layout), extend_loop(a, layout), atol=1e-13)
+
+
 # --- state decomposition ----------------------------------------------------
 
 
