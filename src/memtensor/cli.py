@@ -308,11 +308,16 @@ def _echo(config: dict, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _pipeline_inputs(config: dict):
+    """Model, initial joint state, reference policy and substeps of a config."""
+    model, rho0 = build_model(config)
+    return model, rho0, build_policy(config, model, rho0), int(config.get("substeps", 64))
+
+
 def run_evolve(config: dict, out: Path, args) -> list[Path]:
     """Exact reduced trajectory. Columns: step, wt, rho elements (re/im), trace_re."""
-    model, rho0 = build_model(config)
+    model, rho0, _, substeps = _pipeline_inputs(config)
     grid = build_grid(config, default_dt=0.625, default_steps=8)
-    substeps = int(config.get("substeps", 64))
     trajectory = evolve_state(rho0, model, grid, substeps=substeps)
     ds = model.layout.dim_system
     rows = []
@@ -334,10 +339,8 @@ def run_evolve(config: dict, out: Path, args) -> list[Path]:
 def run_tomography(config: dict, out: Path, args) -> list[Path]:
     """Family CPTP report (columns: i, j, trace_dev, choi_min_eig, passed)
     plus the family itself as JSON."""
-    model, rho0 = build_model(config)
+    model, rho0, policy, substeps = _pipeline_inputs(config)
     grid = build_grid(config, default_dt=0.625, default_steps=16)
-    substeps = int(config.get("substeps", 64))
-    policy = build_policy(config, model, rho0)
     family = reconstruct_family(
         model, grid, policy, substeps=substeps, rho_se0=rho0
     )
@@ -357,44 +360,47 @@ def run_tomography(config: dict, out: Path, args) -> list[Path]:
     return [report_path, family_path]
 
 
-def _tensor_inputs(config: dict, args):
-    model, rho0 = build_model(config)
-    substeps = int(config.get("substeps", 64))
-    policy = build_policy(config, model, rho0)
-    grid_cfg = config.get("grid", {})
-    dt = float(grid_cfg.get("dt", math.pi / 5))
-    memory, commensurate = resolve_memory(config, model, dt, policy)
-    return model, rho0, policy, substeps, dt, memory, commensurate
+def _transfer_tensors(cache, policy, rho0, memory, periodic, max_length, exact):
+    """Map family and tensors, with residuals from ``exact``, on ``cache``'s grid.
+
+    Stores one period of start steps plus transients when ``periodic`` and the
+    grid holds them plus ``max_length``, else every start of the grid; on a
+    commensurate grid both give bit-identical tensors (see the README).
+    """
+    grid = cache.grid
+    starts = range(memory.c + memory.transient_steps)
+    periodic = periodic and grid.steps >= len(starts) + max_length
+    if periodic:
+        grid = TimeGrid(grid.t0, grid.dt, len(starts) + max_length)
+    family = reconstruct_family(
+        cache.model, grid, policy, cache.substeps, rho0, band=max_length, cache=cache
+    )
+    return build_tensors(
+        family,
+        memory,
+        max_length=max_length,
+        starts=starts if periodic else None,
+        exact_states=exact[: memory.m + 1],
+        dense_window=None if periodic else grid.steps,
+    )
 
 
 def run_tensors(config: dict, out: Path, args) -> list[Path]:
     """Transfer tensors as JSON plus the norm profile (columns: length,
     start, operator_norm). Lengths reach 2m-1 so the error bound is usable."""
-    model, rho0, policy, substeps, dt, memory, commensurate = _tensor_inputs(config, args)
+    model, rho0, policy, substeps = _pipeline_inputs(config)
+    grid_cfg = config.get("grid", {})
+    dt = float(grid_cfg.get("dt", math.pi / 5))
+    memory, commensurate = resolve_memory(config, model, dt, policy)
     max_length = 2 * memory.m - 1
     if commensurate:
-        starts = range(memory.c + memory.transient_steps)
         window = memory.c + memory.transient_steps + max_length
-        dense_window = None
     else:
-        window = int(config.get("grid", {}).get("steps", memory.m + max_length))
-        starts = None
-        dense_window = window
-    grid = TimeGrid(0.0, dt, window)
-    cache = PropagatorCache(model, grid, substeps)
-    family = reconstruct_family(
-        model, grid, policy, substeps=substeps, rho_se0=rho0, band=max_length, cache=cache
-    )
+        window = int(grid_cfg.get("steps", memory.m + max_length))
+    cache = PropagatorCache(model, TimeGrid(0.0, dt, window), substeps)
     joint = evolve_state(rho0, model, TimeGrid(0.0, dt, memory.m), substeps, cache=cache)
     exact = [partial_trace(r, model.layout, "system") for r in joint]
-    tensors = build_tensors(
-        family,
-        memory,
-        max_length=max_length,
-        starts=starts,
-        exact_states=exact,
-        dense_window=dense_window,
-    )
+    tensors = _transfer_tensors(cache, policy, rho0, memory, commensurate, max_length, exact)
     tensors_path = out / "tensors.json"
     save_json(tensors_to_json(tensors), tensors_path)
     profile = tensor_norm_profile(tensors)
@@ -412,28 +418,17 @@ def run_tensors(config: dict, out: Path, args) -> list[Path]:
 def run_propagate(config: dict, out: Path, args) -> list[Path]:
     """Memory-truncated long-time propagation. Columns: step, wt, rho
     elements (re/im), trace_re, and trace_distance_exact with --oracle."""
-    model, rho0 = build_model(config)
+    model, rho0, policy, substeps = _pipeline_inputs(config)
     grid = build_grid(config, default_dt=0.625, default_steps=160)
-    substeps = int(config.get("substeps", 64))
-    policy = build_policy(config, model, rho0)
-    memory, _ = resolve_memory(config, model, grid.dt, policy)
+    memory, commensurate = resolve_memory(config, model, grid.dt, policy)
     cache = PropagatorCache(model, grid, substeps)
-    family = reconstruct_family(
-        model, grid, policy, substeps=substeps, rho_se0=rho0, band=memory.m, cache=cache
-    )
     oracle_window = grid.steps if args.oracle else min(memory.m, grid.steps)
     joint = evolve_state(
         rho0, model, TimeGrid(grid.t0, grid.dt, oracle_window), substeps, cache=cache
     )
     exact = [partial_trace(r, model.layout, "system") for r in joint]
-    tensors = build_tensors(
-        family,
-        memory,
-        dense_window=grid.steps,
-        exact_states=exact[: memory.m + 1],
-    )
-    seed = exact[: memory.m]
-    trajectory = propagate(tensors, seed, grid.steps, include_residuals=True)
+    tensors = _transfer_tensors(cache, policy, rho0, memory, commensurate, memory.m, exact)
+    trajectory = propagate(tensors, exact[: memory.m], grid.steps, include_residuals=True)
     ds = model.layout.dim_system
     columns = ["step", "wt", *state_columns(ds), "trace_re"]
     if args.oracle:
@@ -455,9 +450,7 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
     norm), unphysical (error > 2), bound_ok. Each cell reuses one period of
     tensors, so a policy for which :func:`resolve_memory` allows no periodic
     reuse is refused as a config error."""
-    model, rho0 = build_model(config)
-    substeps = int(config.get("substeps", 64))
-    policy = build_policy(config, model, rho0)
+    model, rho0, policy, substeps = _pipeline_inputs(config)
     sweep = config.get("sweep", {})
     c_values = sweep.get("c_values", [6, 8, 12, 14])
     tm_targets = sweep.get("tm_targets", [1.25, 2.5, 5.0, 10.0])
@@ -482,20 +475,7 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
             if not 1.24 <= m * dt <= 10.01:
                 continue
             memory = MemoryConfig(dt=dt, m=m, c=c)
-            max_length = 2 * m - 1
-            window = c + max_length
-            family = reconstruct_family(
-                model,
-                TimeGrid(0.0, dt, window),
-                policy,
-                substeps=substeps,
-                rho_se0=rho0,
-                band=max_length,
-                cache=cache,
-            )
-            tensors = build_tensors(
-                family, memory, max_length=max_length, exact_states=exact[: m + 1]
-            )
+            tensors = _transfer_tensors(cache, policy, rho0, memory, True, 2 * m - 1, exact)
             trajectory = propagate(tensors, exact[:m], total, include_residuals=True)
             # long-time window: both envelopes compared cell-level, since the
             # second-memory-window bound is approximate pointwise
@@ -531,9 +511,8 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
 def run_kernel_norms(config: dict, out: Path, args) -> list[Path]:
     """Kernel-norm decay for the three projector choices. Columns: policy,
     wt, kernel_norm."""
-    model, rho0 = build_model(config)
+    model, rho0, _, substeps = _pipeline_inputs(config)
     grid = build_grid(config, default_dt=0.25, default_steps=20)
-    substeps = int(config.get("substeps", 64))
     tau0 = partial_trace(rho0, model.layout, "environment")
     ds = model.layout.dim_system
     ground = np.zeros((ds, ds), dtype=complex)
@@ -558,8 +537,7 @@ def run_kernel_norms(config: dict, out: Path, args) -> list[Path]:
 def run_convergence(config: dict, out: Path, args) -> list[Path]:
     """Scaled-kernel vs full-length-tensor comparison. Columns: wt, n,
     relative_difference."""
-    model, rho0 = build_model(config)
-    substeps = int(config.get("substeps", 64))
+    model, rho0, _, substeps = _pipeline_inputs(config)
     conv = config.get("convergence", {})
     t_values = conv.get("t_values", [2.5, 5.0])
     n_values = conv.get("n_values", [8, 16, 32, 64])

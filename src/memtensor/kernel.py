@@ -19,6 +19,12 @@ unit-trace environment operator (it is hit by a projector immediately, so the
 result cannot depend on it). Matching the two routes as the grid refines is
 the continuum-limit check; their disagreement at finite ``dt`` measures the
 discretization of the reconstructed master equation.
+
+All direct objects share one assembly: ``tr_E P_t L_t`` on the left
+(``_KernelContext.left``), the injection ``Q_s L_s P_s - dP_s/ds`` on the
+right (``_KernelContext.inject``) and the ordered exponential of ``Q L`` in
+between. ``nz_kernel_slice`` is the kernel route; ``nz_kernel_direct`` is its
+one-point case and ``kernel_norm_curve`` grows the exponential step by step.
 """
 
 from __future__ import annotations
@@ -74,41 +80,45 @@ def projector_superop(tau: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
 class _KernelContext:
     """Shared machinery for direct projection-operator evaluations."""
 
-    def __init__(self, model, choice, rho_se0, t0, refs=None, integration_substep=None):
+    def __init__(self, model, choice, rho_se0, t0, integration_substep=None, x_env=None):
         self.model = model
         self.choice = choice
         self.layout = model.layout
         self.t0 = t0
         if integration_substep is None:
             integration_substep = choice.derivative_step
-        self.refs = refs or ReferenceStates(
+        self.refs = ReferenceStates(
             choice.policy, model, rho_se0, t0=t0, substep=integration_substep
         )
         self.trace_e = trace_out_superop(self.layout, "system")
-
-    def generator(self, t):
-        return liouvillian(self.model, t)
+        self.eye = np.eye(self.layout.dim_joint ** 2)
+        de = self.layout.dim_environment
+        x = np.eye(de) / de if x_env is None else x_env
+        self.embed_x = embed_environment_superop(x, self.layout)
 
     def projector(self, t):
-        p = embed_environment_superop(self.refs.state(t), self.layout) @ self.trace_e
-        return p
+        return embed_environment_superop(self.refs.state(t), self.layout) @ self.trace_e
 
-    def tau_derivative(self, s):
-        h = self.choice.derivative_step
+    def left(self, t):
+        """``tr_E P_t L_t``: the end of every kernel-route object."""
+        return self.trace_e @ self.projector(t) @ liouvillian(self.model, t)
+
+    def inject(self, s, derivative_term=True):
+        """``Q_s L_s P_s - dP_s/ds``; ``derivative_term=False`` drops ``dP/ds``."""
+        p_s = self.projector(s)
+        out = (self.eye - p_s) @ liouvillian(self.model, s) @ p_s
+        if not derivative_term:
+            return out
+        h, tau = self.choice.derivative_step, self.refs.state
         if s - h >= self.t0 - 1e-12:
-            return (self.refs.state(s + h) - self.refs.state(s - h)) / (2 * h)
-        # second-order one-sided difference at the start of the window
-        return (
-            -3 * self.refs.state(s) + 4 * self.refs.state(s + h) - self.refs.state(s + 2 * h)
-        ) / (2 * h)
-
-    def projector_derivative(self, s):
-        return embed_environment_superop(self.tau_derivative(s), self.layout) @ self.trace_e
+            d_tau = (tau(s + h) - tau(s - h)) / (2 * h)
+        else:  # second-order one-sided difference at the start of the window
+            d_tau = (-3 * tau(s) + 4 * tau(s + h) - tau(s + 2 * h)) / (2 * h)
+        return out - embed_environment_superop(d_tau, self.layout) @ self.trace_e
 
     def q_generators(self, times):
         """Stack of ``Q_t L_t`` at each of ``times``."""
-        eye = np.eye(self.layout.dim_joint ** 2)
-        qs = np.stack([eye - self.projector(t) for t in times])
+        qs = np.stack([self.eye - self.projector(t) for t in times])
         return qs @ generator_stack(self.model, times)
 
     def ordered_q_exponential(self, s, t, substeps):
@@ -120,10 +130,6 @@ class _KernelContext:
         return ordered_exponential(self.q_generators, times, h, g)
 
 
-def _default_x(layout):
-    return np.eye(layout.dim_environment) / layout.dim_environment
-
-
 def nz_generator_direct(
     model: LindbladModel,
     choice: ProjectorChoice,
@@ -133,11 +139,8 @@ def nz_generator_direct(
     t0: float = 0.0,
 ) -> np.ndarray:
     """Time-local generator ``tr_E{P_t L_t P_t (. (x) x)}`` on the system."""
-    ctx = _KernelContext(model, choice, rho_se0, t0)
-    x = _default_x(model.layout) if x_env is None else x_env
-    embed_x = embed_environment_superop(x, model.layout)
-    p_t = ctx.projector(t)
-    return ctx.trace_e @ p_t @ ctx.generator(t) @ p_t @ embed_x
+    ctx = _KernelContext(model, choice, rho_se0, t0, x_env=x_env)
+    return ctx.left(t) @ ctx.projector(t) @ ctx.embed_x
 
 
 def nz_kernel_direct(
@@ -150,7 +153,6 @@ def nz_kernel_direct(
     x_env: np.ndarray | None = None,
     t0: float = 0.0,
     derivative_term: bool = True,
-    refs: ReferenceStates | None = None,
 ) -> np.ndarray:
     """Memory kernel ``K(t, s)`` on the system from the joint dynamics.
 
@@ -158,25 +160,12 @@ def nz_kernel_direct(
     midpoint-sampled projectors and differentiates the projector family by
     central differences (one-sided at the start of the window). The unit
     trace operator ``x_env`` is arbitrary; ``derivative_term=False`` drops
-    ``dP/ds`` (identically zero for a fixed reference state).
+    ``dP/ds`` (identically zero for a fixed reference state). This is the
+    one-point case of :func:`nz_kernel_slice`.
     """
-    if t <= s:
-        raise ValueError(f"kernel needs t > s, got s={s}, t={t}")
-    # reference-state integration at the same resolution as the ordered
-    # exponential, so both carry consistent second-order errors
-    ctx = _KernelContext(
-        model, choice, rho_se0, t0, refs=refs, integration_substep=(t - s) / substeps
-    )
-    x = _default_x(model.layout) if x_env is None else x_env
-    embed_x = embed_environment_superop(x, model.layout)
-    eye = np.eye(model.layout.dim_joint ** 2)
-    p_s = ctx.projector(s)
-    inject = (eye - p_s) @ ctx.generator(s) @ p_s
-    if derivative_term:
-        inject = inject - ctx.projector_derivative(s)
-    g = ctx.ordered_q_exponential(s, t, substeps)
-    p_t = ctx.projector(t)
-    return ctx.trace_e @ p_t @ ctx.generator(t) @ g @ inject @ embed_x
+    return nz_kernel_slice(
+        model, choice, t, [s], substeps, rho_se0, x_env, t0, derivative_term
+    )[0][1]
 
 
 def nz_kernel_slice(
@@ -196,6 +185,9 @@ def nz_kernel_slice(
     ``G(t, s_j)`` for all requested ``s_j < t`` cost one pass of ``substeps``
     exponentials per segment instead of one full integration per pair. This
     is the natural building block for quadratures of the memory integral.
+    Reference states are integrated at the resolution of the ordered
+    exponential (longest segment over ``substeps``), so both carry
+    consistent second-order errors.
     """
     s_sorted = sorted(float(s) for s in s_values)
     if not s_sorted:
@@ -206,17 +198,14 @@ def nz_kernel_slice(
         b - a for a, b in zip(s_sorted, s_sorted[1:] + [t])
     )
     ctx = _KernelContext(
-        model, choice, rho_se0, t0, integration_substep=segment / substeps
+        model, choice, rho_se0, t0, integration_substep=segment / substeps, x_env=x_env
     )
     # warm the reference-state cache in ascending order; the suffix loop
-    # below walks backwards
+    # below walks backwards (time-dependent reference states depend on the
+    # order of queries at the 1e-5 level, so this order is part of the result)
     for s in s_sorted:
         ctx.refs.state(s)
-    x = _default_x(model.layout) if x_env is None else x_env
-    embed_x = embed_environment_superop(x, model.layout)
-    eye = np.eye(model.layout.dim_joint ** 2)
-    p_t = ctx.projector(t)
-    left = ctx.trace_e @ p_t @ ctx.generator(t)
+    left = ctx.left(t)
     # suffix ordered exponentials, built from the latest segment backwards
     suffix = np.eye(model.layout.dim_joint ** 2, dtype=complex)
     kernels = {}
@@ -224,11 +213,7 @@ def nz_kernel_slice(
     for s in reversed(s_sorted):
         suffix = suffix @ ctx.ordered_q_exponential(s, upper, substeps)
         upper = s
-        p_s = ctx.projector(s)
-        inject = (eye - p_s) @ ctx.generator(s) @ p_s
-        if derivative_term:
-            inject = inject - ctx.projector_derivative(s)
-        kernels[s] = left @ suffix @ inject @ embed_x
+        kernels[s] = left @ suffix @ ctx.inject(s, derivative_term) @ ctx.embed_x
     return [(s, kernels[s]) for s in s_sorted]
 
 
@@ -251,12 +236,9 @@ def nz_inhomogeneity(
         model, choice, rho_se0, t0, integration_substep=(t - t0) / substeps if t > t0 else None
     )
     prepared = extend_to_joint(preparation, model.layout) @ vectorize(rho_se0)
-    eye = np.eye(model.layout.dim_joint ** 2)
-    vec = (eye - ctx.projector(t0)) @ prepared
+    vec = (ctx.eye - ctx.projector(t0)) @ prepared
     vec = ctx.ordered_q_exponential(t0, t, substeps) @ vec
-    p_t = ctx.projector(t)
-    vec = ctx.trace_e @ p_t @ ctx.generator(t) @ vec
-    return devectorize(vec, model.layout.dim_system)
+    return devectorize(ctx.left(t) @ vec, model.layout.dim_system)
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +363,15 @@ def kernel_norm_curve(
     rows = []
     for choice in choices:
         ctx = _KernelContext(
-            model, choice, rho_se0, grid.t0, integration_substep=grid.dt / substeps
+            model, choice, rho_se0, grid.t0, integration_substep=grid.dt / substeps, x_env=x_env
         )
-        x = _default_x(model.layout) if x_env is None else x_env
-        embed_x = embed_environment_superop(x, model.layout)
-        eye = np.eye(model.layout.dim_joint ** 2)
-        s = grid.t0
-        p_s = ctx.projector(s)
-        inject = ((eye - p_s) @ ctx.generator(s) @ p_s - ctx.projector_derivative(s)) @ embed_x
+        inject = ctx.inject(grid.t0) @ ctx.embed_x
         g = np.eye(model.layout.dim_joint ** 2, dtype=complex)
         label = policy_label(choice.policy)
         for j in range(1, grid.steps + 1):
             g = ctx.ordered_q_exponential(grid.time(j - 1), grid.time(j), substeps) @ g
             t = grid.time(j)
-            p_t = ctx.projector(t)
-            kernel = ctx.trace_e @ p_t @ ctx.generator(t) @ g @ inject
-            rows.append((label, t, operator_norm(kernel)))
+            rows.append((label, t, operator_norm(ctx.left(t) @ g @ inject)))
     return rows
 
 

@@ -10,6 +10,7 @@ contract.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -37,6 +38,53 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
 
 def complex_matrix_from_json(rows: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def _check_header(doc: dict, fmt: str) -> None:
+    if doc.get("format") != fmt:
+        raise ValueError(f"not a {fmt} document: format={doc.get('format')!r}")
+    if doc.get("conventions") != CONVENTIONS:
+        raise ValueError(
+            f"conventions {doc.get('conventions')!r} differ from this package's {CONVENTIONS!r}"
+        )
+
+
+def _matrices(doc: dict, section: str, parts: int, shape=None, superop=False):
+    """Complex matrices of ``doc[section]`` keyed by ``parts`` integers.
+
+    All are square and of one shape: ``shape``, or else the first entry's;
+    ``superop`` also requires a size ``d**2``. A one-integer key is stored as
+    a plain int. Returns the matrices and their common shape.
+    """
+    entries = doc.get(section)
+    if not isinstance(entries, dict):
+        raise ValueError(f"document has no {section!r} object")
+    out = {}
+    for key, rows in entries.items():
+        try:
+            index = tuple(int(part) for part in key.split(","))
+            matrix = complex_matrix_from_json(rows)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{section} entry {key!r}: {exc}") from None
+        if len(index) != parts:
+            raise ValueError(f"{section} key {key!r} is not {parts} integer(s)")
+        n = len(matrix)
+        if matrix.shape != (shape or (n, n)) or (superop and math.isqrt(n) ** 2 != n):
+            expected = shape or ("square of size d_S**2" if superop else "square")
+            raise ValueError(
+                f"{section} entry {key!r} has shape {matrix.shape}, expected {expected}"
+            )
+        shape = matrix.shape
+        out[index if parts > 1 else index[0]] = matrix
+    return out, shape
+
+
+def _fields(doc: dict, section: str, cls):
+    """``cls(**doc[section])``, with a malformed section as ``ValueError``."""
+    try:
+        return cls(**doc[section])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"document {section!r}: {exc!r}") from None
 
 
 def _policy_to_json(policy: ReferencePolicy) -> dict:
@@ -81,21 +129,20 @@ def family_to_json(family: DynamicalMapFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> DynamicalMapFamily:
-    if doc.get("format") != "memtensor-map-family":
-        raise ValueError(f"not a map-family document: format={doc.get('format')!r}")
-    grid = TimeGrid(**doc["grid"])
-    family = DynamicalMapFamily(grid=grid, policy=_policy_from_json(doc["policy"]))
-    for key, rows in doc["maps"].items():
-        i, j = (int(part) for part in key.split(","))
-        family.maps[(i, j)] = complex_matrix_from_json(rows)
-    for key, rows in doc["reference_states"].items():
-        family.reference_states[int(key)] = complex_matrix_from_json(rows)
+    _check_header(doc, "memtensor-map-family")
+    try:
+        policy = _policy_from_json(doc["policy"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"document 'policy': {exc!r}") from None
+    family = DynamicalMapFamily(grid=_fields(doc, "grid", TimeGrid), policy=policy)
+    family.maps, _ = _matrices(doc, "maps", 2, superop=True)
+    family.reference_states, _ = _matrices(doc, "reference_states", 1)
     return family
 
 
 def tensors_to_json(tensor_set: TransferTensorSet) -> dict:
     config = tensor_set.config
-    return {
+    doc = {
         "format": "memtensor-transfer-tensors",
         "version": 1,
         "conventions": CONVENTIONS,
@@ -113,18 +160,25 @@ def tensors_to_json(tensor_set: TransferTensorSet) -> dict:
             str(k): complex_matrix_to_json(r) for k, r in sorted(tensor_set.residuals.items())
         },
     }
+    if tensor_set.dense:
+        # written only for dense sets: periodic documents keep the original format
+        doc["dense"] = True
+    return doc
 
 
 def tensors_from_json(doc: dict) -> TransferTensorSet:
-    if doc.get("format") != "memtensor-transfer-tensors":
-        raise ValueError(f"not a transfer-tensor document: format={doc.get('format')!r}")
-    tensor_set = TransferTensorSet(config=MemoryConfig(**doc["config"]))
-    for key, rows in doc["tensors"].items():
-        p, l = (int(part) for part in key.split(","))
-        tensor_set.tensors[(p, l)] = complex_matrix_from_json(rows)
-    for key, rows in doc["residuals"].items():
-        tensor_set.residuals[int(key)] = complex_matrix_from_json(rows)
-    return tensor_set
+    """Tensor set from its JSON document; one without a ``dense`` flag (the
+    older format) loads as periodic."""
+    _check_header(doc, "memtensor-transfer-tensors")
+    tensors, shape = _matrices(doc, "tensors", 2, superop=True)
+    ds = None if shape is None else math.isqrt(shape[0])
+    residuals, _ = _matrices(doc, "residuals", 1, None if ds is None else (ds, ds))
+    return TransferTensorSet(
+        config=_fields(doc, "config", MemoryConfig),
+        tensors=tensors,
+        residuals=residuals,
+        dense=doc.get("dense") is True,
+    )
 
 
 def save_json(doc: dict, path) -> None:

@@ -72,10 +72,12 @@ class FrozenSystem:
 
     The environment marginal then follows the averaged generator
     ``d tau/dt = tr_S{ L(t) (sigma(t) (x) tau) }``, the limit of resetting
-    the system to ``sigma(t)`` infinitely often.
+    the system to ``sigma(t)`` infinitely often. A policy loaded from JSON
+    has ``sigma=None``: its family carries the stored reference states, and
+    nothing can be integrated from it.
     """
 
-    sigma: Callable[[float], np.ndarray]
+    sigma: Callable[[float], np.ndarray] | None
 
 
 ReferencePolicy = FixedState | TrueEnvironment | FrozenSystem
@@ -115,6 +117,11 @@ class ReferenceStates:
         self._layout = model.layout
         if isinstance(policy, FixedState):
             return
+        if isinstance(policy, FrozenSystem) and policy.sigma is None:
+            raise ValueError(
+                "frozen policy has no sigma profile (a policy loaded from JSON "
+                "keeps only its family's stored reference states)"
+            )
         if rho_se0 is None:
             raise ValueError(f"{policy_label(policy)} policy needs the initial joint state")
         validate_density_operator(rho_se0)

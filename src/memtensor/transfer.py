@@ -18,10 +18,11 @@ start step only through its phase mod ``c`` (after transients), so a finite
 set propagates the system to arbitrary times with a cost independent of the
 horizon and an error that does not grow with it.
 
-Tensors are stored keyed by ``(start step, length)``. Lookups fall back from
-the literal start step to its phase, so the same propagation loop serves both
-the periodic-reuse regime and densely built sets (used when the grid spacing
-is incommensurate with the driving period).
+Tensors are stored keyed by ``(start step, length)``. Lookups in a periodic
+set fall back from the literal start step to its phase, so the same
+propagation loop serves both the periodic-reuse regime and densely built sets
+(used when the grid spacing is incommensurate with the driving period). A
+dense set never wraps: a start past its window is a ``KeyError``.
 """
 
 from __future__ import annotations
@@ -68,16 +69,22 @@ class MemoryConfig:
 
 @dataclass
 class TransferTensorSet:
-    """Transfer tensors keyed by ``(start step, length)`` plus residuals."""
+    """Transfer tensors keyed by ``(start step, length)`` plus residuals.
+
+    ``dense`` marks a set stored per start step over a window (no periodic
+    reuse): its starts are never identified by phase.
+    """
 
     config: MemoryConfig
     tensors: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
+    dense: bool = False
 
     def phase_of(self, j: int) -> int:
-        """Start step identified by periodicity (literal inside transients)."""
+        """Start step identified by periodicity (literal inside transients
+        and in a dense set)."""
         base = self.config.transient_steps
-        if 0 <= j < base + self.config.c:
+        if self.dense or 0 <= j < base + self.config.c:
             return j
         return (j - base) % self.config.c + base
 
@@ -89,10 +96,8 @@ class TransferTensorSet:
         wrapped = (self.phase_of(start), length)
         if wrapped in self.tensors:
             return self.tensors[wrapped]
-        raise KeyError(
-            f"no transfer tensor for start={start} (phase {wrapped[0]}), "
-            f"length={length}"
-        )
+        where = "past the window of a dense set" if self.dense else f"phase {wrapped[0]}"
+        raise KeyError(f"no transfer tensor for start={start} ({where}), length={length}")
 
     def stored_starts(self) -> list[int]:
         return sorted({p for p, _ in self.tensors})
@@ -129,7 +134,8 @@ def build_tensors(
     dense_window : int, optional
         Store every tensor with ``start + length <= dense_window`` instead of
         the ``starts x lengths`` grid; for propagation without periodic reuse
-        (incommensurate grids) and for full-memory exact reconstruction.
+        (incommensurate grids) and for full-memory exact reconstruction. The
+        result is marked ``dense`` and refuses starts past the window.
     """
     if max_length is None:
         max_length = config.m
@@ -143,7 +149,7 @@ def build_tensors(
         if starts is None:
             starts = range(config.c + config.transient_steps)
         requested = {(p, l) for p in starts for l in range(1, max_length + 1)}
-    tensor_set = TransferTensorSet(config=config)
+    tensor_set = TransferTensorSet(config=config, dense=dense_window is not None)
 
     # group by end step: the recursion at end k needs every shorter length
     # at the same end

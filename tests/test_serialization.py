@@ -1,12 +1,22 @@
 """Round trips for the JSON interchange formats."""
 
+import copy
+
 import numpy as np
+import pytest
 
 from memtensor.models import TimeGrid, example_initial_state, example_model
 from memtensor.linalg import SpaceLayout, partial_trace
-from memtensor.tomography import FixedState, TrueEnvironment, reconstruct_family
+from memtensor.tomography import (
+    FixedState,
+    FrozenSystem,
+    ReferenceStates,
+    TrueEnvironment,
+    reconstruct_family,
+)
 from memtensor.transfer import MemoryConfig, build_tensors
 from memtensor.serialization import (
+    CONVENTIONS,
     complex_matrix_from_json,
     complex_matrix_to_json,
     family_from_json,
@@ -70,11 +80,76 @@ def test_tensor_set_round_trip(tmp_path):
     for key in tensors.tensors:
         assert np.max(np.abs(loaded.tensors[key] - tensors.tensors[key])) < 1e-15
     assert np.max(np.abs(loaded.residuals[1] - tensors.residuals[1])) < 1e-15
+    # the dense flag survives; a document without it (the older format)
+    # loads as a periodic set
+    assert loaded.dense
+    doc = tensors_to_json(tensors)
+    del doc["dense"]
+    assert not tensors_from_json(doc).dense
+    periodic = build_tensors(family, config, max_length=1)
+    assert "dense" not in tensors_to_json(periodic)
+    assert not tensors_from_json(tensors_to_json(periodic)).dense
+
+
+def test_loaded_frozen_family_refuses_integration_but_feeds_tensors():
+    model = example_model()
+    rho0 = example_initial_state()
+    grid = TimeGrid(0.0, 0.625, 3)
+    ground = np.diag([1.0, 0.0]).astype(complex)
+    family = reconstruct_family(
+        model, grid, FrozenSystem(lambda t: ground), substeps=8, rho_se0=rho0
+    )
+    loaded = family_from_json(family_to_json(family))
+    with pytest.raises(ValueError, match="no sigma profile"):
+        ReferenceStates(loaded.policy, model, rho0)
+    with pytest.raises(ValueError, match="no sigma profile"):
+        reconstruct_family(model, grid, loaded.policy, substeps=8, rho_se0=rho0)
+    config = MemoryConfig(dt=grid.dt, m=3, c=3)
+    rebuilt = build_tensors(loaded, config, dense_window=3)
+    for key, tensor in build_tensors(family, config, dense_window=3).tensors.items():
+        np.testing.assert_array_equal(rebuilt.tensors[key], tensor)
+
+
+# id: (document, section, key (None: the last stored key), new value)
+MALFORMED = {
+    "tensors-conventions": ("tensors", "conventions", None, None),
+    "tensors-2x2-tensor": ("tensors", "tensors", "0,1", np.eye(2)),
+    "tensors-mixed-system-dims": ("tensors", "tensors", None, np.eye(9)),
+    "tensors-not-a-matrix": ("tensors", "tensors", None, [[1.0, 2.0]]),
+    "tensors-residual-shape": ("tensors", "residuals", "1", np.eye(4)),
+    "tensors-key-not-integers": ("tensors", "tensors", "a,1", np.eye(4)),
+    "tensors-key-one-integer": ("tensors", "tensors", "3", np.eye(4)),
+    "tensors-residual-key-pair": ("tensors", "residuals", "1,2", np.eye(2)),
+    "family-conventions": ("family", "conventions", None, None),
+    "family-2x2-map": ("family", "maps", "0,1", np.eye(2)),
+    "family-map-key-one-integer": ("family", "maps", "1", np.eye(4)),
+    "family-reference-state-shape": ("family", "reference_states", "2", np.eye(3)),
+    "family-reference-key-not-integer": ("family", "reference_states", "x", np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("kind, section, key, value", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_raise_value_error_naming_the_key(kind, section, key, value):
+    family = _small_family()
+    if kind == "family":
+        doc, load = family_to_json(family), family_from_json
+    else:
+        tensors = build_tensors(family, MemoryConfig(dt=0.625, m=3, c=3), dense_window=3)
+        tensors.residuals[1] = np.eye(2) / 2
+        doc, load = tensors_to_json(tensors), tensors_from_json
+    load(copy.deepcopy(doc))  # the unmutated document loads
+    if section == "conventions":
+        doc["conventions"] = dict(CONVENTIONS, vectorization="row-stacking")
+        named = "conventions"
+    else:
+        key = key or list(doc[section])[-1]
+        doc[section][key] = value if isinstance(value, list) else complex_matrix_to_json(value)
+        named = repr(key)
+    with pytest.raises(ValueError, match=named):
+        load(doc)
 
 
 def test_format_guards():
-    import pytest
-
     with pytest.raises(ValueError):
         family_from_json({"format": "something-else"})
     with pytest.raises(ValueError):

@@ -212,6 +212,41 @@ def test_full_memory_propagation_is_exact(example_setup):
         assert trace_distance(traj[k], sys_traj[k]) < 1e-10
 
 
+def test_dense_and_periodic_sets_propagate_identically(example_setup):
+    # on a commensurate grid the propagator cache reuses the steps of the
+    # first period, so shifted maps and tensors are bit-identical and the
+    # storage choice cannot change a trajectory
+    _, _, grid, _, family, sys_traj = example_setup
+    config = MemoryConfig(dt=grid.dt, m=4, c=5)
+    dense = build_tensors(family, config, dense_window=grid.steps, exact_states=sys_traj)
+    periodic = build_tensors(family, config, exact_states=sys_traj)
+    assert dense.dense and not periodic.dense
+    assert len(periodic.tensors) < len(dense.tensors)
+    traj_dense = propagate(dense, sys_traj[:4], grid.steps, include_residuals=True)
+    traj_periodic = propagate(periodic, sys_traj[:4], grid.steps, include_residuals=True)
+    np.testing.assert_array_equal(np.array(traj_dense), np.array(traj_periodic))
+
+
+def test_dense_set_refuses_starts_past_its_window():
+    # incommensurate grid (dt = 0.625, period pi): no phase exists to wrap to
+    model = example_model()
+    rho0 = example_initial_state()
+    grid = TimeGrid(0.0, 0.625, 20)
+    cache = PropagatorCache(model, grid, substeps=16)
+    tau = partial_trace(rho0, LAYOUT, "environment")
+    family = reconstruct_family(model, grid, FixedState(tau), substeps=16, band=4, cache=cache)
+    joint = evolve_state(rho0, model, grid, cache=cache)
+    sys_traj = [partial_trace(r, LAYOUT, "system") for r in joint]
+    config = MemoryConfig(dt=grid.dt, m=4, c=1)
+    tensors = build_tensors(family, config, dense_window=grid.steps, exact_states=sys_traj[:5])
+    inside = propagate(tensors, sys_traj[:4], grid.steps, include_residuals=True)
+    assert max(trace_distance(a, b) for a, b in zip(inside, sys_traj)) < 0.5
+    with pytest.raises(KeyError, match="dense"):
+        tensors.tensor(25, 1)
+    with pytest.raises(KeyError):
+        propagate(tensors, sys_traj[:4], 40, include_residuals=True)
+
+
 def test_propagate_seed_validation(example_setup):
     _, _, grid, _, family, sys_traj = example_setup
     config = MemoryConfig(dt=grid.dt, m=4, c=5)
