@@ -13,6 +13,7 @@ from .linalg import (
     SpaceLayout,
     apply_superop,
     devectorize,
+    hermitian_basis,
     hermitize,
     matrix_exponential,
     operator_norm,
@@ -61,6 +62,7 @@ from .transfer import (
     memory_cutoff_heuristic,
     propagate,
     propagate_correlation_free,
+    stability_radius,
     tensor_norm_profile,
 )
 from .kernel import (

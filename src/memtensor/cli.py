@@ -240,20 +240,20 @@ def resolve_memory(config: dict, model: LindbladModel, dt: float, policy=None):
     fall back to dense tensor storage unless the config pins ``c`` itself.
     """
     mem = config.get("memory", {})
-    m = int(mem.get("m", 8))
-    transient = int(mem.get("transient_steps", 0))
-    if "c" in mem:
-        c = int(mem["c"])
-    elif policy is not None and not isinstance(policy, FixedState):
-        c = -1
-    elif model.period is not None:
-        # -1: grid incommensurate with the driving period
-        c = steps_per_period(model.period, dt) or -1
-    else:
-        c = 1  # static generator: maps are invariant under any step shift
     try:
+        m = int(mem.get("m", 8))
+        transient = int(mem.get("transient_steps", 0))
+        if "c" in mem:
+            c = int(mem["c"])
+        elif policy is not None and not isinstance(policy, FixedState):
+            c = -1
+        elif model.period is not None:
+            # -1: grid incommensurate with the driving period
+            c = steps_per_period(model.period, dt) or -1
+        else:
+            c = 1  # static generator: maps are invariant under any step shift
         return MemoryConfig(dt=dt, m=m, c=max(c, 1), transient_steps=transient), c > 0
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"memory: {exc}") from exc
 
 
@@ -280,16 +280,25 @@ def validate_config(config: dict) -> tuple[list[str], list[str]]:
     if not (isinstance(steps, int) and steps >= 1):
         errors.append(f"grid.steps must be a positive integer, got {steps!r}")
     mem = config.get("memory", {})
+    for key, default, low in (("m", 8, 1), ("c", 1, 1), ("transient_steps", 0, 0)):
+        value = mem.get(key, default)
+        # JSON true/false are Python ints too
+        if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
+            errors.append(f"memory.{key} must be an integer >= {low}, got {value!r}")
     m = mem.get("m", 8)
-    if not (isinstance(m, int) and m >= 1):
-        errors.append(f"memory.m must be a positive integer, got {m!r}")
-    elif isinstance(dt, (int, float)) and dt > 0 and "t_m" in mem:
-        declared = float(mem["t_m"])
-        if abs(declared - m * dt) > 1e-9:
-            warnings.append(
-                f"memory.t_m={declared} inconsistent with m*dt={m * dt!r}; "
-                f"the computed value m*dt is used"
-            )
+    declared = mem.get("t_m", 0.0)
+    if isinstance(declared, bool) or not isinstance(declared, (int, float)):
+        errors.append(f"memory.t_m must be a number, got {declared!r}")
+    elif (
+        "t_m" in mem
+        and isinstance(m, int) and m >= 1
+        and isinstance(dt, (int, float)) and dt > 0
+        and abs(declared - m * dt) > 1e-9
+    ):
+        warnings.append(
+            f"memory.t_m={float(declared)} inconsistent with m*dt={m * dt!r}; "
+            f"the computed value m*dt is used"
+        )
     substeps = config.get("substeps", 64)
     if not (isinstance(substeps, int) and substeps >= 1):
         errors.append(f"substeps must be a positive integer, got {substeps!r}")
@@ -389,16 +398,20 @@ def run_tensors(config: dict, out: Path, args) -> list[Path]:
     """Transfer tensors as JSON plus the norm profile (columns: length,
     start, operator_norm). Lengths reach 2m-1 so the error bound is usable."""
     model, rho0, policy, substeps = _pipeline_inputs(config)
-    grid_cfg = config.get("grid", {})
-    dt = float(grid_cfg.get("dt", math.pi / 5))
-    memory, commensurate = resolve_memory(config, model, dt, policy)
+    # parses t0, dt and any configured steps; the window is chosen below
+    grid = build_grid(config, default_dt=math.pi / 5, default_steps=1)
+    memory, commensurate = resolve_memory(config, model, grid.dt, policy)
     max_length = 2 * memory.m - 1
     if commensurate:
         window = memory.c + memory.transient_steps + max_length
+    elif "steps" in config.get("grid", {}):
+        window = grid.steps
     else:
-        window = int(grid_cfg.get("steps", memory.m + max_length))
-    cache = PropagatorCache(model, TimeGrid(0.0, dt, window), substeps)
-    joint = evolve_state(rho0, model, TimeGrid(0.0, dt, memory.m), substeps, cache=cache)
+        window = memory.m + max_length
+    cache = PropagatorCache(model, TimeGrid(grid.t0, grid.dt, window), substeps)
+    joint = evolve_state(
+        rho0, model, TimeGrid(grid.t0, grid.dt, memory.m), substeps, cache=cache
+    )
     exact = [partial_trace(r, model.layout, "system") for r in joint]
     tensors = _transfer_tensors(cache, policy, rho0, memory, commensurate, max_length, exact)
     tensors_path = out / "tensors.json"

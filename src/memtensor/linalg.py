@@ -168,6 +168,31 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return trace_norm(np.asarray(rho) - np.asarray(sigma))
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the ``d x d`` Hermitian matrices, as vecs.
+
+    Returns the unitary ``(d*d, d*d)`` matrix ``B`` whose columns are the
+    column-stacked basis elements: the diagonal units ``E_jj``, then for each
+    ``j < k`` the pair ``(E_jk + E_kj)/sqrt2`` and ``i(E_kj - E_jk)/sqrt2``.
+    Any ``X`` has coordinates ``z = B^dag vec(X)``, and ``Re z`` are the
+    (real) coordinates of its Hermitian part, so a superoperator ``T`` acts
+    on Hermitian coordinates, followed by :func:`hermitize`, as the real
+    matrix ``Re(B^dag T B)``.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    basis = np.zeros((d, d, d * d), dtype=complex)  # (row, column, element)
+    diag = np.arange(d)
+    basis[diag, diag, diag] = 1.0
+    col = d
+    for j in range(d):
+        for k in range(j + 1, d):
+            basis[j, k, col] = basis[k, j, col] = 1 / np.sqrt(2)
+            basis[j, k, col + 1], basis[k, j, col + 1] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+            col += 2
+    return basis.transpose(1, 0, 2).reshape(d * d, d * d)
+
+
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Hermitian part ``(X + X^dag)/2``."""
     return 0.5 * (x + x.conj().T)

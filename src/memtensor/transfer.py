@@ -23,15 +23,28 @@ set fall back from the literal start step to its phase, so the same
 propagation loop serves both the periodic-reuse regime and densely built sets
 (used when the grid spacing is incommensurate with the driving period). A
 dense set never wraps: a start past its window is a ``KeyError``.
+
+Propagation runs in real coordinates over an orthonormal basis of Hermitian
+matrices (:func:`~memtensor.linalg.hermitian_basis`), where a tensor followed
+by taking the Hermitian part is one real matrix: every propagated state is
+Hermitian by construction. Row ``k`` of the recursion,
+``[T(k-m, m) ... T(k-1, 1)]``, maps the window of the ``m`` previous states
+to state ``k``; ``L = c*ceil(m/c)`` rows compose into a block that maps a
+window straight to the next ``L`` states. Past the literally stored starts of
+a periodic set every row depends only on its phase and every block is the
+same matrix, each built once, so the cost per step does not grow with the
+horizon. The same block gives :func:`stability_radius`, the growth per period
+of the truncated propagation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitize, operator_norm
+from .linalg import hermitian_basis, hermitize, operator_norm
 from .models import LindbladModel, TimeGrid
 from .tomography import (
     DynamicalMapFamily,
@@ -79,6 +92,9 @@ class TransferTensorSet:
     tensors: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
     dense: bool = False
+    # stored key -> (tensor, operator norm); an entry counts only while the
+    # stored array is the same object
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def phase_of(self, j: int) -> int:
         """Start step identified by periodicity (literal inside transients
@@ -88,16 +104,30 @@ class TransferTensorSet:
             return j
         return (j - base) % self.config.c + base
 
-    def tensor(self, start: int, length: int) -> np.ndarray:
-        """Tensor for the given start step, falling back to its phase."""
+    def _key_of(self, start: int, length: int) -> tuple[int, int]:
+        """Stored key serving ``(start, length)``: the literal key if stored,
+        else the one at its phase."""
         key = (start, length)
         if key in self.tensors:
-            return self.tensors[key]
+            return key
         wrapped = (self.phase_of(start), length)
         if wrapped in self.tensors:
-            return self.tensors[wrapped]
+            return wrapped
         where = "past the window of a dense set" if self.dense else f"phase {wrapped[0]}"
         raise KeyError(f"no transfer tensor for start={start} ({where}), length={length}")
+
+    def tensor(self, start: int, length: int) -> np.ndarray:
+        """Tensor for the given start step, falling back to its phase."""
+        return self.tensors[self._key_of(start, length)]
+
+    def _norm(self, start: int, length: int) -> float:
+        """Operator norm of :meth:`tensor`, computed once per stored tensor."""
+        key = self._key_of(start, length)
+        t = self.tensors[key]
+        cached = self._norms.get(key)
+        if cached is None or cached[0] is not t:
+            cached = self._norms[key] = (t, operator_norm(t))
+        return cached[1]
 
     def stored_starts(self) -> list[int]:
         return sorted({p for p, _ in self.tensors})
@@ -201,6 +231,78 @@ def inhomogeneous_residual(
     return acc
 
 
+class _Rows:
+    """Rows and blocks of the truncated recursion in real Hermitian coordinates.
+
+    Row ``k`` is the real ``(n, m*n)`` matrix ``[T(k-m, m) ... T(k-1, 1)]``
+    (zeros where ``k - l < 0``), each tensor as ``Re(B^dag T B)``; it maps the
+    window of the ``m`` states before step ``k`` to state ``k``. Tensors
+    resolve through :meth:`TransferTensorSet._key_of`. From step ``literal``
+    on (never in a dense set) every lookup falls back to a phase, so rows and
+    blocks there depend only on ``(k - literal) mod c`` and are built once.
+    """
+
+    def __init__(self, tensors: TransferTensorSet, d: int):
+        config = tensors.config
+        self.tensors, self.m, self.c = tensors, config.m, config.c
+        self.basis = hermitian_basis(d)
+        self.n = d * d
+        # a whole number of periods covering the memory window
+        self.block_steps = config.c * -(-config.m // config.c)
+        max_start = max((p for p, _ in tensors.tensors), default=0)
+        self.literal = None if tensors.dense else max(
+            max_start + config.m + 1, config.transient_steps + config.m + config.c
+        )
+        # stored key -> Re(B^dag T B), for every length a row can use
+        keys = [key for key in tensors.tensors if key[1] <= config.m]
+        stack = np.zeros((0, self.n, self.n))
+        if keys:
+            stack = np.array([tensors.tensors[key] for key in keys])
+        self._real = dict(zip(keys, (self.basis.conj().T @ stack @ self.basis).real))
+        self._rows: dict = {}  # phase past `literal` -> row
+        self._blocks: dict = {}  # phase past `literal` -> block
+
+    def coordinates(self, ops) -> np.ndarray:
+        """``Re(B^dag vec X)`` for each operator of a stack ``(K, d, d)``."""
+        vecs = np.asarray(ops).transpose(0, 2, 1).reshape(len(ops), self.n)
+        return (vecs @ self.basis.conj()).real
+
+    def _phase(self, k: int):
+        if self.literal is None or k < self.literal:
+            return None
+        return (k - self.literal) % self.c
+
+    def row(self, k: int) -> np.ndarray:
+        phase = self._phase(k)
+        if phase in self._rows:
+            return self._rows[phase]
+        m, n = self.m, self.n
+        row = np.zeros((n, m * n))
+        for l in range(1, min(k, m) + 1):
+            row[:, (m - l) * n : (m - l + 1) * n] = self._real[self.tensors._key_of(k - l, l)]
+        if phase is not None:
+            self._rows[phase] = row
+        return row
+
+    def block(self, k: int) -> np.ndarray:
+        """``(L*n, m*n)`` map from the window before step ``k`` to the states
+        ``k .. k + L - 1`` (``L = block_steps``); its last ``m*n`` rows are
+        the window map over ``L / c`` periods."""
+        phase = self._phase(k)
+        if phase in self._blocks:
+            return self._blocks[phase]
+        m, n, steps = self.m, self.n, self.block_steps
+        # rows 0..m*n-1: the window itself; then each state in window terms
+        ext = np.zeros(((m + steps) * n, m * n))
+        ext[: m * n] = np.eye(m * n)
+        for i in range(steps):
+            ext[(m + i) * n : (m + i + 1) * n] = self.row(k + i) @ ext[i * n : (i + m) * n]
+        block = ext[m * n :]
+        if phase is not None:
+            self._blocks[phase] = block
+        return block
+
+
 def propagate(
     tensors: TransferTensorSet,
     seed_states: list[np.ndarray],
@@ -214,9 +316,18 @@ def propagate(
     ``include_residuals``, the tracked residual for ``k <= m`` (untracked
     residuals count as zero, which is exact for uncorrelated starts whose
     reference state matches the initial environment). Without residuals the
-    seed must span the full memory window. Outputs are re-Hermitized each
-    step but never re-positivized: positivity loss diagnoses a too-severe
-    memory cutoff.
+    seed must span the full memory window. Outputs are never re-positivized:
+    positivity loss diagnoses a too-severe memory cutoff.
+
+    Every step runs in real coordinates over a Hermitian basis, where a
+    tensor followed by :func:`~memtensor.linalg.hermitize` is one real
+    matrix, so each output is Hermitian by construction (the seed states are
+    returned as given). Steps that add a residual, and the last
+    ``< L = c*ceil(m/c)`` steps, run one row at a time; the rest run in
+    blocks that map the ``m``-state window straight to the next ``L``
+    states. Past the literally stored starts of a periodic set every block is
+    the same matrix and is built once, so the cost per step does not depend
+    on the horizon; a dense set builds each block from its own rows.
     """
     m = tensors.config.m
     n_seed = len(seed_states)
@@ -227,17 +338,43 @@ def propagate(
             f"seed of {n_seed} states does not cover the memory window of {m} "
             f"steps; provide more seed states or include residuals"
         )
-    trajectory = [np.array(s, dtype=complex) for s in seed_states[: total_steps + 1]]
-    d = trajectory[0].shape[0]
-    for k in range(n_seed, total_steps + 1):
-        acc = np.zeros(d * d, dtype=complex)
-        for l in range(1, min(k, m) + 1):
-            acc += tensors.tensor(k - l, l) @ trajectory[k - l].reshape(-1, order="F")
-        out = acc.reshape((d, d), order="F")
-        if include_residuals and k <= m and k in tensors.residuals:
-            out = out + tensors.residuals[k]
-        trajectory.append(hermitize(out))
-    return trajectory
+    seeds = [np.array(s, dtype=complex) for s in seed_states[: total_steps + 1]]
+    d = seeds[0].shape[0]
+    rows = _Rows(tensors, d)
+    n, steps = rows.n, rows.block_steps
+    residuals = {
+        k: rows.coordinates([r])[0]
+        for k, r in tensors.residuals.items()
+        if include_residuals and k <= m
+    }
+    # flat history: state k at entries (m + k)*n .. (m + k + 1)*n, behind m
+    # zero states, so the window before step k starts at k*n
+    hist = np.zeros((total_steps + 1 + m) * n)
+    hist[m * n : (m + len(seeds)) * n] = rows.coordinates(seeds).reshape(-1)
+
+    def single(k):
+        state = hist[(m + k) * n : (m + k + 1) * n]
+        rows.row(k).dot(hist[k * n : (k + m) * n], out=state)
+        if k in residuals:
+            state += residuals[k]
+
+    k = n_seed
+    while k <= min(max(residuals, default=0), total_steps):
+        single(k)
+        k += 1
+    while k + steps - 1 <= total_steps:
+        out = hist[(m + k) * n : (m + k + steps) * n]
+        rows.block(k).dot(hist[k * n : (k + m) * n], out=out)
+        k += steps
+    while k <= total_steps:
+        single(k)
+        k += 1
+    # back to d x d once; the real and imaginary parts are formed separately
+    # so that conjugate entries come out exactly conjugate
+    row_vecs = rows.basis.reshape(d, d, n).transpose(1, 0, 2).reshape(n, n)
+    coords = hist[(m + len(seeds)) * n :].reshape(-1, n)
+    states = coords @ row_vecs.real.T + 1j * (coords @ row_vecs.imag.T)
+    return seeds + list(states.reshape(-1, d, d))
 
 
 def propagate_correlation_free(
@@ -303,7 +440,7 @@ def error_bound(tensors: TransferTensorSet, config: MemoryConfig, k: int) -> flo
     total = 0.0
     for l in range(1, m + 1):
         try:
-            total += operator_norm(tensors.tensor(base + l, 2 * m - l))
+            total += tensors._norm(base + l, 2 * m - l)
         except KeyError as exc:
             raise KeyError(
                 f"error bound needs tensors to length {2 * m - 1}: {exc}"
@@ -317,11 +454,7 @@ def memory_cutoff_heuristic(tensors: TransferTensorSet, config: MemoryConfig) ->
     Empirically a much tighter indicator of the propagation error than the
     conservative second-window bound.
     """
-    norms = [
-        operator_norm(t)
-        for (p, l), t in tensors.tensors.items()
-        if l == config.m
-    ]
+    norms = [tensors._norm(p, l) for p, l in tensors.tensors if l == config.m]
     if not norms:
         raise KeyError(f"no stored tensors of length m={config.m}")
     return max(norms)
@@ -329,6 +462,26 @@ def memory_cutoff_heuristic(tensors: TransferTensorSet, config: MemoryConfig) ->
 
 def tensor_norm_profile(tensors: TransferTensorSet) -> dict:
     """Operator norm of every stored tensor, keyed by ``(length, start)``."""
-    return {
-        (l, p): operator_norm(t) for (p, l), t in sorted(tensors.tensors.items())
-    }
+    return {(l, p): tensors._norm(p, l) for p, l in sorted(tensors.tensors)}
+
+
+def stability_radius(tensors: TransferTensorSet) -> float:
+    """Spectral radius per driving period of memory-truncated propagation.
+
+    The window map sends the ``m`` states before a step past the literally
+    stored starts to the ``m`` states ``L = c*ceil(m/c)`` steps later: the
+    last ``m*d^2`` rows of the block :func:`propagate` caches there. Its
+    spectral radius, to the power ``c/L``, is the growth per period. Trace
+    preservation pins an eigenvalue at 1, so a stable truncation gives 1 and
+    a radius above 1 flags a cutoff whose propagation diverges, without an
+    oracle. A dense set has no period map and raises ``ValueError``.
+    """
+    if tensors.dense:
+        raise ValueError("a dense tensor set has no period map")
+    if not tensors.tensors:
+        raise ValueError("empty tensor set")
+    n = next(iter(tensors.tensors.values())).shape[0]
+    rows = _Rows(tensors, math.isqrt(n))
+    window_map = rows.block(rows.literal)[-rows.m * n :]
+    radius = float(np.abs(np.linalg.eigvals(window_map)).max())
+    return radius ** (rows.c / rows.block_steps)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from memtensor import cli
@@ -244,3 +245,53 @@ def test_maximally_mixed_initial_state_config(tmp_path):
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert run_cli(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
+def _tensor_doc(tmp_path, name, config):
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / name
+    assert run_cli(["tensors", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return (out / "tensors.json").read_text()
+
+
+def test_tensors_command_uses_grid_t0(tmp_path):
+    # the example drive has period pi: shifting t0 by a quarter period moves
+    # the tensors, shifting it by a whole period does not
+    from memtensor import tensors_from_json
+
+    def config(t0):
+        return {"grid": {"t0": t0, "dt": math.pi / 4}, "memory": {"m": 3}, "substeps": 12}
+
+    base = _tensor_doc(tmp_path, "t0_zero", config(0.0))
+    assert _tensor_doc(tmp_path, "t0_shift", config(0.3)) != base
+    shifted = tensors_from_json(json.loads(_tensor_doc(tmp_path, "t0_period", config(math.pi))))
+    reference = tensors_from_json(json.loads(base))
+    assert set(shifted.tensors) == set(reference.tensors)
+    for key, t in reference.tensors.items():
+        np.testing.assert_allclose(shifted.tensors[key], t, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", ["m", "c", "transient_steps"])
+def test_bad_memory_value_exits_2(tmp_path, capsys, key):
+    for value in ("x", True):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"memory": {key: value}}))
+        assert run_cli(["tensors", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"memory.{key}" in capsys.readouterr().err
+    # the runner refuses it on its own too, not only through validate_config
+    model = cli.build_model({})[0]
+    with pytest.raises(cli.ConfigError, match="memory"):
+        cli.resolve_memory({"memory": {key: "x"}}, model, math.pi / 5)
+
+
+def test_non_numeric_memory_time_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"memory": {"t_m": "x"}}))
+    assert run_cli(["tensors", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "memory.t_m" in capsys.readouterr().err
+
+
+def test_bad_grid_dt_in_tensors_runner_is_config_error(tmp_path):
+    with pytest.raises(cli.ConfigError, match="grid"):
+        cli.run_tensors({"grid": {"dt": "x"}}, tmp_path, None)

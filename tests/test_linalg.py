@@ -9,6 +9,7 @@ from memtensor.linalg import (
     devectorize,
     embed_environment_superop,
     embed_system_superop,
+    hermitian_basis,
     hermitize,
     is_density_operator,
     left_mult_superop,
@@ -202,6 +203,25 @@ def test_superop_builders_match_column_loops(layout):
 def test_trace_out_superop_rejects_unknown_factor():
     with pytest.raises(ValueError):
         trace_out_superop(SpaceLayout(2, 2), "bath")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_basis(d):
+    b = hermitian_basis(d)
+    np.testing.assert_allclose(b.conj().T @ b, np.eye(d * d), atol=1e-15)
+    for col in b.T:
+        element = devectorize(col, d)
+        np.testing.assert_array_equal(element, element.conj().T)
+    # real coordinates of a Hermitian operator, and the tensor-then-hermitize
+    # map as one real matrix
+    x = hermitize(random_complex(d))
+    coords = b.conj().T @ vectorize(x)
+    assert np.abs(coords.imag).max() < 1e-15
+    np.testing.assert_allclose(devectorize(b @ coords.real, d), x, atol=1e-14)
+    t = random_complex(d * d)
+    real_t = (b.conj().T @ t @ b).real
+    expected = (b.conj().T @ vectorize(hermitize(apply_superop(t, x)))).real
+    np.testing.assert_allclose(real_t @ coords.real, expected, atol=1e-13)
 
 
 def test_matrix_exponential_of_a_stack():

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtensor.linalg import (
     SpaceLayout,
     apply_superop,
     hermiticity_defect,
+    hermitize,
     operator_norm,
     partial_trace,
     trace_distance,
@@ -25,12 +28,14 @@ from memtensor.models import (
 from memtensor.tomography import FixedState, reconstruct_family
 from memtensor.transfer import (
     MemoryConfig,
+    TransferTensorSet,
     build_tensors,
     error_bound,
     inhomogeneous_residual,
     memory_cutoff_heuristic,
     propagate,
     propagate_correlation_free,
+    stability_radius,
     tensor_norm_profile,
 )
 
@@ -379,3 +384,135 @@ def test_correlation_free_tracks_exact_and_preserves_trace():
     for k in range(total + 1):
         assert abs(np.trace(combined[k]) - 1) < 1e-10
         assert trace_distance(combined[k], sys_traj[k]) < 2e-2
+
+
+def reference_propagate(tensors, seed_states, total_steps, include_residuals=False):
+    """The per-step loop: a dict lookup per tensor, re-Hermitized each step."""
+    m = tensors.config.m
+    n_seed = len(seed_states)
+    if n_seed < 1:
+        raise ValueError("need at least the initial state as seed")
+    if not include_residuals and n_seed < min(m, total_steps + 1):
+        raise ValueError("seed does not cover the memory window")
+    trajectory = [np.array(s, dtype=complex) for s in seed_states[: total_steps + 1]]
+    d = trajectory[0].shape[0]
+    for k in range(n_seed, total_steps + 1):
+        acc = np.zeros(d * d, dtype=complex)
+        for l in range(1, min(k, m) + 1):
+            acc += tensors.tensor(k - l, l) @ trajectory[k - l].reshape(-1, order="F")
+        out = acc.reshape((d, d), order="F")
+        if include_residuals and k <= m and k in tensors.residuals:
+            out = out + tensors.residuals[k]
+        trajectory.append(hermitize(out))
+    return trajectory
+
+
+def _random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return hermitize(a)
+
+
+@st.composite
+def tensor_sets(draw):
+    """Random tensor sets (periodic or dense), seeds and horizons.
+
+    Every tensor has operator norm 1/m, so trajectories stay bounded; stored
+    starts past one period carry their own tensors, so a literal key must win
+    over its phase.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    c = draw(st.sampled_from([1, 2, 5, 7]))
+    m = draw(st.integers(1, 9))
+    transient = draw(st.sampled_from([0, 2]))
+    dense = draw(st.sampled_from([False, False, True]))
+    block = c * -(-m // c)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dense:
+        window = draw(st.integers(m, m + 3 * block))
+        keys = [(p, l) for l in range(1, m + 1) for p in range(window - l + 1)]
+    else:
+        starts = c + transient + draw(st.sampled_from([0, 1, c + 3]))
+        keys = [(p, l) for p in range(starts) for l in range(1, m + 1)]
+    tensors = {}
+    for key in keys:
+        t = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        tensors[key] = t / (m * operator_norm(t))
+    residuals = {}
+    if draw(st.booleans()):
+        residuals = {k: 0.1 * _random_hermitian(rng, d) for k in range(1, m + 1)}
+    tensor_set = TransferTensorSet(
+        config=MemoryConfig(dt=0.1, m=m, c=c, transient_steps=transient),
+        tensors=tensors,
+        residuals=residuals,
+        dense=dense,
+    )
+    seeds = [_random_hermitian(rng, d) for _ in range(draw(st.integers(1, m + 3)))]
+    total = draw(st.integers(0, 2 * c + 4 * block + 2 * m + 4))
+    return tensor_set, seeds, total, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tensor_sets())
+def test_propagate_matches_reference_loop(case):
+    tensors, seeds, total, include_residuals = case
+    try:
+        expected = reference_propagate(tensors, seeds, total, include_residuals)
+    except (KeyError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            propagate(tensors, seeds, total, include_residuals)
+        return
+    trajectory = propagate(tensors, seeds, total, include_residuals)
+    assert len(trajectory) == len(expected) == total + 1
+    for k, (got, want) in enumerate(zip(trajectory, expected)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"step {k}")
+        if k >= len(seeds):
+            np.testing.assert_array_equal(got, got.conj().T)
+
+
+def test_norm_cache_shares_phases_and_follows_replacement(example_setup):
+    _, _, grid, _, family, _ = example_setup
+    config = MemoryConfig(dt=grid.dt, m=4, c=5)
+    tensors = build_tensors(family, config, max_length=7)
+    direct = sum(
+        operator_norm(tensors.tensor(tensors.phase_of(20 - 8) + l, 8 - l))
+        for l in range(1, 5)
+    )
+    assert error_bound(tensors, config, 20) == direct
+    # one period later the same stored tensors serve, from the same entries
+    assert error_bound(tensors, config, 25) == direct
+    assert len(tensors._norms) == 4
+    profile = tensor_norm_profile(tensors)
+    assert all(profile[(l, p)] == operator_norm(t) for (p, l), t in tensors.tensors.items())
+    tensors.tensors[(2, 2)] = 2 * tensors.tensors[(2, 2)]
+    assert tensor_norm_profile(tensors)[(2, 2)] == operator_norm(tensors.tensors[(2, 2)])
+    assert "_norms" not in repr(tensors)
+
+
+def test_stability_radius_flags_the_unphysical_sweep_cells():
+    # the cells of the default `error-sweep` (fixed policy, 64 substeps);
+    # it flags (c, m) = (12, 5), (14, 6) and (14, 11) unphysical (error > 2)
+    model = example_model()
+    tau = partial_trace(example_initial_state(), LAYOUT, "environment")
+    radii = {}
+    for c in (6, 8, 12, 14):
+        dt = model.period / c
+        ms = [max(1, round(t / dt)) for t in (1.25, 2.5, 5.0, 10.0)]
+        ms = [m for m in ms if 1.24 <= m * dt <= 10.01]
+        cache = PropagatorCache(model, TimeGrid(0.0, dt, c + max(ms)), 64)
+        for m in ms:
+            grid = TimeGrid(0.0, dt, c + m)
+            family = reconstruct_family(model, grid, FixedState(tau), 64, band=m, cache=cache)
+            radii[(c, m)] = stability_radius(build_tensors(family, MemoryConfig(dt, m, c)))
+    assert len(radii) == 13
+    assert {key for key, r in radii.items() if r > 1 + 1e-6} == {(12, 5), (14, 6), (14, 11)}
+    # trace preservation pins the radius of a stable truncation at 1
+    assert all(abs(r - 1) < 1e-9 for key, r in radii.items() if r <= 1 + 1e-6)
+
+
+def test_stability_radius_refuses_dense_sets(example_setup):
+    _, _, grid, _, family, _ = example_setup
+    config = MemoryConfig(dt=grid.dt, m=4, c=5)
+    with pytest.raises(ValueError, match="dense"):
+        stability_radius(build_tensors(family, config, dense_window=grid.steps))
+    assert stability_radius(build_tensors(family, config)) == pytest.approx(1.0, abs=1e-9)
