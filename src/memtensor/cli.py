@@ -20,13 +20,20 @@ Config file schema (all keys optional; flags override file values)::
                  "transient_steps": 0,         # that is an integer
                  "t_m": <float>},              # declared memory time (checked)
       "substeps": 64,
-      "sweep": {"c_values": [5, 6, 8, 12],
+      "sweep": {"c_values": [6, 8, 12, 14],
                 "tm_targets": [1.25, 2.5, 5.0, 10.0],
                 "horizon": 100.0},
-      "convergence": {"t_values": [2.5, 5.0], "n_values": [8, 16, 32, 64]}
+      "convergence": {"t_values": [2.5, 5.0], "n_values": [8, 16, 32, 64],
+                      "kernel_substeps": 1024}
     }
 
 Complex matrices are row-major nested lists of ``[re, im]`` pairs.
+
+Numeric settings are finite JSON numbers, never booleans. ``grid.dt``,
+``sweep.horizon``, the ``sweep.tm_targets`` and the ``convergence.t_values``
+are > 0; ``memory.transient_steps`` is >= 0, the ``convergence.n_values`` are
+>= 2 and the other integers >= 1; ``grid.t0`` and ``memory.t_m`` are free.
+Lists are non-empty. A malformed value or section exits 2 naming its key.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -147,11 +154,62 @@ def load_config(path: str | None) -> dict:
     return config
 
 
+# Every number a runner reads: name -> (type, bound). A type in brackets is a
+# non-empty list; an integer must reach its bound, a number exceed it.
+SETTINGS = {
+    "grid.t0": (float, None),
+    "grid.dt": (float, 0),
+    "grid.steps": (int, 1),
+    "memory.m": (int, 1),
+    "memory.c": (int, 1),
+    "memory.transient_steps": (int, 0),
+    "memory.t_m": (float, None),
+    "substeps": (int, 1),
+    "sweep.c_values": ([int], 1),
+    "sweep.tm_targets": ([float], 0),
+    "sweep.horizon": (float, 0),
+    "convergence.t_values": ([float], 0),
+    "convergence.n_values": ([int], 2),
+    "convergence.kernel_substeps": (int, 1),
+}
+
+
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
+    return section
+
+
+def setting(config: dict, name: str, default):
+    """Value of the ``SETTINGS`` row ``name`` (``section.key`` or a top-level
+    key) in ``config``, converted to its type, else ``default``. A malformed
+    value or section raises :class:`ConfigError` naming the key."""
+    kind, bound = SETTINGS[name]
+    item = kind[0] if isinstance(kind, list) else kind
+    section, _, key = name.rpartition(".")
+    values = _section(config, section) if section else config
+    if key not in values:
+        return default
+    value = values[key]
+    entries = [value] if item is kind else (value if isinstance(value, list) else [])
+    if not entries or not all(
+        isinstance(v, (int, item)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max  # false for nan and infinities
+        and (bound is None or (v >= bound if item is int else v > bound))
+        for v in entries
+    ):
+        limit = "" if bound is None else f" {'>=' if item is int else '>'} {bound}"
+        shape = "" if item is kind else "a non-empty list of "
+        raise ConfigError(f"{name} must be {shape}{item.__name__}{limit}, got {value!r}")
+    return item(value) if item is kind else [item(v) for v in entries]
+
+
 def merge_flags(config: dict, args: argparse.Namespace) -> dict:
     merged = dict(config)
-    merged.setdefault("grid", dict(config.get("grid", {})))
-    merged.setdefault("memory", dict(config.get("memory", {})))
-    merged.setdefault("policy", dict(config.get("policy", {})))
+    # the sections are always present, since the CSV parameter echo prints them
+    for name in ("grid", "memory", "policy"):
+        merged[name] = dict(_section(config, name))
     if args.dt is not None:
         merged["grid"]["dt"] = args.dt
     if args.steps is not None:
@@ -177,11 +235,11 @@ def build_model(config: dict) -> tuple[LindbladModel, np.ndarray]:
         rho0 = None
     else:
         raise ConfigError(f"model must be 'builtin-example' or an object, got {source!r}")
-    if "initial_state" in config:
-        rho0 = complex_matrix_from_json(config["initial_state"])
     try:
+        if "initial_state" in config:
+            rho0 = complex_matrix_from_json(config["initial_state"])
         validate_density_operator(rho0)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"initial_state: {exc}") from exc
     if rho0.shape != (model.layout.dim_joint,) * 2:
         raise ConfigError(
@@ -192,44 +250,37 @@ def build_model(config: dict) -> tuple[LindbladModel, np.ndarray]:
 
 
 def build_policy(config: dict, model: LindbladModel, rho0: np.ndarray):
-    policy_cfg = config.get("policy", {})
+    policy_cfg = _section(config, "policy")
     kind = policy_cfg.get("kind", "fixed")
     if kind == "fixed":
-        if "tau" in policy_cfg:
-            tau = complex_matrix_from_json(policy_cfg["tau"])
-        else:
-            tau = partial_trace(rho0, model.layout, "environment")
         try:
-            return FixedState(tau)
-        except ValueError as exc:
+            if "tau" in policy_cfg:
+                return FixedState(complex_matrix_from_json(policy_cfg["tau"]))
+            return FixedState(partial_trace(rho0, model.layout, "environment"))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy.tau: {exc}") from exc
     if kind == "true-env":
         return TrueEnvironment()
     if kind == "frozen":
         ds = model.layout.dim_system
-        if "sigma" in policy_cfg:
-            sigma = complex_matrix_from_json(policy_cfg["sigma"])
-        else:
-            sigma = np.zeros((ds, ds), dtype=complex)
-            sigma[0, 0] = 1.0
+        sigma = np.zeros((ds, ds), dtype=complex)
+        sigma[0, 0] = 1.0
         try:
+            if "sigma" in policy_cfg:
+                sigma = complex_matrix_from_json(policy_cfg["sigma"])
             validate_density_operator(sigma)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy.sigma: {exc}") from exc
         return FrozenSystem(lambda t: sigma)
     raise ConfigError(f"policy.kind must be fixed|true-env|frozen, got {kind!r}")
 
 
 def build_grid(config: dict, default_dt: float, default_steps: int) -> TimeGrid:
-    grid_cfg = config.get("grid", {})
-    try:
-        return TimeGrid(
-            t0=float(grid_cfg.get("t0", 0.0)),
-            dt=float(grid_cfg.get("dt", default_dt)),
-            steps=int(grid_cfg.get("steps", default_steps)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    return TimeGrid(
+        t0=setting(config, "grid.t0", 0.0),
+        dt=setting(config, "grid.dt", default_dt),
+        steps=setting(config, "grid.steps", default_steps),
+    )
 
 
 def resolve_memory(config: dict, model: LindbladModel, dt: float, policy=None):
@@ -239,70 +290,46 @@ def resolve_memory(config: dict, model: LindbladModel, dt: float, policy=None):
     and a reference state with the same periodicity; time-dependent policies
     fall back to dense tensor storage unless the config pins ``c`` itself.
     """
-    mem = config.get("memory", {})
-    try:
-        m = int(mem.get("m", 8))
-        transient = int(mem.get("transient_steps", 0))
-        if "c" in mem:
-            c = int(mem["c"])
-        elif policy is not None and not isinstance(policy, FixedState):
+    c = setting(config, "memory.c", None)
+    if c is None:
+        if policy is not None and not isinstance(policy, FixedState):
             c = -1
         elif model.period is not None:
             # -1: grid incommensurate with the driving period
             c = steps_per_period(model.period, dt) or -1
         else:
             c = 1  # static generator: maps are invariant under any step shift
-        return MemoryConfig(dt=dt, m=m, c=max(c, 1), transient_steps=transient), c > 0
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"memory: {exc}") from exc
+    m, transient = setting(config, "memory.m", 8), setting(config, "memory.transient_steps", 0)
+    return MemoryConfig(dt=dt, m=m, c=max(c, 1), transient_steps=transient), c > 0
+
+
+def memory_time_warnings(config: dict, m: int, dt: float) -> list[str]:
+    declared = setting(config, "memory.t_m", m * dt)
+    if abs(declared - m * dt) <= 1e-9:
+        return []
+    return [f"memory.t_m={declared} inconsistent with m*dt={m * dt!r}; "
+            f"the computed value m*dt is used"]
 
 
 def validate_config(config: dict) -> tuple[list[str], list[str]]:
-    """Returns (errors, warnings) for a merged experiment config."""
-    errors, warnings = [], []
-    model = rho0 = None
+    """Returns (errors, warnings) for a merged experiment config; the warnings
+    compare ``memory.t_m`` with ``m * dt`` on the default grid."""
+    errors = []
     try:
-        model, rho0 = build_model(config)
+        build_policy(config, *build_model(config))
     except ConfigError as exc:
         errors.append(str(exc))
     except ValueError as exc:
         errors.append(f"model: {exc}")
-    if model is not None:
+    for name in SETTINGS:
         try:
-            build_policy(config, model, rho0)
+            setting(config, name, None)
         except ConfigError as exc:
             errors.append(str(exc))
-    grid_cfg = config.get("grid", {})
-    dt = grid_cfg.get("dt", 0.625)
-    if not (isinstance(dt, (int, float)) and dt > 0):
-        errors.append(f"grid.dt must be positive, got {dt!r}")
-    steps = grid_cfg.get("steps", 160)
-    if not (isinstance(steps, int) and steps >= 1):
-        errors.append(f"grid.steps must be a positive integer, got {steps!r}")
-    mem = config.get("memory", {})
-    for key, default, low in (("m", 8, 1), ("c", 1, 1), ("transient_steps", 0, 0)):
-        value = mem.get(key, default)
-        # JSON true/false are Python ints too
-        if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
-            errors.append(f"memory.{key} must be an integer >= {low}, got {value!r}")
-    m = mem.get("m", 8)
-    declared = mem.get("t_m", 0.0)
-    if isinstance(declared, bool) or not isinstance(declared, (int, float)):
-        errors.append(f"memory.t_m must be a number, got {declared!r}")
-    elif (
-        "t_m" in mem
-        and isinstance(m, int) and m >= 1
-        and isinstance(dt, (int, float)) and dt > 0
-        and abs(declared - m * dt) > 1e-9
-    ):
-        warnings.append(
-            f"memory.t_m={float(declared)} inconsistent with m*dt={m * dt!r}; "
-            f"the computed value m*dt is used"
-        )
-    substeps = config.get("substeps", 64)
-    if not (isinstance(substeps, int) and substeps >= 1):
-        errors.append(f"substeps must be a positive integer, got {substeps!r}")
-    return errors, warnings
+    if errors:  # a section that is not an object fails each of its rows alike
+        return list(dict.fromkeys(errors)), []
+    m, dt = setting(config, "memory.m", 8), setting(config, "grid.dt", 0.625)
+    return errors, memory_time_warnings(config, m, dt)
 
 
 def _echo(config: dict, **extra) -> dict:
@@ -320,7 +347,7 @@ def _echo(config: dict, **extra) -> dict:
 def _pipeline_inputs(config: dict):
     """Model, initial joint state, reference policy and substeps of a config."""
     model, rho0 = build_model(config)
-    return model, rho0, build_policy(config, model, rho0), int(config.get("substeps", 64))
+    return model, rho0, build_policy(config, model, rho0), setting(config, "substeps", 64)
 
 
 def run_evolve(config: dict, out: Path, args) -> list[Path]:
@@ -401,10 +428,12 @@ def run_tensors(config: dict, out: Path, args) -> list[Path]:
     # parses t0, dt and any configured steps; the window is chosen below
     grid = build_grid(config, default_dt=math.pi / 5, default_steps=1)
     memory, commensurate = resolve_memory(config, model, grid.dt, policy)
+    for warning in memory_time_warnings(config, memory.m, grid.dt):
+        print(f"warning: {warning}", file=sys.stderr)
     max_length = 2 * memory.m - 1
     if commensurate:
         window = memory.c + memory.transient_steps + max_length
-    elif "steps" in config.get("grid", {}):
+    elif setting(config, "grid.steps", None) is not None:
         window = grid.steps
     else:
         window = memory.m + max_length
@@ -434,6 +463,8 @@ def run_propagate(config: dict, out: Path, args) -> list[Path]:
     model, rho0, policy, substeps = _pipeline_inputs(config)
     grid = build_grid(config, default_dt=0.625, default_steps=160)
     memory, commensurate = resolve_memory(config, model, grid.dt, policy)
+    for warning in memory_time_warnings(config, memory.m, grid.dt):
+        print(f"warning: {warning}", file=sys.stderr)
     cache = PropagatorCache(model, grid, substeps)
     oracle_window = grid.steps if args.oracle else min(memory.m, grid.steps)
     joint = evolve_state(
@@ -464,13 +495,12 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
     tensors, so a policy for which :func:`resolve_memory` allows no periodic
     reuse is refused as a config error."""
     model, rho0, policy, substeps = _pipeline_inputs(config)
-    sweep = config.get("sweep", {})
-    c_values = sweep.get("c_values", [6, 8, 12, 14])
-    tm_targets = sweep.get("tm_targets", [1.25, 2.5, 5.0, 10.0])
-    horizon = float(sweep.get("horizon", 100.0))
+    c_values = setting(config, "sweep.c_values", [6, 8, 12, 14])
+    tm_targets = setting(config, "sweep.tm_targets", [1.25, 2.5, 5.0, 10.0])
+    horizon = setting(config, "sweep.horizon", 100.0)
     if model.period is None:
         raise ConfigError("error-sweep needs a periodic (or static) model")
-    rows = []
+    cells = []  # (c, dt, steps, memory steps), all checked before any propagation
     for c in c_values:
         dt = model.period / c
         if not resolve_memory(config, model, dt, policy)[1]:
@@ -478,15 +508,19 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
                 f"error-sweep needs periodic tensor reuse, which the "
                 f"{policy_label(policy)} reference policy does not allow"
             )
-        total = int(round(horizon / dt))
+        ms = [m for m in (max(1, round(t / dt)) for t in tm_targets) if 1.24 <= m * dt <= 10.01]
+        cells += [(c, dt, int(round(horizon / dt)), ms)] if ms else []
+    if not cells:
+        raise ConfigError(f"sweep.tm_targets={tm_targets} give no memory time in [1.24, 10.01]")
+    if any(total < 2 * max(ms) for _, _, total, ms in cells):
+        raise ConfigError(f"sweep.horizon={horizon} leaves no step past two memory times")
+    rows = []
+    for c, dt, total, ms in cells:
         grid_long = TimeGrid(0.0, dt, total)
         cache = PropagatorCache(model, grid_long, substeps)
         joint = evolve_state(rho0, model, grid_long, substeps, cache=cache)
         exact = [partial_trace(r, model.layout, "system") for r in joint]
-        for target in tm_targets:
-            m = max(1, round(target / dt))
-            if not 1.24 <= m * dt <= 10.01:
-                continue
+        for m in ms:
             memory = MemoryConfig(dt=dt, m=m, c=c)
             tensors = _transfer_tensors(cache, policy, rho0, memory, True, 2 * m - 1, exact)
             trajectory = propagate(tensors, exact[:m], total, include_residuals=True)
@@ -551,11 +585,8 @@ def run_convergence(config: dict, out: Path, args) -> list[Path]:
     """Scaled-kernel vs full-length-tensor comparison. Columns: wt, n,
     relative_difference."""
     model, rho0, _, substeps = _pipeline_inputs(config)
-    conv = config.get("convergence", {})
-    t_values = conv.get("t_values", [2.5, 5.0])
-    n_values = conv.get("n_values", [8, 16, 32, 64])
-    if any(n < 2 for n in n_values):
-        raise ConfigError("convergence.n_values must all be >= 2")
+    t_values = setting(config, "convergence.t_values", [2.5, 5.0])
+    n_values = setting(config, "convergence.n_values", [8, 16, 32, 64])
     tau0 = partial_trace(rho0, model.layout, "environment")
     choice = ProjectorChoice(FixedState(tau0))
     rows = convergence_study(
@@ -565,7 +596,7 @@ def run_convergence(config: dict, out: Path, args) -> list[Path]:
         choice,
         rho0,
         map_substeps=substeps,
-        kernel_substeps=int(conv.get("kernel_substeps", 1024)),
+        kernel_substeps=setting(config, "convergence.kernel_substeps", 1024),
     )
     path = out / "convergence.csv"
     write_csv(
@@ -626,9 +657,8 @@ def main(argv=None) -> int:
     try:
         config = merge_flags(load_config(args.config), args)
         if args.experiment != "validate":
-            errors, warnings = validate_config(config)
-            for warning in warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+            # the runners that read memory.t_m warn about it on their own grid
+            errors = validate_config(config)[0]
             if errors:
                 for error in errors:
                     print(f"error: {error}", file=sys.stderr)

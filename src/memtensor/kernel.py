@@ -270,7 +270,7 @@ def discrete_inhomogeneity(residual: np.ndarray, dt: float) -> np.ndarray:
     return residual / dt
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelSeries:
     """Sampled master-equation pieces on a grid.
 

@@ -76,7 +76,7 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Joint-space Lindblad model with optional periodic driving.
 

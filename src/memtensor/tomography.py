@@ -51,7 +51,7 @@ from .models import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedState:
     """Time-independent reference environment state."""
 
@@ -241,7 +241,7 @@ def dynamical_map(
     return trace_e @ u @ embed
 
 
-@dataclass
+@dataclass(eq=False)
 class DynamicalMapFamily:
     """Grid-indexed family of dynamical maps ``(i, j) -> map(t_i -> t_j)``."""
 
@@ -418,7 +418,7 @@ def tomography_frame(d: int) -> list[np.ndarray]:
     return frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateDecomposition:
     """``rho_joint = sum_a c_a X_a (x) tau_a`` with valid states ``tau_a``."""
 

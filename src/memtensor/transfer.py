@@ -80,7 +80,7 @@ class MemoryConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class TransferTensorSet:
     """Transfer tensors keyed by ``(start step, length)`` plus residuals.
 
@@ -94,7 +94,7 @@ class TransferTensorSet:
     dense: bool = False
     # stored key -> (tensor, operator norm); an entry counts only while the
     # stored array is the same object
-    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def phase_of(self, j: int) -> int:
         """Start step identified by periodicity (literal inside transients
@@ -128,12 +128,6 @@ class TransferTensorSet:
         if cached is None or cached[0] is not t:
             cached = self._norms[key] = (t, operator_norm(t))
         return cached[1]
-
-    def stored_starts(self) -> list[int]:
-        return sorted({p for p, _ in self.tensors})
-
-    def max_length(self, start: int) -> int:
-        return max((l for p, l in self.tensors if p == start), default=0)
 
 
 def build_tensors(

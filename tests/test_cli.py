@@ -295,3 +295,86 @@ def test_non_numeric_memory_time_exits_2(tmp_path, capsys):
 def test_bad_grid_dt_in_tensors_runner_is_config_error(tmp_path):
     with pytest.raises(cli.ConfigError, match="grid"):
         cli.run_tensors({"grid": {"dt": "x"}}, tmp_path, None)
+
+
+def _run_config(tmp_path, experiment, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+
+def _bad_values(name):
+    kind, bound = cli.SETTINGS[name]
+    item = kind[0] if isinstance(kind, list) else kind
+    bad = ["x", True]
+    if item is float:
+        bad.append(math.inf)
+    if bound is not None:
+        bad.append(bound - 1 if item is int else bound)  # largest value out of range
+    if item is kind:
+        return bad
+    return [[v] for v in bad] + [bound + 1, []]  # a bare scalar, an empty list
+
+
+# the runner that reads each section
+READER = {"grid": "evolve", "memory": "tensors", "substeps": "evolve",
+          "sweep": "error-sweep", "convergence": "convergence"}
+
+
+@pytest.mark.parametrize("name", sorted(cli.SETTINGS))
+def test_every_malformed_setting_exits_2_naming_it(tmp_path, capsys, name):
+    section, _, key = name.rpartition(".")
+    experiment = READER[section or key]
+    for value in _bad_values(name):
+        config = {section: {key: value}} if section else {key: value}
+        assert _run_config(tmp_path, experiment, config) == 2, value
+        assert name in capsys.readouterr().err
+        # the runner refuses it on its own too, not only through validate_config
+        with pytest.raises(cli.ConfigError, match=name):
+            cli.EXPERIMENTS[experiment](config, tmp_path, None)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"grid": {"steps": True}, "substeps": True}, "grid.steps"),
+        ({"grid": [1]}, "grid"),
+        ({"memory": 3}, "memory"),
+        ({"policy": [1]}, "policy"),
+        ({"sweep": "x"}, "sweep"),
+        ({"policy": {"tau": "x"}}, "policy.tau"),
+        ({"policy": {"kind": "frozen", "sigma": [[1]]}}, "policy.sigma"),
+        ({"initial_state": 3}, "initial_state"),
+    ],
+)
+def test_malformed_section_or_matrix_exits_2_naming_it(tmp_path, capsys, config, key):
+    assert _run_config(tmp_path, "evolve", config) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_memory_time_warning_uses_the_experiment_grid(tmp_path, capsys):
+    # tensors runs on dt = pi/5 by default, so m*dt = 8*pi/5
+    config = {"memory": {"t_m": 8 * math.pi / 5}, "substeps": 4}
+    assert _run_config(tmp_path, "tensors", config) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert _run_config(tmp_path, "tensors", {"memory": {"t_m": 5.0}, "substeps": 4}) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "memory.t_m" in err
+
+
+@pytest.mark.parametrize(
+    "sweep, key",
+    [
+        ({"c_values": [6], "tm_targets": [0.1]}, "sweep.tm_targets"),
+        ({"c_values": [6], "horizon": 4.0}, "sweep.horizon"),
+    ],
+)
+def test_error_sweep_without_usable_cell_exits_2(tmp_path, capsys, monkeypatch, sweep, key):
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("a propagator was built")
+
+    monkeypatch.setattr(cli, "PropagatorCache", no_propagator)
+    assert _run_config(tmp_path, "error-sweep", {"sweep": sweep}) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "error_sweep.csv").exists()

@@ -29,9 +29,11 @@ from memtensor.tomography import (
     FrozenSystem,
     ReferenceStates,
     TrueEnvironment,
+    decompose_initial_state,
     reconstruct_family,
 )
 from memtensor.kernel import (
+    KernelSeries,
     ProjectorChoice,
     convergence_study,
     discrete_generator,
@@ -504,3 +506,28 @@ def test_convergence_study_rejects_degenerate_grid():
         convergence_study(
             example_model(), [1.0], [1], ProjectorChoice(FixedState(TAU0))
         )
+
+
+def test_array_holding_classes_compare_and_hash_by_identity():
+    # dataclass value equality would compare numpy arrays and raise
+    grid = TimeGrid(0.0, 0.5, 4)
+    tau = np.eye(2, dtype=complex) / 2
+    config = MemoryConfig(dt=0.5, m=2, c=2)
+    factories = [
+        example_model,
+        lambda: FixedState(np.eye(2, dtype=complex) / 2),
+        lambda: reconstruct_family(example_model(), grid, FixedState(tau), substeps=4),
+        lambda: build_tensors(
+            reconstruct_family(example_model(), grid, FixedState(tau), substeps=4), config
+        ),
+        lambda: decompose_initial_state(example_initial_state(), LAYOUT),
+        lambda: KernelSeries(grid, ProjectorChoice(FixedState(tau)), generator={0: np.eye(4)}),
+    ]
+    for make in factories:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+    policy = FixedState(tau)
+    choice = ProjectorChoice(policy)
+    assert choice == ProjectorChoice(policy) and hash(choice) == hash(ProjectorChoice(policy))
+    assert choice != ProjectorChoice(FixedState(tau))
