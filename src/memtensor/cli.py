@@ -34,6 +34,8 @@ Numeric settings are finite JSON numbers, never booleans. ``grid.dt``,
 are > 0; ``memory.transient_steps`` is >= 0, the ``convergence.n_values`` are
 >= 2 and the other integers >= 1; ``grid.t0`` and ``memory.t_m`` are free.
 Lists are non-empty. A malformed value or section exits 2 naming its key.
+``sweep.c_values`` counts grid steps per driving period, so ``error-sweep``
+needs a model with a ``period`` and exits 2 on a static one.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -249,28 +251,35 @@ def build_model(config: dict) -> tuple[LindbladModel, np.ndarray]:
     return model, rho0
 
 
+def _policy_state(policy_cfg: dict, key: str, d: int) -> np.ndarray:
+    """Density operator ``policy.<key>`` of dimension ``d``."""
+    try:
+        state = complex_matrix_from_json(policy_cfg[key])
+        validate_density_operator(state)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"policy.{key}: {exc}") from exc
+    if state.shape != (d, d):
+        raise ConfigError(
+            f"policy.{key} has shape {state.shape}, expected {(d, d)} for the model's layout"
+        )
+    return state
+
+
 def build_policy(config: dict, model: LindbladModel, rho0: np.ndarray):
     policy_cfg = _section(config, "policy")
     kind = policy_cfg.get("kind", "fixed")
+    layout = model.layout
     if kind == "fixed":
-        try:
-            if "tau" in policy_cfg:
-                return FixedState(complex_matrix_from_json(policy_cfg["tau"]))
-            return FixedState(partial_trace(rho0, model.layout, "environment"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"policy.tau: {exc}") from exc
+        if "tau" in policy_cfg:
+            return FixedState(_policy_state(policy_cfg, "tau", layout.dim_environment))
+        return FixedState(partial_trace(rho0, layout, "environment"))
     if kind == "true-env":
         return TrueEnvironment()
     if kind == "frozen":
-        ds = model.layout.dim_system
-        sigma = np.zeros((ds, ds), dtype=complex)
+        sigma = np.zeros((layout.dim_system,) * 2, dtype=complex)
         sigma[0, 0] = 1.0
-        try:
-            if "sigma" in policy_cfg:
-                sigma = complex_matrix_from_json(policy_cfg["sigma"])
-            validate_density_operator(sigma)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"policy.sigma: {exc}") from exc
+        if "sigma" in policy_cfg:
+            sigma = _policy_state(policy_cfg, "sigma", layout.dim_system)
         return FrozenSystem(lambda t: sigma)
     raise ConfigError(f"policy.kind must be fixed|true-env|frozen, got {kind!r}")
 
@@ -404,10 +413,10 @@ def _transfer_tensors(cache, policy, rho0, memory, periodic, max_length, exact):
     commensurate grid both give bit-identical tensors (see the README).
     """
     grid = cache.grid
-    starts = range(memory.c + memory.transient_steps)
-    periodic = periodic and grid.steps >= len(starts) + max_length
+    phases = memory.c + memory.transient_steps
+    periodic = periodic and grid.steps >= phases + max_length
     if periodic:
-        grid = TimeGrid(grid.t0, grid.dt, len(starts) + max_length)
+        grid = TimeGrid(grid.t0, grid.dt, phases + max_length)
     family = reconstruct_family(
         cache.model, grid, policy, cache.substeps, rho0, band=max_length, cache=cache
     )
@@ -415,7 +424,6 @@ def _transfer_tensors(cache, policy, rho0, memory, periodic, max_length, exact):
         family,
         memory,
         max_length=max_length,
-        starts=starts if periodic else None,
         exact_states=exact[: memory.m + 1],
         dense_window=None if periodic else grid.steps,
     )
@@ -492,14 +500,18 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
     """Cutoff-error landscape. Columns: wt_m, wdt, m, c, error (long-time
     max), bound (second-window envelope), heuristic (max longest-tensor
     norm), unphysical (error > 2), bound_ok. Each cell reuses one period of
-    tensors, so a policy for which :func:`resolve_memory` allows no periodic
-    reuse is refused as a config error."""
+    tensors, so a static model (no ``model.period``) and a policy for which
+    :func:`resolve_memory` allows no periodic reuse are refused as config
+    errors."""
     model, rho0, policy, substeps = _pipeline_inputs(config)
     c_values = setting(config, "sweep.c_values", [6, 8, 12, 14])
     tm_targets = setting(config, "sweep.tm_targets", [1.25, 2.5, 5.0, 10.0])
     horizon = setting(config, "sweep.horizon", 100.0)
     if model.period is None:
-        raise ConfigError("error-sweep needs a periodic (or static) model")
+        raise ConfigError(
+            "error-sweep needs a model with a driving period (model.period): "
+            "sweep.c_values counts steps per period"
+        )
     cells = []  # (c, dt, steps, memory steps), all checked before any propagation
     for c in c_values:
         dt = model.period / c

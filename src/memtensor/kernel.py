@@ -406,7 +406,7 @@ def convergence_study(
                 model, grid, choice.policy, substeps=map_substeps, rho_se0=rho_se0
             )
             config = MemoryConfig(dt=grid.dt, m=n, c=n)
-            tensors = build_tensors(family, config, starts=[0], max_length=n)
+            tensors = build_tensors(family, config, dense_window=n)
             t_n = tensors.tensor(0, n)
             scaled_kernel = grid.dt ** 2 * kernel
             rows.append((t, n, operator_norm(scaled_kernel - t_n) / operator_norm(t_n)))

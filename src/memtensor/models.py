@@ -260,6 +260,22 @@ class PropagatorCache:
         return self._adjacent[i]
 
 
+def cache_for(
+    model: LindbladModel, grid: TimeGrid, substeps: int, cache: PropagatorCache | None
+) -> PropagatorCache:
+    """``cache`` if it serves ``model`` on ``grid`` (same ``t0`` and ``dt``, at
+    least as many steps; its own substeps are used), a new cache when it is
+    None, else ``ValueError``."""
+    if cache is None:
+        return PropagatorCache(model, grid, substeps)
+    if cache.model is not model:
+        raise ValueError("propagator cache was built for another model")
+    own = cache.grid
+    if own.t0 != grid.t0 or own.dt != grid.dt or own.steps < grid.steps:
+        raise ValueError(f"propagator cache on {own} does not cover {grid}")
+    return cache
+
+
 def evolve_state(
     rho0: np.ndarray,
     model: LindbladModel,
@@ -267,13 +283,15 @@ def evolve_state(
     substeps: int = 64,
     cache: PropagatorCache | None = None,
 ) -> list[np.ndarray]:
-    """Joint trajectory ``[rho(t_0), ..., rho(t_N)]`` from initial state ``rho0``."""
+    """Joint trajectory ``[rho(t_0), ..., rho(t_N)]`` from initial state ``rho0``.
+
+    A passed ``cache`` must serve ``model`` on ``grid`` (see :func:`cache_for`).
+    """
     validate_density_operator(rho0)
     d = model.layout.dim_joint
     if rho0.shape != (d, d):
         raise ValueError(f"state shape {rho0.shape} does not match joint dimension {d}")
-    if cache is None:
-        cache = PropagatorCache(model, grid, substeps)
+    cache = cache_for(model, grid, substeps, cache)
     trajectory = [np.array(rho0, dtype=complex)]
     vec = vectorize(rho0)
     for j in range(grid.steps):
@@ -406,6 +424,11 @@ def model_from_config(config: dict) -> LindbladModel:
         return h
 
     model = LindbladModel(layout, hamiltonian, jumps, period)
+    for i, (op, _) in enumerate(jumps):
+        if op.shape != (layout.dim_joint,) * 2:
+            raise ValueError(
+                f"jumps[{i}] has shape {op.shape}, expected {(layout.dim_joint,) * 2}"
+            )
     model.validate()
     return model
 

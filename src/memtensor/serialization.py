@@ -167,18 +167,20 @@ def tensors_to_json(tensor_set: TransferTensorSet) -> dict:
 
 
 def tensors_from_json(doc: dict) -> TransferTensorSet:
-    """Tensor set from its JSON document; one without a ``dense`` flag (the
-    older format) loads as periodic."""
+    """Tensor set from its JSON document. One without a ``dense`` flag (the
+    older format) loads as dense when it stores a start past the phases
+    ``0 .. transient_steps + c - 1``, which only a dense set can, and as
+    periodic otherwise."""
     _check_header(doc, "memtensor-transfer-tensors")
+    config = _fields(doc, "config", MemoryConfig)
     tensors, shape = _matrices(doc, "tensors", 2, superop=True)
     ds = None if shape is None else math.isqrt(shape[0])
     residuals, _ = _matrices(doc, "residuals", 1, None if ds is None else (ds, ds))
-    return TransferTensorSet(
-        config=_fields(doc, "config", MemoryConfig),
-        tensors=tensors,
-        residuals=residuals,
-        dense=doc.get("dense") is True,
-    )
+    if "dense" in doc:
+        dense = doc["dense"] is True
+    else:
+        dense = any(p >= config.transient_steps + config.c for p, _ in tensors)
+    return TransferTensorSet(config=config, tensors=tensors, residuals=residuals, dense=dense)
 
 
 def save_json(doc: dict, path) -> None:

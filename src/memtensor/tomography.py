@@ -40,6 +40,7 @@ from .models import (
     LindbladModel,
     PropagatorCache,
     TimeGrid,
+    cache_for,
     generator_stack,
     midpoints,
     ordered_exponential,
@@ -273,10 +274,10 @@ def reconstruct_family(
 
     ``band`` restricts to pairs with ``j - i <= band`` (enough for transfer
     tensors up to that memory length). Time-dependent policies require the
-    initial joint state ``rho_se0``.
+    initial joint state ``rho_se0``. A passed ``cache`` must serve ``model``
+    on ``grid`` (see :func:`~memtensor.models.cache_for`).
     """
-    if cache is None:
-        cache = PropagatorCache(model, grid, substeps)
+    cache = cache_for(model, grid, substeps, cache)
     refs = ReferenceStates(
         policy, model, rho_se0, t0=grid.t0, substep=grid.dt / substeps
     )

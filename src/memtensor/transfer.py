@@ -18,11 +18,12 @@ start step only through its phase mod ``c`` (after transients), so a finite
 set propagates the system to arbitrary times with a cost independent of the
 horizon and an error that does not grow with it.
 
-Tensors are stored keyed by ``(start step, length)``. Lookups in a periodic
-set fall back from the literal start step to its phase, so the same
-propagation loop serves both the periodic-reuse regime and densely built sets
-(used when the grid spacing is incommensurate with the driving period). A
-dense set never wraps: a start past its window is a ``KeyError``.
+Tensors are stored keyed by ``(start step, length)``, and one rule,
+:meth:`TransferTensorSet.phase_of`, decides which stored start serves a start
+step. A periodic set stores exactly the starts ``0 .. transient_steps + c - 1``
+and serves every later start from its phase mod ``c``; a dense set (used when
+the grid spacing is incommensurate with the driving period) stores every start
+of a window and never wraps: a start past its window is a ``KeyError``.
 
 Propagation runs in real coordinates over an orthonormal basis of Hermitian
 matrices (:func:`~memtensor.linalg.hermitian_basis`), where a tensor followed
@@ -30,21 +31,24 @@ by taking the Hermitian part is one real matrix: every propagated state is
 Hermitian by construction. Row ``k`` of the recursion,
 ``[T(k-m, m) ... T(k-1, 1)]``, maps the window of the ``m`` previous states
 to state ``k``; ``L = c*ceil(m/c)`` rows compose into a block that maps a
-window straight to the next ``L`` states. Past the literally stored starts of
-a periodic set every row depends only on its phase and every block is the
-same matrix, each built once, so the cost per step does not grow with the
-horizon. The same block gives :func:`stability_radius`, the growth per period
-of the truncated propagation.
+window straight to the next ``L`` states. Once a row reaches back no further
+than the transients of a periodic set, it depends only on its phase and every
+block is the same matrix, each built once, so the cost per step does not grow
+with the horizon. The same block gives :func:`stability_radius`, the growth
+per period of the truncated propagation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import hermitian_basis, hermitize, operator_norm
+from .linalg import hermitian_basis, hermitize
 from .models import LindbladModel, TimeGrid
 from .tomography import (
     DynamicalMapFamily,
@@ -80,61 +84,66 @@ class MemoryConfig:
             )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TransferTensorSet:
     """Transfer tensors keyed by ``(start step, length)`` plus residuals.
 
-    ``dense`` marks a set stored per start step over a window (no periodic
-    reuse): its starts are never identified by phase.
+    A periodic set stores the starts ``0 .. transient_steps + c - 1``, one
+    per phase; a start past them is a ``ValueError``. ``dense`` marks a set
+    stored per start step over a window (no periodic reuse). Both mappings
+    and their arrays are read-only once the set is built.
     """
 
     config: MemoryConfig
-    tensors: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
+    tensors: Mapping = field(default_factory=dict)
+    residuals: Mapping = field(default_factory=dict)
     dense: bool = False
-    # stored key -> (tensor, operator norm); an entry counts only while the
-    # stored array is the same object
-    _norms: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        phases = self.config.transient_steps + self.config.c
+        if not self.dense and any(p >= phases for p, _ in self.tensors):
+            raise ValueError(
+                f"a periodic set stores only starts below transient_steps + c = {phases}"
+            )
+        # read-only views: the norm table stays that of the stored arrays
+        for name in ("tensors", "residuals"):
+            views = {key: np.asarray(a).view() for key, a in getattr(self, name).items()}
+            for view in views.values():
+                view.flags.writeable = False
+            object.__setattr__(self, name, MappingProxyType(views))
 
     def phase_of(self, j: int) -> int:
-        """Start step identified by periodicity (literal inside transients
-        and in a dense set)."""
+        """Stored start serving start step ``j`` (``j`` itself inside the
+        transients, the first period and in a dense set)."""
         base = self.config.transient_steps
         if self.dense or 0 <= j < base + self.config.c:
             return j
         return (j - base) % self.config.c + base
 
     def _key_of(self, start: int, length: int) -> tuple[int, int]:
-        """Stored key serving ``(start, length)``: the literal key if stored,
-        else the one at its phase."""
-        key = (start, length)
-        if key in self.tensors:
-            return key
-        wrapped = (self.phase_of(start), length)
-        if wrapped in self.tensors:
-            return wrapped
-        where = "past the window of a dense set" if self.dense else f"phase {wrapped[0]}"
-        raise KeyError(f"no transfer tensor for start={start} ({where}), length={length}")
+        key = (self.phase_of(start), length)
+        if key not in self.tensors:
+            where = "past the window of a dense set" if self.dense else f"phase {key[0]}"
+            raise KeyError(f"no transfer tensor for start={start} ({where}), length={length}")
+        return key
 
     def tensor(self, start: int, length: int) -> np.ndarray:
-        """Tensor for the given start step, falling back to its phase."""
+        """Tensor serving the given start step."""
         return self.tensors[self._key_of(start, length)]
 
-    def _norm(self, start: int, length: int) -> float:
-        """Operator norm of :meth:`tensor`, computed once per stored tensor."""
-        key = self._key_of(start, length)
-        t = self.tensors[key]
-        cached = self._norms.get(key)
-        if cached is None or cached[0] is not t:
-            cached = self._norms[key] = (t, operator_norm(t))
-        return cached[1]
+    @cached_property
+    def _norm_table(self) -> dict:
+        """Operator norm of every stored tensor, by key, built on first use."""
+        if not self.tensors:
+            return {}
+        norms = np.linalg.norm(np.array(list(self.tensors.values())), 2, axis=(-2, -1))
+        return dict(zip(self.tensors, norms.tolist()))
 
 
 def build_tensors(
     family: DynamicalMapFamily,
     config: MemoryConfig,
     max_length: int | None = None,
-    starts=None,
     exact_states: list[np.ndarray] | None = None,
     dense_window: int | None = None,
 ) -> TransferTensorSet:
@@ -144,45 +153,33 @@ def build_tensors(
     ----------
     family : DynamicalMapFamily
         Must contain every map inside the windows ``[p, p + max_length]`` for
-        the requested start steps ``p``.
+        the stored start steps ``p``.
     config : MemoryConfig
         Grid/cutoff/period bookkeeping carried by the result.
     max_length : int, optional
         Longest tensor to store (default ``config.m``; the error bound needs
         ``2*m - 1``).
-    starts : iterable of int, optional
-        Start steps to store (default ``range(c + transient_steps)``).
     exact_states : list of ndarray, optional
         Exact system states at steps ``0..k``; stores the correlation
         residuals for steps ``1..min(m, k)``.
     dense_window : int, optional
-        Store every tensor with ``start + length <= dense_window`` instead of
-        the ``starts x lengths`` grid; for propagation without periodic reuse
-        (incommensurate grids) and for full-memory exact reconstruction. The
-        result is marked ``dense`` and refuses starts past the window.
+        Store every tensor with ``start + length <= dense_window``; for
+        propagation without periodic reuse (incommensurate grids) and for
+        full-memory exact reconstruction. The result is marked ``dense`` and
+        refuses starts past the window. Without it the set is periodic: it
+        stores the starts ``0 .. transient_steps + c - 1`` and serves every
+        later start from its phase.
     """
     if max_length is None:
         max_length = config.m
-    if dense_window is not None:
-        requested = {
-            (p, l)
-            for l in range(1, max_length + 1)
-            for p in range(dense_window - l + 1)
-        }
-    else:
-        if starts is None:
-            starts = range(config.c + config.transient_steps)
-        requested = {(p, l) for p in starts for l in range(1, max_length + 1)}
-    tensor_set = TransferTensorSet(config=config, dense=dense_window is not None)
-
-    # group by end step: the recursion at end k needs every shorter length
-    # at the same end
-    length_at_end: dict[int, int] = {}
-    for p, l in requested:
-        length_at_end[p + l] = max(length_at_end.get(p + l, 0), l)
-    for k in sorted(length_at_end):
+    phases = config.transient_steps + config.c
+    dense = dense_window is not None
+    last_end = dense_window if dense else phases - 1 + max_length
+    tensors = {}
+    # the recursion at end k needs every shorter length at the same end
+    for k in range(1, last_end + 1):
         at_end: list[np.ndarray] = []
-        for l in range(1, min(k, length_at_end[k]) + 1):
+        for l in range(1, min(k, max_length) + 1):
             try:
                 t_l = np.array(family.map(k - l, k))
                 for lp in range(1, l):
@@ -193,14 +190,17 @@ def build_tensors(
                     f"length={l}): {exc}"
                 ) from exc
             at_end.append(t_l)
-            if (k - l, l) in requested:
-                tensor_set.tensors[(k - l, l)] = t_l
+            if dense or k - l < phases:
+                tensors[(k - l, l)] = t_l
+    tensor_set = TransferTensorSet(config=config, tensors=tensors, dense=dense)
 
-    if exact_states is not None:
-        k_max = min(config.m, len(exact_states) - 1)
-        for k in range(1, k_max + 1):
-            tensor_set.residuals[k] = inhomogeneous_residual(exact_states, tensor_set, k)
-    return tensor_set
+    if exact_states is None:
+        return tensor_set
+    k_max = min(config.m, len(exact_states) - 1)
+    residuals = {
+        k: inhomogeneous_residual(exact_states, tensor_set, k) for k in range(1, k_max + 1)
+    }
+    return replace(tensor_set, residuals=residuals)
 
 
 def inhomogeneous_residual(
@@ -231,9 +231,10 @@ class _Rows:
     Row ``k`` is the real ``(n, m*n)`` matrix ``[T(k-m, m) ... T(k-1, 1)]``
     (zeros where ``k - l < 0``), each tensor as ``Re(B^dag T B)``; it maps the
     window of the ``m`` states before step ``k`` to state ``k``. Tensors
-    resolve through :meth:`TransferTensorSet._key_of`. From step ``literal``
-    on (never in a dense set) every lookup falls back to a phase, so rows and
-    blocks there depend only on ``(k - literal) mod c`` and are built once.
+    resolve through :meth:`TransferTensorSet._key_of`. From step
+    ``periodic_from = transient_steps + m`` on (never in a dense set) every
+    start in a row is served by its phase, so rows and blocks there depend
+    only on ``k mod c`` and are built once.
     """
 
     def __init__(self, tensors: TransferTensorSet, d: int):
@@ -243,18 +244,15 @@ class _Rows:
         self.n = d * d
         # a whole number of periods covering the memory window
         self.block_steps = config.c * -(-config.m // config.c)
-        max_start = max((p for p, _ in tensors.tensors), default=0)
-        self.literal = None if tensors.dense else max(
-            max_start + config.m + 1, config.transient_steps + config.m + config.c
-        )
+        self.periodic_from = None if tensors.dense else config.transient_steps + config.m
         # stored key -> Re(B^dag T B), for every length a row can use
         keys = [key for key in tensors.tensors if key[1] <= config.m]
         stack = np.zeros((0, self.n, self.n))
         if keys:
             stack = np.array([tensors.tensors[key] for key in keys])
         self._real = dict(zip(keys, (self.basis.conj().T @ stack @ self.basis).real))
-        self._rows: dict = {}  # phase past `literal` -> row
-        self._blocks: dict = {}  # phase past `literal` -> block
+        self._rows: dict = {}  # phase past `periodic_from` -> row
+        self._blocks: dict = {}  # phase past `periodic_from` -> block
 
     def coordinates(self, ops) -> np.ndarray:
         """``Re(B^dag vec X)`` for each operator of a stack ``(K, d, d)``."""
@@ -262,9 +260,9 @@ class _Rows:
         return (vecs @ self.basis.conj()).real
 
     def _phase(self, k: int):
-        if self.literal is None or k < self.literal:
+        if self.periodic_from is None or k < self.periodic_from:
             return None
-        return (k - self.literal) % self.c
+        return (k - self.periodic_from) % self.c
 
     def row(self, k: int) -> np.ndarray:
         phase = self._phase(k)
@@ -319,8 +317,8 @@ def propagate(
     returned as given). Steps that add a residual, and the last
     ``< L = c*ceil(m/c)`` steps, run one row at a time; the rest run in
     blocks that map the ``m``-state window straight to the next ``L``
-    states. Past the literally stored starts of a periodic set every block is
-    the same matrix and is built once, so the cost per step does not depend
+    states. Past the transients of a periodic set every block is the same
+    matrix and is built once, so the cost per step does not depend
     on the horizon; a dense set builds each block from its own rows.
     """
     m = tensors.config.m
@@ -434,7 +432,7 @@ def error_bound(tensors: TransferTensorSet, config: MemoryConfig, k: int) -> flo
     total = 0.0
     for l in range(1, m + 1):
         try:
-            total += tensors._norm(base + l, 2 * m - l)
+            total += tensors._norm_table[tensors._key_of(base + l, 2 * m - l)]
         except KeyError as exc:
             raise KeyError(
                 f"error bound needs tensors to length {2 * m - 1}: {exc}"
@@ -448,7 +446,7 @@ def memory_cutoff_heuristic(tensors: TransferTensorSet, config: MemoryConfig) ->
     Empirically a much tighter indicator of the propagation error than the
     conservative second-window bound.
     """
-    norms = [tensors._norm(p, l) for p, l in tensors.tensors if l == config.m]
+    norms = [norm for (_, l), norm in tensors._norm_table.items() if l == config.m]
     if not norms:
         raise KeyError(f"no stored tensors of length m={config.m}")
     return max(norms)
@@ -456,14 +454,15 @@ def memory_cutoff_heuristic(tensors: TransferTensorSet, config: MemoryConfig) ->
 
 def tensor_norm_profile(tensors: TransferTensorSet) -> dict:
     """Operator norm of every stored tensor, keyed by ``(length, start)``."""
-    return {(l, p): tensors._norm(p, l) for p, l in sorted(tensors.tensors)}
+    table = tensors._norm_table
+    return {(l, p): table[(p, l)] for p, l in sorted(table)}
 
 
 def stability_radius(tensors: TransferTensorSet) -> float:
     """Spectral radius per driving period of memory-truncated propagation.
 
-    The window map sends the ``m`` states before a step past the literally
-    stored starts to the ``m`` states ``L = c*ceil(m/c)`` steps later: the
+    The window map sends the ``m`` states before a step past the transients
+    to the ``m`` states ``L = c*ceil(m/c)`` steps later: the
     last ``m*d^2`` rows of the block :func:`propagate` caches there. Its
     spectral radius, to the power ``c/L``, is the growth per period. Trace
     preservation pins an eigenvalue at 1, so a stable truncation gives 1 and
@@ -476,6 +475,6 @@ def stability_radius(tensors: TransferTensorSet) -> float:
         raise ValueError("empty tensor set")
     n = next(iter(tensors.tensors.values())).shape[0]
     rows = _Rows(tensors, math.isqrt(n))
-    window_map = rows.block(rows.literal)[-rows.m * n :]
+    window_map = rows.block(rows.periodic_from)[-rows.m * n :]
     radius = float(np.abs(np.linalg.eigvals(window_map)).max())
     return radius ** (rows.c / rows.block_steps)

@@ -130,8 +130,8 @@ def test_criterion_2_semigroup_null():
         family = reconstruct_family(
             model, grid, FixedState(np.eye(1, dtype=complex)), substeps=32, cache=cache
         )
-        config = MemoryConfig(dt=grid.dt, m=6, c=1)
-        tensors = build_tensors(family, config, starts=range(4))
+        config = MemoryConfig(dt=grid.dt, m=6, c=1, transient_steps=3)
+        tensors = build_tensors(family, config)
         long_norms = [
             operator_norm(t) for (p, l), t in tensors.tensors.items() if l >= 2
         ]
@@ -253,8 +253,8 @@ def test_criterion_5_tensor_periodicity():
         dt = math.pi / 5
         grid = TimeGrid(0.0, dt, 18)
         family = reconstruct_family(model, grid, FixedState(TAU0), substeps=SUBSTEPS)
-        config = MemoryConfig(dt=dt, m=8, c=5)
-        tensors = build_tensors(family, config, starts=range(10))
+        config = MemoryConfig(dt=dt, m=8, c=5, transient_steps=5)
+        tensors = build_tensors(family, config)
         worst = max(
             operator_norm(tensors.tensors[(p, l)] - tensors.tensors[(p + 5, l)])
             for p in range(5)

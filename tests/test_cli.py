@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from memtensor import cli
+from memtensor.models import model_from_config
+from memtensor.serialization import complex_matrix_to_json
 
 
 def run_cli(args):
@@ -378,3 +380,41 @@ def test_error_sweep_without_usable_cell_exits_2(tmp_path, capsys, monkeypatch, 
     assert _run_config(tmp_path, "error-sweep", {"sweep": sweep}) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o" / "error_sweep.csv").exists()
+
+
+def _custom_config(**model):
+    """The static 2+2 model ``0.5 ZI`` with ``model`` keys added, maximally mixed."""
+    base = {"dim_system": 2, "dim_environment": 2,
+            "hamiltonian": [{"pauli": "ZI", "coefficient": 0.5}]}
+    return {"model": dict(base, **model), "initial_state": complex_matrix_to_json(np.eye(4) / 4)}
+
+
+@pytest.mark.parametrize(
+    "policy, key",
+    [
+        ({"kind": "frozen", "sigma": complex_matrix_to_json(np.eye(3) / 3)}, "policy.sigma"),
+        ({"kind": "fixed", "tau": complex_matrix_to_json(np.eye(3) / 3)}, "policy.tau"),
+    ],
+)
+def test_policy_state_of_another_layout_exits_2_naming_it(tmp_path, capsys, policy, key):
+    assert _run_config(tmp_path, "validate", {"policy": policy}) == 2
+    assert key in capsys.readouterr().out
+    config = {"policy": policy, "grid": {"steps": 1}, "substeps": 4}
+    assert _run_config(tmp_path, "tomography", config) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_jump_of_another_shape_exits_2_naming_it(tmp_path, capsys, d):
+    config = _custom_config(jumps=[{"matrix": complex_matrix_to_json(np.eye(d)), "rate": 1.0}])
+    with pytest.raises(ValueError, match=r"jumps\[0\]"):
+        model_from_config(config["model"])
+    assert _run_config(tmp_path, "validate", config) == 2
+    assert "jumps[0]" in capsys.readouterr().out
+    assert _run_config(tmp_path, "evolve", config) == 2
+    assert not (tmp_path / "o" / "evolve.csv").exists()
+
+
+def test_error_sweep_asks_a_static_model_for_a_period(tmp_path, capsys):
+    assert _run_config(tmp_path, "error-sweep", _custom_config()) == 2
+    assert "model.period" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """The paper's exact identities as properties over random layouts and models."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,12 @@ from hypothesis import strategies as st
 
 from memtensor.linalg import SpaceLayout, partial_trace, vectorize
 from memtensor.models import LindbladModel, PropagatorCache, TimeGrid, evolve_state
+from memtensor.serialization import (
+    family_from_json,
+    family_to_json,
+    tensors_from_json,
+    tensors_to_json,
+)
 from memtensor.tomography import FixedState, check_cptp, reconstruct_family
 from memtensor.transfer import MemoryConfig, build_tensors, propagate
 
@@ -17,6 +24,16 @@ SUBSTEPS = 8
 
 def _random_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def _through_text(doc):
+    return json.loads(json.dumps(doc))
+
+
+def _assert_same_matrices(got, want):
+    assert got.keys() == want.keys()
+    for key, matrix in want.items():
+        np.testing.assert_array_equal(got[key], matrix, err_msg=f"{key}")
 
 
 def _random_state(rng, d):
@@ -68,6 +85,22 @@ def test_paper_identities_hold_for_random_models(case):
     trajectory = propagate(tensors, exact[:1], GRID.steps, include_residuals=True)
     for k, (got, want) in enumerate(zip(trajectory, exact)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=f"step {k}")
+
+    # the family and the dense set survive their JSON documents bit for bit,
+    # and so does the trajectory propagated from the loaded set
+    loaded_family = family_from_json(_through_text(family_to_json(family)))
+    _assert_same_matrices(loaded_family.maps, family.maps)
+    _assert_same_matrices(loaded_family.reference_states, family.reference_states)
+    doc = _through_text(tensors_to_json(tensors))
+    loaded = tensors_from_json(doc)
+    assert loaded.dense and loaded.config == memory
+    _assert_same_matrices(loaded.tensors, tensors.tensors)
+    _assert_same_matrices(loaded.residuals, tensors.residuals)
+    reloaded = propagate(loaded, exact[:1], GRID.steps, include_residuals=True)
+    np.testing.assert_array_equal(np.array(reloaded), np.array(trajectory))
+    # a dense document written before the flag existed still loads as dense
+    del doc["dense"]
+    assert tensors_from_json(doc).dense
 
     # a trivial environment leaves a divisible family: no memory at all
     if model.layout.dim_environment == 1:

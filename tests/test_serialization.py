@@ -1,6 +1,7 @@
 """Round trips for the JSON interchange formats."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ def test_tensor_set_round_trip(tmp_path):
     family = _small_family()
     config = MemoryConfig(dt=0.625, m=3, c=3)
     tensors = build_tensors(family, config, dense_window=3)
-    tensors.residuals[1] = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+    residual = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
+    tensors = replace(tensors, residuals={1: residual})
     path = tmp_path / "tensors.json"
     save_json(tensors_to_json(tensors), path)
     loaded = tensors_from_json(load_json(path))
@@ -81,7 +83,7 @@ def test_tensor_set_round_trip(tmp_path):
         assert np.max(np.abs(loaded.tensors[key] - tensors.tensors[key])) < 1e-15
     assert np.max(np.abs(loaded.residuals[1] - tensors.residuals[1])) < 1e-15
     # the dense flag survives; a document without it (the older format)
-    # loads as a periodic set
+    # loads as periodic when every start is a phase (here c = 3 > 2)
     assert loaded.dense
     doc = tensors_to_json(tensors)
     del doc["dense"]
@@ -89,6 +91,22 @@ def test_tensor_set_round_trip(tmp_path):
     periodic = build_tensors(family, config, max_length=1)
     assert "dense" not in tensors_to_json(periodic)
     assert not tensors_from_json(tensors_to_json(periodic)).dense
+
+
+def test_flagless_document_loads_as_dense_when_a_start_is_past_the_phases():
+    family = _small_family()
+    tensors = build_tensors(family, MemoryConfig(dt=0.625, m=2, c=1), dense_window=3)
+    assert max(p for p, _ in tensors.tensors) == 2  # past the single phase 0
+    doc = tensors_to_json(tensors)
+    del doc["dense"]
+    loaded = tensors_from_json(doc)
+    assert loaded.dense
+    assert set(loaded.tensors) == set(tensors.tensors)
+    with pytest.raises(KeyError, match="dense"):
+        loaded.tensor(3, 1)
+    doc["dense"] = False
+    with pytest.raises(ValueError, match="periodic"):
+        tensors_from_json(doc)
 
 
 def test_loaded_frozen_family_refuses_integration_but_feeds_tensors():
@@ -135,7 +153,7 @@ def test_malformed_documents_raise_value_error_naming_the_key(kind, section, key
         doc, load = family_to_json(family), family_from_json
     else:
         tensors = build_tensors(family, MemoryConfig(dt=0.625, m=3, c=3), dense_window=3)
-        tensors.residuals[1] = np.eye(2) / 2
+        tensors = replace(tensors, residuals={1: np.eye(2) / 2})
         doc, load = tensors_to_json(tensors), tensors_from_json
     load(copy.deepcopy(doc))  # the unmutated document loads
     if section == "conventions":

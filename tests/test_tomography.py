@@ -260,6 +260,33 @@ def test_policy_consistency_for_product_initial_state():
         assert trace_distance(predicted, actual) < 1e-9
 
 
+def test_mismatched_propagator_cache_is_refused():
+    model = example_model()
+    rho0 = example_initial_state()
+    policy = FixedState(partial_trace(rho0, LAYOUT, "environment"))
+    grid = TimeGrid(0.0, 0.5, 4)
+    mismatched = [
+        PropagatorCache(model, TimeGrid(0.0, 0.25, 8), 4),  # another dt
+        PropagatorCache(model, TimeGrid(0.5, 0.5, 4), 4),  # another t0
+        PropagatorCache(model, TimeGrid(0.0, 0.5, 3), 4),  # too short
+        PropagatorCache(example_model(), grid, 4),  # another model
+    ]
+    for cache in mismatched:
+        with pytest.raises(ValueError, match="cache"):
+            evolve_state(rho0, model, grid, 4, cache=cache)
+        with pytest.raises(ValueError, match="cache"):
+            reconstruct_family(model, grid, policy, 4, cache=cache)
+    # a longer cache on the same t0 and dt serves the shorter grid
+    longer = PropagatorCache(model, TimeGrid(0.0, 0.5, 6), 4)
+    np.testing.assert_array_equal(
+        evolve_state(rho0, model, grid, 4, cache=longer), evolve_state(rho0, model, grid, 4)
+    )
+    family = reconstruct_family(model, grid, policy, 4, cache=longer)
+    np.testing.assert_array_equal(
+        family.map(0, 4), reconstruct_family(model, grid, policy, 4).map(0, 4)
+    )
+
+
 # --- CPTP checks ------------------------------------------------------------
 
 

@@ -128,8 +128,8 @@ def test_semigroup_tensors_vanish_beyond_one_step():
     family = reconstruct_family(
         model, grid, FixedState(np.eye(1, dtype=complex)), substeps=32
     )
-    config = MemoryConfig(dt=grid.dt, m=6, c=1)
-    tensors = build_tensors(family, config, starts=range(4))
+    config = MemoryConfig(dt=grid.dt, m=6, c=1, transient_steps=3)
+    tensors = build_tensors(family, config)
     for (p, l), t in tensors.tensors.items():
         if l >= 2:
             assert operator_norm(t) < 1e-10, (p, l)
@@ -159,7 +159,7 @@ def test_example_tensor_norms_decay_on_paper_grid():
     grid = TimeGrid(0.0, 0.625, 8)
     family = reconstruct_family(model, grid, FixedState(TAU0), substeps=48)
     config = MemoryConfig(dt=0.625, m=8, c=8)
-    tensors = build_tensors(family, config, starts=[0])
+    tensors = build_tensors(family, config, dense_window=8)
     norms = {l: operator_norm(tensors.tensor(0, l)) for l in range(1, 9)}
     assert norms[8] < norms[2]
     assert norms[8] < 0.1 * norms[1]
@@ -274,8 +274,8 @@ def test_propagate_outputs_hermitian_unit_trace(example_setup):
 
 def test_tensor_periodicity_across_one_period(example_setup):
     _, _, grid, _, family, _ = example_setup
-    config = MemoryConfig(dt=grid.dt, m=8, c=5)
-    tensors = build_tensors(family, config, starts=range(10))
+    config = MemoryConfig(dt=grid.dt, m=8, c=5, transient_steps=5)
+    tensors = build_tensors(family, config)
     for p in range(5):
         for l in range(1, 9):
             diff = operator_norm(tensors.tensor(p, l) - tensors.tensors[(p + 5, l)])
@@ -301,8 +301,8 @@ def test_error_bound_semigroup_vanishes():
     family = reconstruct_family(
         model, grid, FixedState(np.eye(1, dtype=complex)), substeps=32
     )
-    config = MemoryConfig(dt=grid.dt, m=3, c=1)
-    tensors = build_tensors(family, config, max_length=5, starts=range(4))
+    config = MemoryConfig(dt=grid.dt, m=3, c=1, transient_steps=3)
+    tensors = build_tensors(family, config, max_length=5)
     assert error_bound(tensors, config, 12) < 1e-9
 
 
@@ -416,9 +416,9 @@ def _random_hermitian(rng, d):
 def tensor_sets(draw):
     """Random tensor sets (periodic or dense), seeds and horizons.
 
-    Every tensor has operator norm 1/m, so trajectories stay bounded; stored
-    starts past one period carry their own tensors, so a literal key must win
-    over its phase.
+    Every tensor has operator norm 1/m, so trajectories stay bounded. A
+    periodic set stores at most its ``transient_steps + c`` phases, so a
+    missing phase must fail alike in both loops.
     """
     d = draw(st.sampled_from([2, 3]))
     c = draw(st.sampled_from([1, 2, 5, 7]))
@@ -431,7 +431,7 @@ def tensor_sets(draw):
         window = draw(st.integers(m, m + 3 * block))
         keys = [(p, l) for l in range(1, m + 1) for p in range(window - l + 1)]
     else:
-        starts = c + transient + draw(st.sampled_from([0, 1, c + 3]))
+        starts = c + transient - draw(st.sampled_from([0, 0, 1]))
         keys = [(p, l) for p in range(starts) for l in range(1, m + 1)]
     tensors = {}
     for key in keys:
@@ -470,10 +470,10 @@ def test_propagate_matches_reference_loop(case):
             np.testing.assert_array_equal(got, got.conj().T)
 
 
-def test_norm_cache_shares_phases_and_follows_replacement(example_setup):
-    _, _, grid, _, family, _ = example_setup
+def test_norm_table_serves_phases_and_the_set_is_read_only(example_setup):
+    _, _, grid, _, family, sys_traj = example_setup
     config = MemoryConfig(dt=grid.dt, m=4, c=5)
-    tensors = build_tensors(family, config, max_length=7)
+    tensors = build_tensors(family, config, max_length=7, exact_states=sys_traj)
     direct = sum(
         operator_norm(tensors.tensor(tensors.phase_of(20 - 8) + l, 8 - l))
         for l in range(1, 5)
@@ -481,12 +481,28 @@ def test_norm_cache_shares_phases_and_follows_replacement(example_setup):
     assert error_bound(tensors, config, 20) == direct
     # one period later the same stored tensors serve, from the same entries
     assert error_bound(tensors, config, 25) == direct
-    assert len(tensors._norms) == 4
     profile = tensor_norm_profile(tensors)
     assert all(profile[(l, p)] == operator_norm(t) for (p, l), t in tensors.tensors.items())
-    tensors.tensors[(2, 2)] = 2 * tensors.tensors[(2, 2)]
-    assert tensor_norm_profile(tensors)[(2, 2)] == operator_norm(tensors.tensors[(2, 2)])
-    assert "_norms" not in repr(tensors)
+    with pytest.raises(TypeError):
+        tensors.tensors[(2, 2)] = 2 * tensors.tensors[(2, 2)]
+    with pytest.raises(TypeError):
+        tensors.residuals[1] = tensors.residuals[2]
+    with pytest.raises(ValueError, match="read-only"):
+        tensors.tensors[(2, 2)][0, 0] = 0
+    with pytest.raises(AttributeError):
+        tensors.tensors = {}
+
+
+def test_periodic_set_refuses_starts_past_its_phases(example_setup):
+    _, _, grid, _, family, _ = example_setup
+    config = MemoryConfig(dt=grid.dt, m=4, c=5, transient_steps=1)
+    tensors = build_tensors(family, config)
+    assert {p for p, _ in tensors.tensors} == set(range(6))
+    extra = dict(tensors.tensors)
+    extra[(6, 1)] = tensors.tensor(1, 1)
+    with pytest.raises(ValueError, match="transient_steps"):
+        TransferTensorSet(config=config, tensors=extra)
+    assert TransferTensorSet(config=config, tensors=extra, dense=True).dense
 
 
 def test_stability_radius_flags_the_unphysical_sweep_cells():
