@@ -292,10 +292,12 @@ def reconstruct_family(
             embeds[i] = embed_environment_superop(tau, layout)
     for i in range(grid.steps):
         j_max = grid.steps if band is None else min(grid.steps, i + band)
-        u = None
+        # chain the (d^2, d_S^2) images of the embedded system basis, not
+        # the (d^2, d^2) propagators
+        v = embeds[i]
         for j in range(i + 1, j_max + 1):
-            u = cache.adjacent(j - 1) @ u if u is not None else cache.adjacent(i)
-            family.maps[(i, j)] = trace_e @ u @ embeds[i]
+            v = cache.adjacent(j - 1) @ v
+            family.maps[(i, j)] = trace_e @ v
     return family
 
 

@@ -6,7 +6,13 @@ recursion
     T(1, end k)  =  map(k-1 -> k)
     T(l, end k)  =  map(k-l -> k) - sum_{l' < l} T(l', end k) map(k-l -> k-l')
 
-after which the state at any step decomposes over its own history,
+(Cerrillo and Cao, PRL 112, 110401 (2014)). For a fixed end ``k`` it is a
+unit upper-triangular system in the tensors ``T(1 .. L, end k)``, which
+:func:`build_tensors` solves by blocked forward substitution: it reads the
+family into one array ``stack[i, g] = map(i -> i + g)`` and keeps the tensors
+of the current end as one row, so each tensor costs one matrix product of
+the row's filled part with the stacked maps from its start. After that the
+state at any step decomposes over its own history,
 
     rho_k  =  sum_{l=1..k} T(l, end k) rho_{k-l}  +  residual_k,
 
@@ -169,29 +175,40 @@ def build_tensors(
         refuses starts past the window. Without it the set is periodic: it
         stores the starts ``0 .. transient_steps + c - 1`` and serves every
         later start from its phase.
+
+    Tensors are computed end by end. At end ``k`` the row
+    ``[T(top, k) ... T(1, k)]`` fills from the right, and ``T(l, k)`` is
+    ``map(k-l -> k)`` minus one product of the ``l - 1`` entries already in
+    the row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``, stacked
+    from one array of the family: one matrix product per tensor, never the
+    whole triangular system. ``max_length`` and ``dense_window`` must be at
+    least 1 (``ValueError``); a map the recursion needs but the family lacks
+    is a ``KeyError`` naming the first tensor it leaves uncovered.
     """
     if max_length is None:
         max_length = config.m
+    for name, value in (("max_length", max_length), ("dense_window", dense_window)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     phases = config.transient_steps + config.c
     dense = dense_window is not None
     last_end = dense_window if dense else phases - 1 + max_length
+    max_length = min(max_length, last_end)
+    stack, reach = _map_stack(family, last_end, max_length)
+    n = stack.shape[-1]
     tensors = {}
-    # the recursion at end k needs every shorter length at the same end
     for k in range(1, last_end + 1):
-        at_end: list[np.ndarray] = []
-        for l in range(1, min(k, max_length) + 1):
-            try:
-                t_l = np.array(family.map(k - l, k))
-                for lp in range(1, l):
-                    t_l -= at_end[lp - 1] @ family.map(k - l, k - lp)
-            except KeyError as exc:
-                raise KeyError(
-                    f"map family does not cover tensor (start={k - l}, "
-                    f"length={l}): {exc}"
-                ) from exc
-            at_end.append(t_l)
-            if dense or k - l < phases:
-                tensors[(k - l, l)] = t_l
+        # row = [T(top, k) ... T(1, k)], filled from the right
+        top = min(k, max_length)
+        row = np.empty((n, top * n), dtype=complex)
+        for l in range(1, top + 1):
+            i = k - l
+            if l > reach[i]:
+                _raise_uncovered(family, i, l)
+            t_l = stack[i, l] - row[:, (top - l + 1) * n :] @ stack[i, 1:l].reshape(-1, n)
+            row[:, (top - l) * n : (top - l + 1) * n] = t_l
+            if dense or i < phases:
+                tensors[(i, l)] = t_l
     tensor_set = TransferTensorSet(config=config, tensors=tensors, dense=dense)
 
     if exact_states is None:
@@ -201,6 +218,35 @@ def build_tensors(
         k: inhomogeneous_residual(exact_states, tensor_set, k) for k in range(1, k_max + 1)
     }
     return replace(tensor_set, residuals=residuals)
+
+
+def _map_stack(family: DynamicalMapFamily, last_end: int, max_length: int):
+    """``stack[i, g] = map(i -> i + g)`` for every map the tensors ending by
+    ``last_end`` can use, and ``reach[i]``, the longest tensor from start
+    ``i`` whose maps ``g = 1 .. length`` are all in the family."""
+    maps = family.maps
+    n = len(next(iter(maps.values()))) if maps else 0
+    stack = np.zeros((last_end, max_length + 1, n, n), dtype=complex)
+    covered = np.zeros((last_end, max_length + 1), dtype=bool)
+    for i in range(last_end):
+        for g in range(1, min(max_length, last_end - i) + 1):
+            lam = maps.get((i, i + g))
+            if lam is not None:
+                stack[i, g] = lam
+                covered[i, g] = True
+    reach = np.cumprod(covered[:, 1:], axis=1).sum(axis=1)
+    return stack, reach.tolist()
+
+
+def _raise_uncovered(family: DynamicalMapFamily, start: int, length: int):
+    """Name the tensor and the first of its maps that the family lacks."""
+    try:
+        for gap in range(length, 0, -1):
+            family.map(start, start + gap)
+    except KeyError as exc:
+        raise KeyError(
+            f"map family does not cover tensor (start={start}, length={length}): {exc}"
+        ) from exc
 
 
 def inhomogeneous_residual(

@@ -42,23 +42,57 @@ def _random_state(rng, d):
     return rho / np.trace(rho)
 
 
+def _random_hermitian(rng, d):
+    a = _random_matrix(rng, d)
+    return 0.5 * (a + a.conj().T)
+
+
+def _hamiltonian(h0, h1, driven):
+    """``h0``, or ``h0 + cos(2t) h1`` with its period when ``driven``."""
+    if driven:
+        return (lambda t: h0 + math.cos(2 * t) * h1), math.pi
+    return (lambda t: h0), None
+
+
 @st.composite
 def random_models(draw):
-    """A d_S = 2 model with a d_E in {1, 2, 3} environment, a random static or
-    cos(2t)-driven Hermitian H and one random jump operator, plus a random
+    """A d_S = 2 model with a d_E in {1, 2, 3, 4} environment, a random static
+    or cos(2t)-driven Hermitian H and one random jump operator, plus a random
     correlated joint state and a random reference environment state."""
-    de = draw(st.sampled_from([1, 2, 3]))
+    de = draw(st.sampled_from([1, 2, 3, 4]))
     driven = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = 2 * de
-    h0, h1 = (0.5 * (a + a.conj().T) for a in (_random_matrix(rng, d), _random_matrix(rng, d)))
-    if driven:
-        hamiltonian, period = (lambda t: h0 + math.cos(2 * t) * h1), math.pi
-    else:
-        hamiltonian, period = (lambda t: h0), None
+    hamiltonian, period = _hamiltonian(
+        _random_hermitian(rng, d), _random_hermitian(rng, d), driven
+    )
     jump = (_random_matrix(rng, d) / d, float(rng.uniform(0.1, 1.0)))
     model = LindbladModel(SpaceLayout(2, de), hamiltonian, [jump], period)
     return model, _random_state(rng, d), _random_state(rng, de)
+
+
+@st.composite
+def uncoupled_models(draw):
+    """A d_S = 2 system and a d_E in {2, 3, 4} environment that never
+    interact: ``H = H_S (x) 1 + 1 (x) H_E`` (static or cos(2t)-driven) and
+    one random jump on one factor only, plus a random reference state."""
+    de = draw(st.sampled_from([2, 3, 4]))
+    driven = draw(st.booleans())
+    on_system = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eye_s, eye_e = np.eye(2), np.eye(de)
+    h0, h1 = (
+        np.kron(_random_hermitian(rng, 2), eye_e) + np.kron(eye_s, _random_hermitian(rng, de))
+        for _ in range(2)
+    )
+    hamiltonian, period = _hamiltonian(h0, h1, driven)
+    if on_system:
+        jump = np.kron(_random_matrix(rng, 2) / 2, eye_e)
+    else:
+        jump = np.kron(eye_s, _random_matrix(rng, de) / de)
+    rate = float(rng.uniform(0.1, 1.0))
+    model = LindbladModel(SpaceLayout(2, de), hamiltonian, [(jump, rate)], period)
+    return model, _random_state(rng, de)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -107,3 +141,18 @@ def test_paper_identities_hold_for_random_models(case):
         for (start, length), t in tensors.tensors.items():
             if length >= 2:
                 np.testing.assert_allclose(t, 0, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(uncoupled_models())
+def test_uncoupled_environment_leaves_no_memory(case):
+    # the reduced maps are the system's own, a divisible family whatever the
+    # reference state: every tensor of length 2 or more vanishes
+    model, tau = case
+    family = reconstruct_family(model, GRID, FixedState(tau), SUBSTEPS)
+    memory = MemoryConfig(dt=GRID.dt, m=GRID.steps, c=1)
+    tensors = build_tensors(family, memory, dense_window=GRID.steps)
+    assert {l for _, l in tensors.tensors} == set(range(1, GRID.steps + 1))
+    for (start, length), t in tensors.tensors.items():
+        if length >= 2:
+            np.testing.assert_allclose(t, 0, rtol=0, atol=1e-10, err_msg=f"{(start, length)}")

@@ -118,8 +118,60 @@ def test_missing_map_raises_coverage_error(example_setup):
     _, _, grid, _, _, _ = example_setup
     model = example_model()
     banded = reconstruct_family(model, grid, FixedState(TAU0), substeps=8, band=2)
-    with pytest.raises(KeyError, match="does not cover"):
+    with pytest.raises(KeyError, match=r"does not cover tensor \(start=0, length=3\)"):
         build_tensors(banded, MemoryConfig(dt=grid.dt, m=4, c=5))
+
+
+def reference_build_tensors(family, config, max_length=None, dense_window=None):
+    """The double loop of the recursion: one 4x4 product per shorter tensor."""
+    if max_length is None:
+        max_length = config.m
+    phases = config.transient_steps + config.c
+    dense = dense_window is not None
+    last_end = dense_window if dense else phases - 1 + max_length
+    tensors = {}
+    for k in range(1, last_end + 1):
+        at_end = []
+        for l in range(1, min(k, max_length) + 1):
+            t_l = np.array(family.map(k - l, k))
+            for lp in range(1, l):
+                t_l -= at_end[lp - 1] @ family.map(k - l, k - lp)
+            at_end.append(t_l)
+            if dense or k - l < phases:
+                tensors[(k - l, l)] = t_l
+    return tensors
+
+
+@pytest.mark.parametrize(
+    "memory, kwargs",
+    [
+        ((4, 5, 1), {"max_length": 7}),  # periodic, transients, max_length > c
+        ((4, 5, 0), {"max_length": 7, "dense_window": 18}),
+        ((18, 18, 0), {"dense_window": 18}),  # full length, as convergence_study
+    ],
+    ids=["periodic", "dense", "full-length"],
+)
+def test_recursion_matches_reference_loop(example_setup, memory, kwargs):
+    _, _, grid, _, family, _ = example_setup
+    m, c, transient = memory
+    config = MemoryConfig(dt=grid.dt, m=m, c=c, transient_steps=transient)
+    expected = reference_build_tensors(family, config, **kwargs)
+    tensors = build_tensors(family, config, **kwargs).tensors
+    assert tensors.keys() == expected.keys()
+    for key, t in expected.items():
+        np.testing.assert_allclose(tensors[key], t, rtol=0, atol=1e-12, err_msg=f"{key}")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_length": 0}, {"max_length": -1}, {"dense_window": 0}],
+    ids=["max_length=0", "max_length=-1", "dense_window=0"],
+)
+def test_empty_tensor_sets_are_refused(example_setup, kwargs):
+    _, _, grid, _, family, _ = example_setup
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5), **kwargs)
 
 
 def test_semigroup_tensors_vanish_beyond_one_step():
