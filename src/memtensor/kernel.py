@@ -292,10 +292,19 @@ def discrete_kernel_series(
     exact_states: list[np.ndarray],
     j_max: int | None = None,
 ) -> KernelSeries:
-    """Estimate the full kernel series from a map family (no memory cutoff)."""
+    """Estimate the full kernel series from a map family (no memory cutoff).
+
+    Tensors reach lengths up to ``j_max``, which must lie in
+    ``1 .. grid.steps``; the default ``grid.steps - 1`` needs a family of at
+    least two steps.
+    """
     grid = family.grid
     if j_max is None:
         j_max = grid.steps - 1
+    if not 1 <= j_max <= grid.steps:
+        raise ValueError(
+            f"j_max must be in 1 .. {grid.steps} (the grid's steps), got j_max={j_max}"
+        )
     config = MemoryConfig(dt=grid.dt, m=j_max, c=max(j_max, 1))
     tensors = build_tensors(
         family, config, dense_window=j_max, exact_states=exact_states

@@ -15,11 +15,13 @@ One primitive, :func:`ordered_exponential`, forms every such product in the
 package: joint propagators here, reference-state integration in
 ``tomography`` and the ``Q L`` exponential of the direct kernel route. It
 asks a callback for the generator stack ``(K, n, n)`` at a chunk of substep
-midpoints and exponentiates each chunk in one batched call; chunks are
-bounded in bytes. :func:`generator_stack` builds joint generators as such
-stacks, the jump part computed once per model. :class:`PropagatorCache`
-builds each grid step once and, for a declared period commensurate with the
-grid, only the steps of the first period.
+midpoints and exponentiates each chunk in one batched call, or applies each
+substep to a narrow block as a truncated Taylor action; chunks are bounded
+in bytes. :func:`generator_stack` builds joint generators as such stacks,
+the jump part computed once per model. :class:`PropagatorCache` builds each
+grid step once and, for a declared period commensurate with the grid, only
+the steps of the first period; its ``act`` applies a step to a block
+without building it.
 
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
@@ -37,6 +39,7 @@ import numpy as np
 
 from .linalg import (
     SpaceLayout,
+    expm_action,
     hermiticity_defect,
     left_mult_superop,
     matrix_exponential,
@@ -157,6 +160,7 @@ def ordered_exponential(
     times: np.ndarray,
     h: float,
     start: np.ndarray,
+    action: bool = False,
 ) -> np.ndarray:
     """Time-ordered product ``exp(h G(t_K)) ... exp(h G(t_1)) start``.
 
@@ -166,13 +170,24 @@ def ordered_exponential(
     given midpoints; it is called on consecutive chunks of ``times``, each
     exponentiated in one batched call. ``start`` is an ``n``-vector or an
     ``(n, m)`` matrix (the identity gives the propagator itself).
+
+    With ``action``, each substep is applied to the running block as a
+    truncated Taylor action (:func:`~memtensor.linalg.expm_action`) instead
+    of an ``n x n`` exponential: the same product, to rounding, for ``d``
+    products of ``n x n`` by ``n x w`` per substep (a degree-``d`` series on
+    ``w`` columns) instead of about ten ``n x n`` products.
     """
     out = np.asarray(start, dtype=complex)
     n = out.shape[0]
     chunk = max(1, _STACK_BYTES // (16 * n * n))
     for lo in range(0, len(times), chunk):
-        for step in matrix_exponential(generators(times[lo : lo + chunk]), h):
-            out = step @ out
+        stack = generators(times[lo : lo + chunk])
+        if action:
+            for generator in stack:
+                out = expm_action(generator, out, h)
+        else:
+            for step in matrix_exponential(stack, h):
+                out = step @ out
     return out
 
 
@@ -224,7 +239,8 @@ class PropagatorCache:
 
     Products of ``adjacent`` steps give the propagator between any two grid
     points, so divisibility ``U(j,k) @ U(i,j) = U(i,k)`` holds exactly for
-    such products.
+    such products. :meth:`act` applies a step to a block of columns without
+    building it.
 
     Phase reuse: when the model declares a ``period`` that is an integer
     number ``c`` of grid steps (to within 1e-9), step ``i`` is the step
@@ -236,6 +252,8 @@ class PropagatorCache:
     """
 
     def __init__(self, model: LindbladModel, grid: TimeGrid, substeps: int = 64):
+        if substeps < 1:
+            raise ValueError(f"substeps must be >= 1, got {substeps}")
         self.model = model
         self.grid = grid
         self.substeps = substeps
@@ -243,8 +261,9 @@ class PropagatorCache:
         self._phases = None if model.period is None else steps_per_period(model.period, grid.dt)
         self._period_checked = False
 
-    def adjacent(self, i: int) -> np.ndarray:
-        """Propagator over the single step ``[t_i, t_{i+1}]``."""
+    def _phase(self, i: int) -> int:
+        """The step whose propagator serves step ``i``: ``i`` itself, or its
+        phase ``i mod c`` once the declared period has been checked."""
         if not 0 <= i < self.grid.steps:
             raise ValueError(f"step index {i} outside grid of {self.grid.steps} steps")
         if self._phases is not None and i >= self._phases:
@@ -253,11 +272,37 @@ class PropagatorCache:
                 self.model.validate(sample_times=step0)
                 self._period_checked = True
             i %= self._phases
+        return i
+
+    def unbuilt(self, steps: int) -> int:
+        """How many distinct step phases among steps ``0 .. steps - 1`` have
+        no propagator built yet."""
+        phases = steps if self._phases is None else min(steps, self._phases)
+        return sum(p not in self._adjacent for p in range(phases))
+
+    def adjacent(self, i: int) -> np.ndarray:
+        """Propagator over the single step ``[t_i, t_{i+1}]``."""
+        i = self._phase(i)
         if i not in self._adjacent:
             self._adjacent[i] = propagator(
                 self.model, self.grid.time(i), self.grid.time(i + 1), self.substeps
             )
         return self._adjacent[i]
+
+    def act(self, i: int, block: np.ndarray) -> np.ndarray:
+        """``adjacent(i) @ block`` without building the step.
+
+        The same midpoint product over the same substeps and phase, each
+        substep applied to the ``(d^2, w)`` block as a truncated Taylor
+        action (see :func:`ordered_exponential`); agrees with the dense
+        product to rounding. Nothing is cached: cheaper than ``adjacent``
+        when ``w`` is small beside ``d^2`` and the step is not built yet.
+        """
+        i = self._phase(i)
+        times, h = midpoints(self.grid.time(i), self.grid.time(i + 1), self.substeps)
+        return ordered_exponential(
+            lambda ts: generator_stack(self.model, ts), times, h, block, action=True
+        )
 
 
 def cache_for(

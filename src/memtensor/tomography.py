@@ -11,6 +11,14 @@ The reference state ``tau(t)`` is set by a policy: a fixed operator, the true
 system is frozen in a given state. Different policies give different map
 families (and hence different memory kernels) for the same physical process.
 
+A map needs only the images of the ``d_S**2`` embedded basis operators, so
+:func:`reconstruct_family` steps narrow ``(d**2, w)`` blocks of images, never
+whole propagator products. Each step is applied either as the cached dense
+propagator or, when most steps are still unbuilt and the blocks are narrow
+beside ``d**2``, as a truncated Taylor action of the same midpoint product
+(:meth:`~memtensor.models.PropagatorCache.act`); :func:`steps_by_action`
+holds the rule.
+
 Also here: CPTP verification via the Choi matrix, the superchannel for
 initially correlated states, and the decomposition of a correlated joint
 state into uncorrelated branches (one per element of a positive tomographic
@@ -261,6 +269,20 @@ class DynamicalMapFamily:
             ) from None
 
 
+def steps_by_action(n: int, width: int, unbuilt: int) -> bool:
+    """Whether a family call steps its images by Taylor action.
+
+    ``n = d^2`` is the Liouville dimension, ``width`` the image columns the
+    call steps (maps times ``d_S^2``) and ``unbuilt`` the distinct step
+    phases its cache has not built. Building a step costs about ten ``n^3``
+    products per substep (a Pade exponential) and then little per column; an
+    action substep costs about 17 products of ``n^2`` per column (a degree-16
+    series at ``||h L||_1`` near 0.8). The dense route wins unless
+    ``2 * width < unbuilt * n``; with every phase built it always does.
+    """
+    return 2 * width < unbuilt * n
+
+
 def reconstruct_family(
     model: LindbladModel,
     grid: TimeGrid,
@@ -276,7 +298,19 @@ def reconstruct_family(
     tensors up to that memory length). Time-dependent policies require the
     initial joint state ``rho_se0``. A passed ``cache`` must serve ``model``
     on ``grid`` (see :func:`~memtensor.models.cache_for`).
+
+    Only the ``(d^2, d_S^2)`` images of the embedded system basis
+    ``X (x) tau(t_i)`` are propagated, step by step: at step ``k`` the images
+    of every start still inside its band form one block, stepped in one
+    call, either as ``cache.adjacent(k) @ block`` or as ``cache.act(k,
+    block)``. The route is chosen once per call by :func:`steps_by_action`
+    from the Liouville dimension, the image columns and the step phases the
+    cache has not built; both give the same maps to rounding.
     """
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    if band is not None and band < 1:
+        raise ValueError(f"band must be >= 1, got {band}")
     cache = cache_for(model, grid, substeps, cache)
     refs = ReferenceStates(
         policy, model, rho_se0, t0=grid.t0, substep=grid.dt / substeps
@@ -290,14 +324,25 @@ def reconstruct_family(
         family.reference_states[i] = tau
         if i < grid.steps:
             embeds[i] = embed_environment_superop(tau, layout)
-    for i in range(grid.steps):
-        j_max = grid.steps if band is None else min(grid.steps, i + band)
-        # chain the (d^2, d_S^2) images of the embedded system basis, not
-        # the (d^2, d^2) propagators
-        v = embeds[i]
-        for j in range(i + 1, j_max + 1):
-            v = cache.adjacent(j - 1) @ v
-            family.maps[(i, j)] = trace_e @ v
+    ends = [grid.steps if band is None else min(grid.steps, i + band) for i in range(grid.steps)]
+    ds2 = layout.dim_system ** 2
+    by_action = steps_by_action(
+        layout.dim_joint ** 2,
+        ds2 * sum(end - i for i, end in enumerate(ends)),
+        cache.unbuilt(grid.steps),
+    )
+    maps = {}
+    live = []  # starts whose images the block holds, ds2 columns each, in order
+    block = np.empty((layout.dim_joint ** 2, 0), dtype=complex)
+    for k in range(grid.steps):
+        gone = sum(ends[i] <= k for i in live)  # bands end in order of start
+        live = live[gone:] + [k]
+        block = np.concatenate([block[:, gone * ds2 :], embeds[k]], axis=1)
+        block = cache.act(k, block) if by_action else cache.adjacent(k) @ block
+        images = (trace_e @ block).reshape(ds2, len(live), ds2).transpose(1, 0, 2)
+        for i, image in zip(live, np.ascontiguousarray(images)):
+            maps[(i, k + 1)] = image
+    family.maps.update(sorted(maps.items()))
     return family
 
 

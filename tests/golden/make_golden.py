@@ -5,7 +5,11 @@ cases together with every value of the CSV rows they write, so
 ``tests/test_golden.py`` re-runs exactly what was recorded. Regenerate only
 when a change of the numbers is intended, and say why in ``CHANGES.md``:
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [NAME ...]
+
+With case names, only those cases are (re)recorded and every other case keeps
+the rows already in the file, so a new case can be added without rewriting
+the old ones.
 """
 
 from __future__ import annotations
@@ -16,7 +20,48 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 GOLDEN = Path(__file__).with_name("cli_headlines.json")
+
+
+def _matrix(m) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def spin_bath_config(fields=(3.0, 2.9), coupling=1.0, damping=0.5) -> dict:
+    """Custom d_S = 2 model on a bath of ``len(fields)`` qubits, plus its state.
+
+    The system qubit has XX and cos(2t)-driven YY exchange with each bath
+    qubit; bath qubit ``k`` has Z field ``fields[k]`` and amplitude damping
+    ``|0><1|`` at rate ``damping``. The generator period is pi. The initial
+    state is ``|0><0| (x) tau`` with a full-rank diagonal ``tau``.
+    """
+    n = len(fields)
+    terms = [{"pauli": "Z" + "I" * n, "coefficient": 0.5}]
+    jumps = []
+    lower = np.array([[0, 1], [0, 0]])
+    for k, field in enumerate(fields):
+        def on(system, op):
+            return system + "".join(op if j == k else "I" for j in range(n))
+
+        terms += [
+            {"pauli": on("I", "Z"), "coefficient": 0.5 * field},
+            {"pauli": on("X", "X"), "coefficient": coupling},
+            {"pauli": on("Y", "Y"), "coefficient": coupling,
+             "envelope": {"type": "cosine", "frequency": 2.0}},
+        ]
+        factors = [np.eye(2)] * (k + 1) + [lower] + [np.eye(2)] * (n - k - 1)
+        op = factors[0]
+        for f in factors[1:]:
+            op = np.kron(op, f)
+        jumps.append({"matrix": _matrix(op), "rate": damping})
+    tau = np.diag(np.arange(2**n, 0, -1) / (2**n * (2**n + 1) / 2))
+    rho0 = np.kron(np.diag([1.0, 0.0]), tau)
+    model = {"dim_system": 2, "dim_environment": 2**n, "period": math.pi,
+             "hamiltonian": terms, "jumps": jumps}
+    return {"model": model, "initial_state": _matrix(rho0)}
+
 
 CASES = [
     {
@@ -73,6 +118,14 @@ CASES = [
         },
         "csv": "convergence.csv",
     },
+    {
+        # d = 8, so n = 64 Liouville entries per column; all 21 maps of 6
+        # steps with 5 step phases: the shape of a larger bath
+        "name": "tomography-spin-bath",
+        "argv": ["tomography"],
+        "config": {**spin_bath_config(), "grid": {"dt": math.pi / 5, "steps": 6}, "substeps": 8},
+        "csv": "tomography_report.csv",
+    },
 ]
 
 
@@ -105,10 +158,18 @@ def run_case(case: dict, workdir: Path) -> list[list]:
     return csv_rows(out / case["csv"])
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = set(names) - {case["name"] for case in CASES}
+    if unknown:
+        raise SystemExit(f"error: no golden case named {sorted(unknown)}")
+    recorded = {}
+    if names:
+        recorded = {c["name"]: c["rows"] for c in json.loads(GOLDEN.read_text(encoding="utf-8"))}
     with tempfile.TemporaryDirectory() as tmp:
         doc = [
-            {**case, "rows": run_case(case, Path(tmp) / str(n))}
+            {**case, "rows": recorded[case["name"]]}
+            if names and case["name"] not in names
+            else {**case, "rows": run_case(case, Path(tmp) / str(n))}
             for n, case in enumerate(CASES)
         ]
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -117,4 +178,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

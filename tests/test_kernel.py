@@ -378,6 +378,21 @@ def example_series():
     return series, sys_traj
 
 
+def test_kernel_series_refuses_j_max_outside_the_grid():
+    model = example_model()
+    rho0 = example_initial_state()
+    for steps, j_max in [(1, None), (4, 0), (4, 5), (4, 9)]:
+        grid = TimeGrid(0.0, 0.5, steps)
+        family = reconstruct_family(model, grid, FixedState(TAU0), substeps=8)
+        joint = evolve_state(rho0, model, grid, substeps=8)
+        sys_traj = [partial_trace(r, LAYOUT, "system") for r in joint]
+        named = steps - 1 if j_max is None else j_max
+        with pytest.raises(ValueError, match=rf"1 \.\. {steps} .*j_max={named}"):
+            discrete_kernel_series(family, sys_traj, j_max)
+    # the whole grid is a valid length: the full-memory series
+    assert (4, 0) in discrete_kernel_series(family, sys_traj, 4).kernel
+
+
 def test_series_trace_annihilation(example_series):
     series, _ = example_series
     costate = vectorize(np.eye(2)).conj()

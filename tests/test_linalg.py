@@ -13,6 +13,7 @@ from memtensor.linalg import (
     hermitize,
     is_density_operator,
     left_mult_superop,
+    expm_action,
     matrix_exponential,
     operator_norm,
     partial_trace,
@@ -258,6 +259,33 @@ def test_matrix_exponential_commuting_composition():
         matrix_exponential(m, 0.4) @ matrix_exponential(m, 0.5),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("norm", [0.05, 0.8, 3.0, 40.0])
+def test_expm_action_matches_the_exponential(norm):
+    # one-norms from a short series to several scaling sub-intervals
+    m = random_complex(12)
+    m *= norm / np.abs(m).sum(axis=0).max()
+    block = random_complex(12, 3)
+    want = matrix_exponential(m, 0.5) @ block
+    got = expm_action(m, block, 0.5)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    vector = block[:, 0]
+    np.testing.assert_allclose(
+        expm_action(m, vector, 0.5), want[:, 0], rtol=0, atol=1e-13 * np.abs(want).max()
+    )
+
+
+def test_expm_action_edge_cases():
+    block = random_complex(4, 2)
+    np.testing.assert_array_equal(expm_action(np.zeros((4, 4)), block), block)
+    np.testing.assert_array_equal(expm_action(random_complex(4), block, 0.0), block)
+    out = expm_action(np.eye(4), block, 0.0)
+    assert out is not block  # the input is never returned or changed
+    with pytest.raises(ValueError):
+        expm_action(random_complex(4), random_complex(3, 2))
+    with pytest.raises(ValueError):
+        expm_action(np.zeros((4, 3)), random_complex(3, 2))
 
 
 def test_norms_trivial_values():

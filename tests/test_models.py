@@ -209,6 +209,63 @@ def test_propagator_cache_refuses_wrong_declared_period():
         cache.adjacent(4)
 
 
+@pytest.mark.parametrize("k", [1, 70])
+def test_ordered_exponential_action_matches_the_dense_product(k):
+    # the two routes share the chunking (64 generators at n = 16) and differ
+    # only in how a substep is applied
+    n, h = 16, 0.1
+    gens = 0.5 * (RNG.standard_normal((k, n, n)) + 1j * RNG.standard_normal((k, n, n)))
+    start = RNG.standard_normal((n, 3))
+    calls = []
+
+    def generators(times):
+        calls.append(len(times))
+        return gens[times.astype(int)]
+
+    times = np.arange(k) + 0.5
+    want = ordered_exponential(generators, times, h, start)
+    got = ordered_exponential(generators, times, h, start, action=True)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    assert calls[: len(calls) // 2] == calls[len(calls) // 2 :]
+
+
+def test_propagator_cache_act_is_the_step_on_a_block():
+    model = example_model()
+    c, substeps = 4, 16
+    grid = TimeGrid(0.0, model.period / c, 7)
+    block = RNG.standard_normal((16, 8)) + 1j * RNG.standard_normal((16, 8))
+    cache = PropagatorCache(model, grid, substeps)
+    assert cache.unbuilt(grid.steps) == c
+    # act builds nothing; past the first period it serves the step's phase
+    acted = [cache.act(i, block) for i in range(grid.steps)]
+    assert cache.unbuilt(grid.steps) == c and cache.unbuilt(2) == 2
+    for i, got in enumerate(acted):
+        np.testing.assert_allclose(got, cache.adjacent(i) @ block, rtol=0, atol=1e-13)
+    assert cache.unbuilt(grid.steps) == 0
+    # without a commensurate period every step is its own phase
+    cache = PropagatorCache(model, TimeGrid(0.0, 0.625, 5), substeps)
+    cache.adjacent(3)
+    assert cache.unbuilt(5) == 4 and cache.unbuilt(3) == 3
+
+
+def test_propagator_cache_act_checks_the_declared_period():
+    h = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["X"], PAULI["X"])
+    model = LindbladModel(SpaceLayout(2, 2), lambda t: math.cos(t) * h, period=math.pi)
+    cache = PropagatorCache(model, TimeGrid(0.0, math.pi / 4, 8), substeps=4)
+    block = np.eye(16)[:, :4]
+    cache.act(3, block)
+    with pytest.raises(ValueError, match="periodic"):
+        cache.act(4, block)
+    with pytest.raises(ValueError, match="outside grid"):
+        cache.act(8, block)
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_propagator_cache_refuses_substeps_below_one(substeps):
+    with pytest.raises(ValueError, match="substeps"):
+        PropagatorCache(example_model(), TimeGrid(0.0, 0.5, 2), substeps)
+
+
 def test_propagator_rejects_non_hermitian_hamiltonian_at_a_midpoint():
     h = np.kron(PAULI["Z"], PAULI["I"])
     xx = np.kron(PAULI["X"], PAULI["X"])

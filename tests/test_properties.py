@@ -17,6 +17,7 @@ from memtensor.serialization import (
 )
 from memtensor.tomography import FixedState, check_cptp, reconstruct_family
 from memtensor.transfer import MemoryConfig, build_tensors, propagate
+from test_tomography import by_route, reference_reconstruct_family
 
 GRID = TimeGrid(0.0, 0.3, 6)
 SUBSTEPS = 8
@@ -156,3 +157,16 @@ def test_uncoupled_environment_leaves_no_memory(case):
     for (start, length), t in tensors.tensors.items():
         if length >= 2:
             np.testing.assert_allclose(t, 0, rtol=0, atol=1e-10, err_msg=f"{(start, length)}")
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(random_models(), st.sampled_from([None, 1, 3]))
+def test_action_route_matches_the_per_chain_dense_loop(case, band):
+    model, _, tau = case
+    policy = FixedState(tau)
+    want = reference_reconstruct_family(model, GRID, policy, SUBSTEPS, band=band)
+    with by_route(action=True):
+        family = reconstruct_family(model, GRID, policy, SUBSTEPS, band=band)
+    assert family.maps.keys() == want.keys()
+    for key, lam in want.items():
+        np.testing.assert_allclose(family.maps[key], lam, rtol=0, atol=1e-12, err_msg=f"{key}")

@@ -1,5 +1,9 @@
 """Map reconstruction, reference-state policies, CPTP checks, decomposition."""
 
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,10 +11,12 @@ from memtensor.linalg import (
     SpaceLayout,
     apply_superop,
     devectorize,
+    embed_environment_superop,
     operator_norm,
     partial_trace,
     sandwich_superop,
     trace_distance,
+    trace_out_superop,
     vectorize,
 )
 from memtensor.models import (
@@ -22,6 +28,7 @@ from memtensor.models import (
     evolve_state,
     example_initial_state,
     example_model,
+    model_from_config,
     propagator,
 )
 from memtensor.tomography import (
@@ -36,9 +43,14 @@ from memtensor.tomography import (
     extend_to_joint,
     reconstruct_family,
     reference_state,
+    steps_by_action,
     superchannel_apply,
     tomography_frame,
 )
+
+# the golden-file tooling is not a package module; import it by path
+sys.path.insert(0, str(Path(__file__).with_name("golden")))
+from make_golden import spin_bath_config  # noqa: E402
 
 RNG = np.random.default_rng(33011)
 LAYOUT = SpaceLayout(2, 2)
@@ -285,6 +297,84 @@ def test_mismatched_propagator_cache_is_refused():
     np.testing.assert_array_equal(
         family.map(0, 4), reconstruct_family(model, grid, policy, 4).map(0, 4)
     )
+
+
+def reference_reconstruct_family(model, grid, policy, substeps, rho_se0=None, band=None):
+    """The per-chain dense loop: each start's images stepped on their own
+    through ``cache.adjacent``, one start after the other."""
+    cache = PropagatorCache(model, grid, substeps)
+    refs = ReferenceStates(policy, model, rho_se0, t0=grid.t0, substep=grid.dt / substeps)
+    trace_e = trace_out_superop(model.layout, "system")
+    maps = {}
+    for i in range(grid.steps):
+        v = embed_environment_superop(refs.state(grid.time(i)), model.layout)
+        for j in range(i + 1, (grid.steps if band is None else min(grid.steps, i + band)) + 1):
+            v = cache.adjacent(j - 1) @ v
+            maps[(i, j)] = trace_e @ v
+    return maps
+
+
+def by_route(action):
+    """Forces the route of every ``reconstruct_family`` call in its scope."""
+    return mock.patch("memtensor.tomography.steps_by_action", lambda *shape: action)
+
+
+@pytest.mark.parametrize("action", [False, True], ids=["dense", "action"])
+@pytest.mark.parametrize("band", [None, 2])
+def test_both_routes_match_the_per_chain_loop(action, band):
+    model = example_model()
+    rho0 = example_initial_state()
+    grid = TimeGrid(0.0, model.period / 4, 7)  # phase reuse from step 4 on
+    policy = TrueEnvironment()
+    want = reference_reconstruct_family(model, grid, policy, 8, rho0, band)
+    with by_route(action):
+        family = reconstruct_family(model, grid, policy, 8, rho0, band=band)
+    assert list(family.maps) == sorted(want)
+    for key, lam in want.items():
+        np.testing.assert_allclose(family.map(*key), lam, rtol=0, atol=1e-13, err_msg=f"{key}")
+
+
+def test_route_rule_on_the_benchmark_shapes():
+    # n = d^2; width = maps * d_S^2; unbuilt step phases of the call's cache
+    def width(steps, band):
+        return 4 * sum(min(steps, i + band) - i for i in range(steps))
+
+    # error-sweep cells: evolve_state has built every step of the cache
+    for c, m in [(6, 2), (14, 45)]:
+        assert not steps_by_action(16, width(c + 2 * m - 1, 2 * m - 1), 0)
+    # one tensor set over c = 5, m = 8: 20 steps, band 15, 5 phases
+    assert width(20, 15) == 780 and not steps_by_action(16, 780, 5)
+    # convergence_study: N steps incommensurate with the period, full band
+    for n_steps in (8, 16, 32, 64):
+        assert not steps_by_action(16, width(n_steps, n_steps), n_steps)
+    # d_E = 8 spin bath: 10 steps, band 4, 5 phases, n = 256
+    assert width(10, 4) == 136 and steps_by_action(256, 136, 5)
+    # the golden spin-bath case: d_E = 4, 6 steps, full band, 5 phases
+    assert width(6, 6) == 84 and steps_by_action(64, 84, 5)
+
+
+def test_family_of_a_16_level_bath_steps_by_action():
+    # 4 bath qubits: 1024 x 1024 generators, too large to exponentiate
+    config = spin_bath_config(fields=(3.0, 2.9, 3.1, 2.95))["model"]
+    model = model_from_config(config)
+    assert model.layout.dim_environment == 16
+    grid = TimeGrid(0.0, model.period / 5, 2)
+    tau = np.diag(np.arange(16, 0, -1) / 136).astype(complex)
+    with mock.patch.object(PropagatorCache, "adjacent", side_effect=AssertionError("dense")):
+        family = reconstruct_family(model, grid, FixedState(tau), substeps=4, band=2)
+    assert sorted(family.maps) == [(0, 1), (0, 2), (1, 2)]
+    for key, lam in family.maps.items():
+        report = check_cptp(lam, tol=1e-8)
+        assert report.passed, f"map {key}: {report}"
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"substeps": 0}, {"band": 0}, {"band": -1}], ids=["substeps=0", "band=0", "band=-1"]
+)
+def test_bad_family_arguments_are_refused_by_name(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        reconstruct_family(example_model(), TimeGrid(0.0, 0.5, 3), FixedState(np.eye(2) / 2), **kwargs)
 
 
 # --- CPTP checks ------------------------------------------------------------
