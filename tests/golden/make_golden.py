@@ -25,42 +25,21 @@ import numpy as np
 GOLDEN = Path(__file__).with_name("cli_headlines.json")
 
 
-def _matrix(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+# the benchmark's spin-bath model builder; importing it only reads perfbench
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "perfbench"))
+from workloads import spin_bath_config  # noqa: E402
 
 
-def spin_bath_config(fields=(3.0, 2.9), coupling=1.0, damping=0.5) -> dict:
-    """Custom d_S = 2 model on a bath of ``len(fields)`` qubits, plus its state.
+def spin_bath_case() -> dict:
+    """The benchmark's spin bath on two bath qubits, from ``|0><0| (x) tau``.
 
-    The system qubit has XX and cos(2t)-driven YY exchange with each bath
-    qubit; bath qubit ``k`` has Z field ``fields[k]`` and amplitude damping
-    ``|0><1|`` at rate ``damping``. The generator period is pi. The initial
-    state is ``|0><0| (x) tau`` with a full-rank diagonal ``tau``.
+    ``tau`` is a full-rank diagonal bath state, so the reference state is not
+    the maximally mixed one the benchmark uses.
     """
-    n = len(fields)
-    terms = [{"pauli": "Z" + "I" * n, "coefficient": 0.5}]
-    jumps = []
-    lower = np.array([[0, 1], [0, 0]])
-    for k, field in enumerate(fields):
-        def on(system, op):
-            return system + "".join(op if j == k else "I" for j in range(n))
-
-        terms += [
-            {"pauli": on("I", "Z"), "coefficient": 0.5 * field},
-            {"pauli": on("X", "X"), "coefficient": coupling},
-            {"pauli": on("Y", "Y"), "coefficient": coupling,
-             "envelope": {"type": "cosine", "frequency": 2.0}},
-        ]
-        factors = [np.eye(2)] * (k + 1) + [lower] + [np.eye(2)] * (n - k - 1)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        jumps.append({"matrix": _matrix(op), "rate": damping})
-    tau = np.diag(np.arange(2**n, 0, -1) / (2**n * (2**n + 1) / 2))
-    rho0 = np.kron(np.diag([1.0, 0.0]), tau)
-    model = {"dim_system": 2, "dim_environment": 2**n, "period": math.pi,
-             "hamiltonian": terms, "jumps": jumps}
-    return {"model": model, "initial_state": _matrix(rho0)}
+    tau = np.diag([4.0, 3.0, 2.0, 1.0]) / 10
+    rho0 = np.kron(np.diag([1.0, 0.0]), tau).astype(complex)
+    return {"model": spin_bath_config((3.0, 2.9)),
+            "initial_state": [[[z.real, z.imag] for z in row] for row in rho0]}
 
 
 CASES = [
@@ -123,7 +102,7 @@ CASES = [
         # steps with 5 step phases: the shape of a larger bath
         "name": "tomography-spin-bath",
         "argv": ["tomography"],
-        "config": {**spin_bath_config(), "grid": {"dt": math.pi / 5, "steps": 6}, "substeps": 8},
+        "config": {**spin_bath_case(), "grid": {"dt": math.pi / 5, "steps": 6}, "substeps": 8},
         "csv": "tomography_report.csv",
     },
 ]

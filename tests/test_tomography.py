@@ -48,9 +48,9 @@ from memtensor.tomography import (
     tomography_frame,
 )
 
-# the golden-file tooling is not a package module; import it by path
-sys.path.insert(0, str(Path(__file__).with_name("golden")))
-from make_golden import spin_bath_config  # noqa: E402
+# the benchmark's spin-bath model builder is not a package module; import it by path
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import spin_bath_config  # noqa: E402
 
 RNG = np.random.default_rng(33011)
 LAYOUT = SpaceLayout(2, 2)
@@ -355,7 +355,7 @@ def test_route_rule_on_the_benchmark_shapes():
 
 def test_family_of_a_16_level_bath_steps_by_action():
     # 4 bath qubits: 1024 x 1024 generators, too large to exponentiate
-    config = spin_bath_config(fields=(3.0, 2.9, 3.1, 2.95))["model"]
+    config = spin_bath_config((3.0, 2.9, 3.1, 2.95))
     model = model_from_config(config)
     assert model.layout.dim_environment == 16
     grid = TimeGrid(0.0, model.period / 5, 2)
