@@ -14,6 +14,7 @@ Everything here is a pure function of its inputs; nothing is mutated.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,10 @@ class SpaceLayout:
     dim_environment: int
 
     def __post_init__(self):
-        if self.dim_system < 2:
-            raise ValueError(f"system dimension must be >= 2, got {self.dim_system}")
-        if self.dim_environment < 1:
-            raise ValueError(
-                f"environment dimension must be >= 1, got {self.dim_environment}"
-            )
+        for name, low in (("dim_system", 2), ("dim_environment", 1)):
+            dim = getattr(self, name)
+            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {dim!r}")
 
     @property
     def dim_joint(self) -> int:

@@ -1,8 +1,8 @@
-"""Time-dependent Lindblad models on the joint system-environment space.
+"""Driven Lindblad models on the joint system-environment space.
 
-A model is a Hamiltonian function of time plus a list of jump operators with
-rates, all on the joint space (system factor first). The generator is the
-usual Lindblad form
+A model is a Hamiltonian ``H(t) = H_0 + sum_k cos(w_k t + phi_k) H_k`` plus a
+list of jump operators with rates, all on the joint space (system factor
+first). The generator is the usual Lindblad form
 
     d rho / dt = -i [H_t, rho] + sum_k  rate_k (L rho L^dag - {L^dag L, rho}/2)
 
@@ -11,17 +11,16 @@ midpoint-sampled generators (second order in the substep size). Time-ordered
 products rather than single exponentials are required because the driving
 makes generators at different times non-commuting.
 
-One primitive, :func:`ordered_exponential`, forms every such product in the
-package: joint propagators here, reference-state integration in
+One primitive, :func:`ordered_exponential`, forms every time-ordered product
+in the package: joint propagators here, reference-state integration in
 ``tomography`` and the ``Q L`` exponential of the direct kernel route. It
 asks a callback for the generator stack ``(K, n, n)`` at a chunk of substep
 midpoints and exponentiates each chunk in one batched call, or applies each
 substep to a narrow block as a truncated Taylor action; chunks are bounded
-in bytes. :func:`generator_stack` builds joint generators as such stacks,
-the jump part computed once per model. :class:`PropagatorCache` builds each
-grid step once and, for a declared period commensurate with the grid, only
-the steps of the first period; its ``act`` applies a step to a block
-without building it.
+in bytes. :func:`generator_stack` contracts the superoperators a model builds
+once into such stacks. :class:`PropagatorCache` builds each grid step once
+and, for a declared period commensurate with the grid, only the steps of the
+first period; its ``act`` applies a step to a block without building it.
 
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
@@ -31,9 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,60 +77,102 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
 
+def _finite(value, name: str) -> float:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _operator(value, name: str, d: int) -> np.ndarray:
+    """``value`` as a finite complex ``(d, d)`` array, else ``ValueError`` naming it."""
+    try:
+        op = np.array(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a complex matrix: {exc}") from None
+    if op.shape != (d, d):
+        raise ValueError(f"{name} has shape {op.shape}, expected {(d, d)}")
+    if not np.isfinite(op).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return op
+
+
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Joint-space Lindblad model with optional periodic driving.
+    """Joint-space Lindblad model ``H(t) = H_0 + sum_k cos(w_k t + phi_k) H_k``.
 
     Parameters
     ----------
     layout : SpaceLayout
         System / environment dimensions.
-    hamiltonian : callable
-        ``t -> ndarray``, Hermitian on the joint space.
-    jump_terms : list of (ndarray, float)
+    static : ndarray
+        ``H_0``, Hermitian on the joint space.
+    jump_terms : sequence of (ndarray, float)
         Jump operators with non-negative rates (units 1/time).
     period : float, optional
-        Driving period of the generator, if periodic.
+        Driving period, if periodic: each ``w_k * period / 2 pi`` an integer.
+    drives : sequence of (ndarray, float, float)
+        Driven terms ``(H_k, w_k, phi_k)``; those sharing an envelope
+        ``(w, phi)`` sum to a Hermitian matrix.
+
+    All is checked here, once, to 1e-12 (the period relative), else
+    ``ValueError`` naming the parameter; and the superoperators are built:
+    dissipator plus ``-i[H_0, .]``, and ``-i[H_g, .]`` per envelope group.
     """
 
     layout: SpaceLayout
-    hamiltonian: Callable[[float], np.ndarray]
-    jump_terms: list = field(default_factory=list)
+    static: np.ndarray
+    jump_terms: tuple = ()
     period: float | None = None
+    drives: tuple = ()
 
     def __post_init__(self):
-        for _, rate in self.jump_terms:
-            if rate < 0:
-                raise ValueError(f"jump rate must be non-negative, got {rate}")
-        if self.period is not None and self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-
-    def validate(self, sample_times=(0.0, 0.31, 1.7), tol: float = 1e-12) -> None:
-        """Spot-check Hermiticity and declared periodicity at sample times."""
         d = self.layout.dim_joint
-        for t in sample_times:
-            h = self.hamiltonian(t)
-            if h.shape != (d, d):
-                raise ValueError(f"hamiltonian({t}) has shape {h.shape}, expected {(d, d)}")
-            if hermiticity_defect(h) > tol:
-                raise ValueError(f"hamiltonian({t}) is not Hermitian to {tol:.1e}")
-            if self.period is not None:
-                if np.max(np.abs(self.hamiltonian(t + self.period) - h)) > tol:
-                    raise ValueError(f"hamiltonian not periodic with period {self.period}")
-
-    @cached_property
-    def dissipator(self) -> np.ndarray:
-        """Static jump-term part of the generator, built on first use."""
-        d2 = self.layout.dim_joint ** 2
-        diss = np.zeros((d2, d2), dtype=complex)
-        for op, rate in self.jump_terms:
-            op = np.asarray(op)
+        if callable(self.static):
+            raise ValueError("static must be the matrix H_0, not a function of time; pass "
+                             "each cosine-driven term as drives=[(H_k, w_k, phi_k), ...]")
+        static = _operator(self.static, "static", d)
+        jumps = []
+        for k, (op, rate) in enumerate(self.jump_terms):
+            if _finite(rate, f"jumps[{k}].rate") < 0:
+                raise ValueError(f"jumps[{k}].rate must be non-negative, got {rate}")
+            jumps.append((_operator(op, f"jumps[{k}]", d), float(rate)))
+        drives = [(_operator(op, f"drives[{k}]", d), _finite(w, f"drives[{k}].frequency"),
+                   _finite(phi, f"drives[{k}].phase"))
+                  for k, (op, w, phi) in enumerate(self.drives)]
+        groups = {}  # (w, phi) -> the sum of the drives with that envelope
+        for op, w, phi in drives:
+            groups[w, phi] = groups[w, phi] + op if (w, phi) in groups else op
+        named = {"static": static, **{f"drives at (w, phi) = {e}": h for e, h in groups.items()}}
+        for name, h in named.items():
+            if hermiticity_defect(h) > 1e-12:
+                raise ValueError(f"{name}: not Hermitian to 1e-12")
+        if self.period is not None:
+            if _finite(self.period, "period") <= 0:
+                raise ValueError(f"period must be positive, got {self.period}")
+            for w, _ in groups:
+                cycles = w * self.period / (2 * math.pi)
+                if abs(cycles - round(cycles)) > 1e-12 * abs(cycles):
+                    raise ValueError(f"frequency {w} is not periodic with period {self.period}")
+        dissipator = np.zeros((d * d, d * d), dtype=complex)
+        for op, rate in jumps:
             opdop = op.conj().T @ op
-            diss += rate * (
+            dissipator += rate * (
                 sandwich_superop(op, op)
                 - 0.5 * (left_mult_superop(opdop) + right_mult_superop(opdop))
             )
-        return diss
+        commutators = [-1j * (left_mult_superop(h) - right_mult_superop(h))
+                       for h in [static, *groups.values()]]
+        # the checked terms replace the given ones (the dataclass is frozen)
+        self.__dict__.update(
+            static=static, jump_terms=tuple(jumps), drives=tuple(drives),
+            _static_superop=commutators[0] + dissipator,
+            _drive_superops=np.reshape(commutators[1:], (-1, d * d, d * d)),
+            _envelopes=np.reshape(list(groups), (-1, 2)).T,  # rows w and phi
+        )
+
+    def hamiltonian(self, t: float) -> np.ndarray:
+        """``H(t) = H_0 + sum_k cos(w_k t + phi_k) H_k``."""
+        return self.static + sum(math.cos(w * t + phi) * op for op, w, phi in self.drives)
 
 
 # Byte cap of one ``(K, n, n)`` generator or exponential stack: whole substep
@@ -156,11 +196,7 @@ def midpoints(s: float, t: float, substeps: int) -> tuple[np.ndarray, float]:
 
 
 def ordered_exponential(
-    generators: Callable[[np.ndarray], np.ndarray],
-    times: np.ndarray,
-    h: float,
-    start: np.ndarray,
-    action: bool = False,
+    generators, times: np.ndarray, h: float, start: np.ndarray, action: bool = False
 ) -> np.ndarray:
     """Time-ordered product ``exp(h G(t_K)) ... exp(h G(t_1)) start``.
 
@@ -194,22 +230,12 @@ def ordered_exponential(
 def generator_stack(model: LindbladModel, times) -> np.ndarray:
     """Generator superoperators ``(K, d^2, d^2)`` at each of ``times``.
 
-    The commutator part ``-i (I (x) H - H^T (x) I)`` is broadcast over the
-    stack of sampled Hamiltonians, each checked Hermitian to 1e-12; the
-    static jump part is the model's cached :attr:`~LindbladModel.dissipator`.
+    The model's static superoperator plus ``cos(w t + phi)`` times the
+    commutator superoperator of each envelope group: one contraction.
     """
-    hs = np.stack([np.asarray(model.hamiltonian(t), dtype=complex) for t in times])
-    defect = np.abs(hs - hs.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = np.flatnonzero(defect > 1e-12)
-    if bad.size:
-        raise ValueError(f"hamiltonian({times[bad[0]]}) is not Hermitian to 1e-12")
-    k, d = hs.shape[0], hs.shape[-1]
-    eye = np.eye(d)
-    # entry [(j, i), (l, k)] is delta_jl H_ik for I (x) H and H_lj delta_ik
-    # for H^T (x) I (column stacking: the column index is the outer one)
-    left = eye[None, :, None, :, None] * hs[:, None, :, None, :]
-    right = hs.swapaxes(-1, -2)[:, :, None, :, None] * eye[None, None, :, None, :]
-    return (-1j * (left - right)).reshape(k, d * d, d * d) + model.dissipator
+    frequencies, phases = model._envelopes
+    envelopes = np.cos(np.outer(times, frequencies) + phases)
+    return model._static_superop + np.tensordot(envelopes, model._drive_superops, axes=1)
 
 
 def liouvillian(model: LindbladModel, t: float) -> np.ndarray:
@@ -246,9 +272,8 @@ class PropagatorCache:
     number ``c`` of grid steps (to within 1e-9), step ``i`` is the step
     ``i mod c`` of the first period and only ``c`` steps are ever built. The
     reuse rests on the generator's periodicity alone, whatever reference
-    policy the propagators later serve. Before the first reuse the declared
-    period is checked once: the Hamiltonian at the midpoints of step 0 must
-    equal its value one period later to 1e-12, else ``ValueError``.
+    policy the propagators later serve; the model checked its declared
+    period when it was built.
     """
 
     def __init__(self, model: LindbladModel, grid: TimeGrid, substeps: int = 64):
@@ -259,20 +284,12 @@ class PropagatorCache:
         self.substeps = substeps
         self._adjacent: dict[int, np.ndarray] = {}
         self._phases = None if model.period is None else steps_per_period(model.period, grid.dt)
-        self._period_checked = False
 
     def _phase(self, i: int) -> int:
-        """The step whose propagator serves step ``i``: ``i`` itself, or its
-        phase ``i mod c`` once the declared period has been checked."""
+        """The step whose propagator serves step ``i``: ``i`` or ``i mod c``."""
         if not 0 <= i < self.grid.steps:
             raise ValueError(f"step index {i} outside grid of {self.grid.steps} steps")
-        if self._phases is not None and i >= self._phases:
-            if not self._period_checked:
-                step0, _ = midpoints(self.grid.time(0), self.grid.time(1), self.substeps)
-                self.model.validate(sample_times=step0)
-                self._period_checked = True
-            i %= self._phases
-        return i
+        return i if self._phases is None else i % self._phases
 
     def unbuilt(self, steps: int) -> int:
         """How many distinct step phases among steps ``0 .. steps - 1`` have
@@ -367,24 +384,14 @@ def example_model() -> LindbladModel:
     periodic with period ``2 pi / W = pi``.
     """
     p = EXAMPLE_PARAMETERS
-    zi = np.kron(PAULI["Z"], PAULI["I"])
-    iz = np.kron(PAULI["I"], PAULI["Z"])
-    xx = np.kron(PAULI["X"], PAULI["X"])
-    yy = np.kron(PAULI["Y"], PAULI["Y"])
-
-    def hamiltonian(t: float) -> np.ndarray:
-        return (
-            0.5 * p["omega"] * zi
-            + 0.5 * p["omega_env"] * iz
-            + p["coupling"] * (xx + math.cos(p["drive_freq"] * t) * yy)
-        )
-
+    zi, iz, xx, yy = (np.kron(PAULI[a], PAULI[b]) for a, b in ("ZI", "IZ", "XX", "YY"))
     pump = np.kron(PAULI["I"], np.array([[0, 1], [0, 0]], dtype=complex))  # |0><1| on E
     return LindbladModel(
         layout=SpaceLayout(2, 2),
-        hamiltonian=hamiltonian,
+        static=0.5 * p["omega"] * zi + 0.5 * p["omega_env"] * iz + p["coupling"] * xx,
         jump_terms=[(pump, p["pump_rate"])],
         period=2 * math.pi / p["drive_freq"],
+        drives=[(p["coupling"] * yy, p["drive_freq"], 0.0)],
     )
 
 
@@ -435,47 +442,39 @@ def _pauli_string(label: str, layout: SpaceLayout) -> np.ndarray:
 
 
 def model_from_config(config: dict) -> LindbladModel:
-    """Build a :class:`LindbladModel` from a parsed config dictionary."""
+    """Build a :class:`LindbladModel` from a parsed config dictionary.
+
+    Terms without an envelope sum to ``H_0``; each cosine term is a drive. A
+    malformed number or matrix raises ``ValueError`` naming its key, such as
+    ``hamiltonian[0].coefficient``.
+    """
     try:
-        layout = SpaceLayout(int(config["dim_system"]), int(config["dim_environment"]))
-        terms = []
-        for term in config["hamiltonian"]:
+        layout = SpaceLayout(config["dim_system"], config["dim_environment"])
+        d = layout.dim_joint
+        static = np.zeros((d, d), dtype=complex)
+        drives = []
+        for i, term in enumerate(config["hamiltonian"]):
+            key = f"hamiltonian[{i}]"
             if "pauli" in term:
                 op = _pauli_string(term["pauli"], layout)
             else:
-                op = _complex_matrix(term["matrix"])
-            coeff = float(term["coefficient"])
+                # checked here, as a sum of terms would broadcast a wrong shape
+                op = _operator(_complex_matrix(term["matrix"]), f"{key}.matrix", d)
+            op = _finite(term["coefficient"], f"{key}.coefficient") * op
             env = term.get("envelope")
             if env is None:
-                terms.append((op, coeff, None, None))
+                static = static + op
             elif env["type"] == "cosine":
-                terms.append((op, coeff, float(env["frequency"]), float(env.get("phase", 0.0))))
+                frequency = _finite(env["frequency"], f"{key}.envelope.frequency")
+                phase = _finite(env.get("phase", 0.0), f"{key}.envelope.phase")
+                drives.append((op, frequency, phase))
             else:
                 raise ValueError(f"unknown envelope type {env['type']!r}")
-        jumps = [
-            (_complex_matrix(j["matrix"]), float(j["rate"]))
-            for j in config.get("jumps", [])
-        ]
-        period = config.get("period")
-        period = float(period) if period is not None else None
+        jumps = [(_complex_matrix(j["matrix"]), j["rate"]) for j in config.get("jumps", [])]
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc
-
-    def hamiltonian(t: float) -> np.ndarray:
-        h = np.zeros((layout.dim_joint, layout.dim_joint), dtype=complex)
-        for op, coeff, freq, phase in terms:
-            factor = coeff if freq is None else coeff * math.cos(freq * t + phase)
-            h = h + factor * op
-        return h
-
-    model = LindbladModel(layout, hamiltonian, jumps, period)
-    for i, (op, _) in enumerate(jumps):
-        if op.shape != (layout.dim_joint,) * 2:
-            raise ValueError(
-                f"jumps[{i}] has shape {op.shape}, expected {(layout.dim_joint,) * 2}"
-            )
-    model.validate()
-    return model
+    # the model checks the jumps and the period under their config names
+    return LindbladModel(layout, static, jumps, config.get("period"), drives)
 
 
 def load_model(path) -> LindbladModel:

@@ -124,7 +124,7 @@ def test_criterion_2_semigroup_null():
     ):
         h = 0.3 * np.array([[1, 0], [0, -1]], dtype=complex)
         decay = np.array([[0, 1], [0, 0]], dtype=complex)
-        model = LindbladModel(SpaceLayout(2, 1), lambda t: h, [(decay, 0.5)])
+        model = LindbladModel(SpaceLayout(2, 1), h, [(decay, 0.5)])
         grid = TimeGrid(0.0, 0.4, 12)
         cache = PropagatorCache(model, grid, substeps=32)
         family = reconstruct_family(

@@ -337,6 +337,13 @@ def test_every_malformed_setting_exits_2_naming_it(tmp_path, capsys, name):
     assert not (tmp_path / "o").exists()
 
 
+def _custom_config(**model):
+    """The static 2+2 model ``0.5 ZI`` with ``model`` keys added, maximally mixed."""
+    base = {"dim_system": 2, "dim_environment": 2,
+            "hamiltonian": [{"pauli": "ZI", "coefficient": 0.5}]}
+    return {"model": dict(base, **model), "initial_state": complex_matrix_to_json(np.eye(4) / 4)}
+
+
 @pytest.mark.parametrize(
     "config, key",
     [
@@ -348,6 +355,19 @@ def test_every_malformed_setting_exits_2_naming_it(tmp_path, capsys, name):
         ({"policy": {"tau": "x"}}, "policy.tau"),
         ({"policy": {"kind": "frozen", "sigma": [[1]]}}, "policy.sigma"),
         ({"initial_state": 3}, "initial_state"),
+        (_custom_config(hamiltonian=[{"pauli": "ZI", "coefficient": math.nan}]),
+         "hamiltonian[0].coefficient"),
+        (_custom_config(hamiltonian=[{"pauli": "ZI", "coefficient": 0.5, "envelope": {
+            "type": "cosine", "frequency": math.inf}}]), "hamiltonian[0].envelope.frequency"),
+        (_custom_config(jumps=[{"matrix": complex_matrix_to_json(np.eye(4)), "rate": math.nan}]),
+         "jumps[0].rate"),
+        (_custom_config(period=math.nan), "period must be a finite number"),
+        (_custom_config(period=math.inf), "period must be a finite number"),
+        (_custom_config(dim_environment=2.9), "dim_environment"),
+        (_custom_config(dim_environment=True), "dim_environment"),
+        (_custom_config(period=True), "period must be a finite number"),
+        (_custom_config(hamiltonian=[{"matrix": [[[1, 0]]], "coefficient": 0.5}]),
+         "hamiltonian[0].matrix has shape (1, 1)"),
     ],
 )
 def test_malformed_section_or_matrix_exits_2_naming_it(tmp_path, capsys, config, key):
@@ -380,13 +400,6 @@ def test_error_sweep_without_usable_cell_exits_2(tmp_path, capsys, monkeypatch, 
     assert _run_config(tmp_path, "error-sweep", {"sweep": sweep}) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o" / "error_sweep.csv").exists()
-
-
-def _custom_config(**model):
-    """The static 2+2 model ``0.5 ZI`` with ``model`` keys added, maximally mixed."""
-    base = {"dim_system": 2, "dim_environment": 2,
-            "hamiltonian": [{"pauli": "ZI", "coefficient": 0.5}]}
-    return {"model": dict(base, **model), "initial_state": complex_matrix_to_json(np.eye(4) / 4)}
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def decoupled_model():
         PAULI["I"], PAULI["Z"]
     )
     pump = np.kron(PAULI["I"], np.array([[0, 1], [0, 0]], dtype=complex))
-    return LindbladModel(LAYOUT, lambda t: h, [(pump, p["pump_rate"])])
+    return LindbladModel(LAYOUT, h, [(pump, p["pump_rate"])])
 
 
 def all_policies():
@@ -291,7 +291,7 @@ def test_semigroup_kernel_route_is_consistent():
 
     h = 0.3 * np.array([[1, 0], [0, -1]], dtype=complex)
     decay = np.array([[0, 1], [0, 0]], dtype=complex)
-    model = LindbladModel(SpaceLayout(2, 1), lambda t: h, [(decay, 0.5)])
+    model = LindbladModel(SpaceLayout(2, 1), h, [(decay, 0.5)])
     tau = np.eye(1, dtype=complex)
     choice = ProjectorChoice(FixedState(tau))
     kernel = nz_kernel_direct(model, choice, 0.0, 1.0, 16)
@@ -349,7 +349,7 @@ def test_discrete_generator_converges_to_direct():
 
 
 def test_discrete_estimates_zero_dynamics():
-    model = LindbladModel(LAYOUT, lambda t: np.zeros((4, 4)))
+    model = LindbladModel(LAYOUT, np.zeros((4, 4)))
     grid = TimeGrid(0.0, 0.25, 4)
     family = reconstruct_family(model, grid, FixedState(np.eye(2) / 2), substeps=4)
     assert operator_norm(discrete_generator(family, 0)) < 1e-12

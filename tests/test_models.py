@@ -68,7 +68,7 @@ def test_time_grid():
 
 
 def test_liouvillian_zero_model():
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: np.zeros((4, 4)))
+    model = LindbladModel(SpaceLayout(2, 2), np.zeros((4, 4)))
     assert np.all(liouvillian(model, 0.3) == 0)
 
 
@@ -91,10 +91,13 @@ def test_liouvillian_matches_elementwise_assembly():
 
 
 def test_liouvillian_rejects_non_hermitian():
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: np.diag([1, 2, 3, 4]) + 1j * t * np.eye(4))
-    liouvillian(model, 0.0)
+    # refused when the model is built, before any generator exists
+    h = np.diag([1, 2, 3, 4]).astype(complex)
+    LindbladModel(SpaceLayout(2, 2), h, drives=[(np.eye(4), 2.0, 0.0)])
     with pytest.raises(ValueError):
-        liouvillian(model, 0.5)
+        LindbladModel(SpaceLayout(2, 2), h + 0.5j * np.eye(4))
+    with pytest.raises(ValueError):
+        LindbladModel(SpaceLayout(2, 2), h, drives=[(1j * np.eye(4), 2.0, 0.0)])
 
 
 def test_propagator_identity_at_zero_interval():
@@ -111,7 +114,7 @@ def test_propagator_time_independent_equals_expm():
     # static model: propagator must reduce to a single exponential
     h = 0.5 * np.kron(PAULI["Z"], PAULI["I"]) + 1.5 * np.kron(PAULI["X"], PAULI["X"])
     pump = np.kron(PAULI["I"], np.array([[0, 1], [0, 0]], dtype=complex))
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: h, [(pump, 0.8)])
+    model = LindbladModel(SpaceLayout(2, 2), h, [(pump, 0.8)])
     gen = liouvillian(model, 0.0)
     np.testing.assert_allclose(
         propagator(model, 0.2, 1.7, 32), matrix_exponential(gen, 1.5), atol=1e-10
@@ -191,7 +194,7 @@ def test_propagator_cache_no_reuse_without_commensurate_period():
     static_h = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["X"], PAULI["X"])
     models_grids = [
         (example_model(), TimeGrid(0.0, 0.625, 7)),  # period pi, incommensurate
-        (LindbladModel(SpaceLayout(2, 2), lambda t: static_h), TimeGrid(0.0, 0.5, 7)),
+        (LindbladModel(SpaceLayout(2, 2), static_h), TimeGrid(0.0, 0.5, 7)),
     ]
     for model, grid in models_grids:
         cache = PropagatorCache(model, grid, substeps=4)
@@ -199,14 +202,14 @@ def test_propagator_cache_no_reuse_without_commensurate_period():
 
 
 def test_propagator_cache_refuses_wrong_declared_period():
-    # cos(t) has period 2 pi, not the declared pi
+    # cos(t) has period 2 pi, not the declared pi: the model refuses it when
+    # built, so no cache can ever reuse a wrong phase
     h = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["X"], PAULI["X"])
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: math.cos(t) * h, period=math.pi)
-    cache = PropagatorCache(model, TimeGrid(0.0, math.pi / 4, 8), substeps=4)
-    for i in range(4):
-        cache.adjacent(i)
     with pytest.raises(ValueError, match="periodic"):
-        cache.adjacent(4)
+        LindbladModel(SpaceLayout(2, 2), 0 * h, period=math.pi, drives=[(h, 1.0, 0.0)])
+    model = LindbladModel(SpaceLayout(2, 2), 0 * h, period=2 * math.pi, drives=[(h, 1.0, 0.0)])
+    cache = PropagatorCache(model, TimeGrid(0.0, math.pi / 4, 9), substeps=4)
+    assert cache.adjacent(8) is cache.adjacent(0)
 
 
 @pytest.mark.parametrize("k", [1, 70])
@@ -250,12 +253,12 @@ def test_propagator_cache_act_is_the_step_on_a_block():
 
 def test_propagator_cache_act_checks_the_declared_period():
     h = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["X"], PAULI["X"])
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: math.cos(t) * h, period=math.pi)
+    with pytest.raises(ValueError, match="periodic"):
+        LindbladModel(SpaceLayout(2, 2), 0 * h, period=math.pi, drives=[(h, 1.0, 0.0)])
+    model = LindbladModel(SpaceLayout(2, 2), 0 * h, period=math.pi, drives=[(h, 2.0, 0.0)])
     cache = PropagatorCache(model, TimeGrid(0.0, math.pi / 4, 8), substeps=4)
     block = np.eye(16)[:, :4]
-    cache.act(3, block)
-    with pytest.raises(ValueError, match="periodic"):
-        cache.act(4, block)
+    np.testing.assert_array_equal(cache.act(4, block), cache.act(0, block))
     with pytest.raises(ValueError, match="outside grid"):
         cache.act(8, block)
 
@@ -269,15 +272,16 @@ def test_propagator_cache_refuses_substeps_below_one(substeps):
 def test_propagator_rejects_non_hermitian_hamiltonian_at_a_midpoint():
     h = np.kron(PAULI["Z"], PAULI["I"])
     xx = np.kron(PAULI["X"], PAULI["X"])
-    # Hermitian at t = 0 but not from t = 0.3 on
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: h + (1j * xx if t > 0.3 else 0))
-    propagator(model, 0.0, 0.25, 8)
+    # Hermitian at t = pi/4 but not at the midpoints of [0, 1]: refused when
+    # the model is built, before any propagator samples it
     with pytest.raises(ValueError, match="Hermitian"):
-        propagator(model, 0.0, 1.0, 8)
+        LindbladModel(SpaceLayout(2, 2), h, drives=[(1j * xx, 2.0, 0.0)])
+    # the anti-Hermitian parts of one envelope group may cancel
+    LindbladModel(SpaceLayout(2, 2), h, drives=[(1j * xx, 2.0, 0.0), (-1j * xx, 2.0, 0.0)])
 
 
 def test_evolve_state_zero_generator_is_constant():
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: np.zeros((4, 4)))
+    model = LindbladModel(SpaceLayout(2, 2), np.zeros((4, 4)))
     rho0 = example_initial_state()
     traj = evolve_state(rho0, model, TimeGrid(0.0, 0.5, 5), substeps=4)
     for rho in traj:
@@ -291,7 +295,7 @@ def test_evolve_state_environment_pumping():
     iz = np.kron(PAULI["I"], PAULI["Z"])
     h = 0.5 * p["omega"] * zi + 0.5 * p["omega_env"] * iz
     pump = np.kron(PAULI["I"], np.array([[0, 1], [0, 0]], dtype=complex))
-    model = LindbladModel(SpaceLayout(2, 2), lambda t: h, [(pump, p["pump_rate"])])
+    model = LindbladModel(SpaceLayout(2, 2), h, [(pump, p["pump_rate"])])
     traj = evolve_state(example_initial_state(), model, TimeGrid(0.0, 1.0, 12), substeps=16)
     env_pops = [partial_trace(rho, model.layout, "environment")[0, 0].real for rho in traj]
     assert env_pops[-1] > 1 - 1e-4
@@ -328,7 +332,6 @@ def test_example_parameter_ratios():
 
 def test_example_generator_periodicity():
     model = example_model()
-    model.validate()
     for t in (0.0, 0.4, 2.2):
         np.testing.assert_allclose(
             model.hamiltonian(t + math.pi), model.hamiltonian(t), atol=1e-12
@@ -338,13 +341,31 @@ def test_example_generator_periodicity():
         )
 
 
-def test_validate_rejects_wrong_declared_period():
-    h = np.kron(PAULI["Z"], PAULI["I"])
-    model = LindbladModel(
-        SpaceLayout(2, 2), lambda t: math.cos(t) * h, period=math.pi
-    )
-    with pytest.raises(ValueError, match="periodic"):
-        model.validate()
+ZI = np.kron(PAULI["Z"], PAULI["I"])
+
+MALFORMED_MODELS = {
+    # cos(t) has period 2 pi, not the declared pi
+    "wrong-period": ({"period": math.pi, "drives": [(ZI, 1.0, 0.0)]}, "not periodic with period"),
+    "infinite-period": ({"period": math.inf}, "period must be a finite number"),
+    "negative-period": ({"period": -1.0}, "period must be positive"),
+    "callable-static": ({"static": lambda t: ZI}, "static.*drives="),
+    "static-shape": ({"static": ZI[:2, :2]}, r"static has shape \(2, 2\)"),
+    "nan-static": ({"static": np.full((4, 4), np.nan)}, "static has non-finite"),
+    "jump-shape": ({"jump_terms": [(np.eye(1), 1.0)]}, r"jumps\[0\] has shape \(1, 1\)"),
+    "nan-rate": ({"jump_terms": [(ZI, math.nan)]}, r"jumps\[0\]\.rate"),
+    "negative-rate": ({"jump_terms": [(ZI, -1.0)]}, r"jumps\[0\]\.rate must be non-negative"),
+    "infinite-frequency": ({"drives": [(ZI, math.inf, 0.0)]}, r"drives\[0\]\.frequency"),
+    "phase-not-a-number": ({"drives": [(ZI, 1.0, "x")]}, r"drives\[0\]\.phase"),
+    "drive-shape": ({"drives": [(np.eye(2), 1.0, 0.0)]}, r"drives\[0\] has shape"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_model_refuses_malformed_input_naming_it(case):
+    # every check runs when the model is built; nothing escapes as a TypeError
+    kwargs, match = MALFORMED_MODELS[case]
+    with pytest.raises(ValueError, match=match):
+        LindbladModel(**{"layout": SpaceLayout(2, 2), "static": ZI, **kwargs})
 
 
 def test_example_initial_state_properties():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memtensor.linalg import SpaceLayout, partial_trace, vectorize
-from memtensor.models import LindbladModel, PropagatorCache, TimeGrid, evolve_state
+from memtensor.models import LindbladModel, PropagatorCache, TimeGrid, evolve_state, liouvillian
 from memtensor.serialization import (
     family_from_json,
     family_to_json,
@@ -17,6 +17,7 @@ from memtensor.serialization import (
 )
 from memtensor.tomography import FixedState, check_cptp, reconstruct_family
 from memtensor.transfer import MemoryConfig, build_tensors, propagate
+from test_models import lindblad_rhs, superop_from_action
 from test_tomography import by_route, reference_reconstruct_family
 
 GRID = TimeGrid(0.0, 0.3, 6)
@@ -48,52 +49,67 @@ def _random_hermitian(rng, d):
     return 0.5 * (a + a.conj().T)
 
 
-def _hamiltonian(h0, h1, driven):
-    """``h0``, or ``h0 + cos(2t) h1`` with its period when ``driven``."""
-    if driven:
-        return (lambda t: h0 + math.cos(2 * t) * h1), math.pi
-    return (lambda t: h0), None
+def _drives(draw, hermitian):
+    """0 to 2 drives ``(hermitian(), w, phi)`` with ``w`` in {2, 4} and a random
+    phase, the second one sharing the first's envelope when so drawn, and the
+    period pi when there is a drive."""
+    drives = []
+    for k in range(draw(st.integers(0, 2))):
+        if k and draw(st.booleans()):
+            envelope = drives[0][1:]
+        else:
+            envelope = (draw(st.sampled_from([2.0, 4.0])), draw(st.floats(0, 2 * math.pi)))
+        drives.append((hermitian(), *envelope))
+    return drives, (math.pi if drives else None)
 
 
 @st.composite
 def random_models(draw):
-    """A d_S = 2 model with a d_E in {1, 2, 3, 4} environment, a random static
-    or cos(2t)-driven Hermitian H and one random jump operator, plus a random
-    correlated joint state and a random reference environment state."""
+    """A d_S = 2 model with a d_E in {1, 2, 3, 4} environment, a random
+    Hermitian H_0 plus 0 to 2 random cosine drives and one random jump
+    operator, plus a random correlated joint state and a random reference
+    environment state."""
     de = draw(st.sampled_from([1, 2, 3, 4]))
-    driven = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = 2 * de
-    hamiltonian, period = _hamiltonian(
-        _random_hermitian(rng, d), _random_hermitian(rng, d), driven
-    )
+    drives, period = _drives(draw, lambda: _random_hermitian(rng, d))
     jump = (_random_matrix(rng, d) / d, float(rng.uniform(0.1, 1.0)))
-    model = LindbladModel(SpaceLayout(2, de), hamiltonian, [jump], period)
+    model = LindbladModel(SpaceLayout(2, de), _random_hermitian(rng, d), [jump], period, drives)
     return model, _random_state(rng, d), _random_state(rng, de)
 
 
 @st.composite
 def uncoupled_models(draw):
     """A d_S = 2 system and a d_E in {2, 3, 4} environment that never
-    interact: ``H = H_S (x) 1 + 1 (x) H_E`` (static or cos(2t)-driven) and
-    one random jump on one factor only, plus a random reference state."""
+    interact: every term of H (static or driven) is ``H_S (x) 1 + 1 (x) H_E``,
+    and one random jump acts on one factor only; plus a random reference state."""
     de = draw(st.sampled_from([2, 3, 4]))
-    driven = draw(st.booleans())
     on_system = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     eye_s, eye_e = np.eye(2), np.eye(de)
-    h0, h1 = (
-        np.kron(_random_hermitian(rng, 2), eye_e) + np.kron(eye_s, _random_hermitian(rng, de))
-        for _ in range(2)
-    )
-    hamiltonian, period = _hamiltonian(h0, h1, driven)
+
+    def uncoupled():
+        h_s, h_e = _random_hermitian(rng, 2), _random_hermitian(rng, de)
+        return np.kron(h_s, eye_e) + np.kron(eye_s, h_e)
+
+    drives, period = _drives(draw, uncoupled)
     if on_system:
         jump = np.kron(_random_matrix(rng, 2) / 2, eye_e)
     else:
         jump = np.kron(eye_s, _random_matrix(rng, de) / de)
     rate = float(rng.uniform(0.1, 1.0))
-    model = LindbladModel(SpaceLayout(2, de), hamiltonian, [(jump, rate)], period)
+    model = LindbladModel(SpaceLayout(2, de), uncoupled(), [(jump, rate)], period, drives)
     return model, _random_state(rng, de)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(random_models(), st.lists(st.floats(-10, 10), min_size=1, max_size=3))
+def test_liouvillian_is_the_elementwise_lindblad_rhs(case, times):
+    model = case[0]
+    d = model.layout.dim_joint
+    for t in times:
+        oracle = superop_from_action(lambda x: lindblad_rhs(model, t, x), d)
+        np.testing.assert_allclose(liouvillian(model, t), oracle, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -82,7 +82,7 @@ def decoupled_model():
         PAULI["I"], PAULI["Z"]
     )
     pump = np.kron(PAULI["I"], np.array([[0, 1], [0, 0]], dtype=complex))
-    return LindbladModel(LAYOUT, lambda t: h, [(pump, p["pump_rate"])])
+    return LindbladModel(LAYOUT, h, [(pump, p["pump_rate"])])
 
 
 # --- reference states -------------------------------------------------------

@@ -51,7 +51,7 @@ def semigroup_model():
     """Single qubit with a trivial environment: exactly divisible dynamics."""
     h = 0.3 * np.array([[1, 0], [0, -1]], dtype=complex)
     decay = np.array([[0, 1], [0, 0]], dtype=complex)
-    return LindbladModel(SpaceLayout(2, 1), lambda t: h, [(decay, 0.5)])
+    return LindbladModel(SpaceLayout(2, 1), h, [(decay, 0.5)])
 
 
 @pytest.fixture(scope="module")
