@@ -47,10 +47,7 @@ from .tomography import (
     check_cptp,
     choi_matrix,
     decompose_initial_state,
-    dynamical_map,
     reconstruct_family,
-    reference_state,
-    superchannel_apply,
     tomography_frame,
 )
 from .transfer import (

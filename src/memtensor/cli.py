@@ -320,12 +320,21 @@ def memory_time_warnings(config: dict, m: int, dt: float) -> list[str]:
             f"the computed value m*dt is used"]
 
 
-def validate_config(config: dict) -> tuple[list[str], list[str]]:
-    """Returns (errors, warnings) for a merged experiment config; the warnings
-    compare ``memory.t_m`` with ``m * dt`` on the default grid."""
+def build_inputs(config: dict) -> tuple:
+    """Model, initial joint state and reference policy of a config."""
+    model, rho0 = build_model(config)
+    return model, rho0, build_policy(config, model, rho0)
+
+
+def validate_config(config: dict) -> tuple[list[str], list[str], tuple | None]:
+    """Returns (errors, warnings, inputs) for a merged experiment config. The
+    warnings compare ``memory.t_m`` with ``m * dt`` on the default grid;
+    ``inputs`` is :func:`build_inputs` of the config, ``None`` on errors, so
+    a run builds its model once."""
     errors = []
+    inputs = None
     try:
-        build_policy(config, *build_model(config))
+        inputs = build_inputs(config)
     except ConfigError as exc:
         errors.append(str(exc))
     except ValueError as exc:
@@ -336,9 +345,9 @@ def validate_config(config: dict) -> tuple[list[str], list[str]]:
         except ConfigError as exc:
             errors.append(str(exc))
     if errors:  # a section that is not an object fails each of its rows alike
-        return list(dict.fromkeys(errors)), []
+        return list(dict.fromkeys(errors)), [], None
     m, dt = setting(config, "memory.m", 8), setting(config, "grid.dt", 0.625)
-    return errors, memory_time_warnings(config, m, dt)
+    return errors, memory_time_warnings(config, m, dt), inputs
 
 
 def _echo(config: dict, **extra) -> dict:
@@ -353,15 +362,10 @@ def _echo(config: dict, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_inputs(config: dict):
-    """Model, initial joint state, reference policy and substeps of a config."""
-    model, rho0 = build_model(config)
-    return model, rho0, build_policy(config, model, rho0), setting(config, "substeps", 64)
-
-
-def run_evolve(config: dict, out: Path, args) -> list[Path]:
+def run_evolve(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Exact reduced trajectory. Columns: step, wt, rho elements (re/im), trace_re."""
-    model, rho0, _, substeps = _pipeline_inputs(config)
+    model, rho0, _ = inputs
+    substeps = setting(config, "substeps", 64)
     grid = build_grid(config, default_dt=0.625, default_steps=8)
     trajectory = evolve_state(rho0, model, grid, substeps=substeps)
     ds = model.layout.dim_system
@@ -381,16 +385,17 @@ def run_evolve(config: dict, out: Path, args) -> list[Path]:
     return [path]
 
 
-def run_tomography(config: dict, out: Path, args) -> list[Path]:
+def run_tomography(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Family CPTP report (columns: i, j, trace_dev, choi_min_eig, passed)
     plus the family itself as JSON."""
-    model, rho0, policy, substeps = _pipeline_inputs(config)
+    model, rho0, policy = inputs
+    substeps = setting(config, "substeps", 64)
     grid = build_grid(config, default_dt=0.625, default_steps=16)
     family = reconstruct_family(
         model, grid, policy, substeps=substeps, rho_se0=rho0
     )
     rows = []
-    for (i, j), lam in sorted(family.maps.items()):
+    for (i, j), lam in family.maps.items():
         report = check_cptp(lam, tol=1e-8)
         rows.append((i, j, report.trace_dev, report.choi_min_eig, int(report.passed)))
     report_path = out / "tomography_report.csv"
@@ -429,10 +434,11 @@ def _transfer_tensors(cache, policy, rho0, memory, periodic, max_length, exact):
     )
 
 
-def run_tensors(config: dict, out: Path, args) -> list[Path]:
+def run_tensors(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Transfer tensors as JSON plus the norm profile (columns: length,
     start, operator_norm). Lengths reach 2m-1 so the error bound is usable."""
-    model, rho0, policy, substeps = _pipeline_inputs(config)
+    model, rho0, policy = inputs
+    substeps = setting(config, "substeps", 64)
     # parses t0, dt and any configured steps; the window is chosen below
     grid = build_grid(config, default_dt=math.pi / 5, default_steps=1)
     memory, commensurate = resolve_memory(config, model, grid.dt, policy)
@@ -465,10 +471,11 @@ def run_tensors(config: dict, out: Path, args) -> list[Path]:
     return [tensors_path, norms_path]
 
 
-def run_propagate(config: dict, out: Path, args) -> list[Path]:
+def run_propagate(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Memory-truncated long-time propagation. Columns: step, wt, rho
     elements (re/im), trace_re, and trace_distance_exact with --oracle."""
-    model, rho0, policy, substeps = _pipeline_inputs(config)
+    model, rho0, policy = inputs
+    substeps = setting(config, "substeps", 64)
     grid = build_grid(config, default_dt=0.625, default_steps=160)
     memory, commensurate = resolve_memory(config, model, grid.dt, policy)
     for warning in memory_time_warnings(config, memory.m, grid.dt):
@@ -496,14 +503,15 @@ def run_propagate(config: dict, out: Path, args) -> list[Path]:
     return [path]
 
 
-def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
+def run_error_sweep(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Cutoff-error landscape. Columns: wt_m, wdt, m, c, error (long-time
     max), bound (second-window envelope), heuristic (max longest-tensor
     norm), unphysical (error > 2), bound_ok. Each cell reuses one period of
     tensors, so a static model (no ``model.period``) and a policy for which
     :func:`resolve_memory` allows no periodic reuse are refused as config
     errors."""
-    model, rho0, policy, substeps = _pipeline_inputs(config)
+    model, rho0, policy = inputs
+    substeps = setting(config, "substeps", 64)
     c_values = setting(config, "sweep.c_values", [6, 8, 12, 14])
     tm_targets = setting(config, "sweep.tm_targets", [1.25, 2.5, 5.0, 10.0])
     horizon = setting(config, "sweep.horizon", 100.0)
@@ -567,10 +575,11 @@ def run_error_sweep(config: dict, out: Path, args) -> list[Path]:
     return [path]
 
 
-def run_kernel_norms(config: dict, out: Path, args) -> list[Path]:
+def run_kernel_norms(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Kernel-norm decay for the three projector choices. Columns: policy,
     wt, kernel_norm."""
-    model, rho0, _, substeps = _pipeline_inputs(config)
+    model, rho0, _ = inputs
+    substeps = setting(config, "substeps", 64)
     grid = build_grid(config, default_dt=0.25, default_steps=20)
     tau0 = partial_trace(rho0, model.layout, "environment")
     ds = model.layout.dim_system
@@ -593,10 +602,11 @@ def run_kernel_norms(config: dict, out: Path, args) -> list[Path]:
     return [path]
 
 
-def run_convergence(config: dict, out: Path, args) -> list[Path]:
+def run_convergence(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Scaled-kernel vs full-length-tensor comparison. Columns: wt, n,
     relative_difference."""
-    model, rho0, _, substeps = _pipeline_inputs(config)
+    model, rho0, _ = inputs
+    substeps = setting(config, "substeps", 64)
     t_values = setting(config, "convergence.t_values", [2.5, 5.0])
     n_values = setting(config, "convergence.n_values", [8, 16, 32, 64])
     tau0 = partial_trace(rho0, model.layout, "environment")
@@ -620,9 +630,9 @@ def run_convergence(config: dict, out: Path, args) -> list[Path]:
     return [path]
 
 
-def run_validate(config: dict, out: Path, args) -> list[Path]:
+def run_validate(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     """Schema, range and compatibility checks; exit 2 on errors."""
-    errors, warnings = validate_config(config)
+    errors, warnings, _ = validate_config(config)
     for warning in warnings:
         print(f"warning: {warning}")
     for error in errors:
@@ -666,11 +676,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    inputs = None
     try:
         config = merge_flags(load_config(args.config), args)
         if args.experiment != "validate":
             # the runners that read memory.t_m warn about it on their own grid
-            errors = validate_config(config)[0]
+            errors, _, inputs = validate_config(config)
             if errors:
                 for error in errors:
                     print(f"error: {error}", file=sys.stderr)
@@ -681,7 +692,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written = EXPERIMENTS[args.experiment](config, out, args)
+        written = EXPERIMENTS[args.experiment](config, inputs, out, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -313,7 +313,7 @@ def discrete_kernel_series(
         grid=grid,
         choice=ProjectorChoice(family.policy, derivative_step=grid.dt / 16),
     )
-    eye = np.eye(next(iter(family.maps.values())).shape[0])
+    eye = np.eye(family.stack.shape[-1])
     for j in range(grid.steps):
         series.generator[j] = (family.map(j, j + 1) - eye) / grid.dt
     for (p, l), t in tensors.tensors.items():

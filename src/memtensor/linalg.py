@@ -21,6 +21,14 @@ import numpy as np
 from scipy.linalg import expm, svdvals
 
 
+def _integer(value, name: str, low: int) -> int:
+    """``value`` as an ``int`` of at least ``low`` (never a bool), else
+    ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Dimensions of the system / environment factors of a joint space."""
@@ -29,10 +37,8 @@ class SpaceLayout:
     dim_environment: int
 
     def __post_init__(self):
-        for name, low in (("dim_system", 2), ("dim_environment", 1)):
-            dim = getattr(self, name)
-            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {dim!r}")
+        _integer(self.dim_system, "dim_system", 2)
+        _integer(self.dim_environment, "dim_environment", 1)
 
     @property
     def dim_joint(self) -> int:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .linalg import (
     SpaceLayout,
+    _integer,
     expm_action,
     hermiticity_defect,
     left_mult_superop,
@@ -56,6 +57,12 @@ PAULI = {
 }
 
 
+def _finite(value, name: str) -> float:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid ``t_j = t0 + j*dt`` for ``j = 0..steps``."""
@@ -65,22 +72,16 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        _finite(self.t0, "t0")
+        if _finite(self.dt, "dt") <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        _integer(self.steps, "steps", 1)
 
     def time(self, j: int) -> float:
         return self.t0 + j * self.dt
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.steps + 1)
-
-
-def _finite(value, name: str) -> float:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _operator(value, name: str, d: int) -> np.ndarray:

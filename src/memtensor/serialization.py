@@ -118,9 +118,7 @@ def family_to_json(family: DynamicalMapFamily) -> dict:
             "steps": family.grid.steps,
         },
         "policy": _policy_to_json(family.policy),
-        "maps": {
-            f"{i},{j}": complex_matrix_to_json(m) for (i, j), m in sorted(family.maps.items())
-        },
+        "maps": {f"{i},{j}": complex_matrix_to_json(m) for (i, j), m in family.maps.items()},
         "reference_states": {
             str(j): complex_matrix_to_json(tau)
             for j, tau in sorted(family.reference_states.items())
@@ -134,10 +132,27 @@ def family_from_json(doc: dict) -> DynamicalMapFamily:
         policy = _policy_from_json(doc["policy"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"document 'policy': {exc!r}") from None
-    family = DynamicalMapFamily(grid=_fields(doc, "grid", TimeGrid), policy=policy)
-    family.maps, _ = _matrices(doc, "maps", 2, superop=True)
-    family.reference_states, _ = _matrices(doc, "reference_states", 1)
-    return family
+    grid = _fields(doc, "grid", TimeGrid)
+    maps, shape = _matrices(doc, "maps", 2, superop=True)
+    if not maps:
+        raise ValueError("document 'maps' holds no map")
+    for i, j in sorted(maps):
+        if not 0 <= i < j <= grid.steps:
+            raise ValueError(f"maps key '{i},{j}' is not a map of the {grid.steps}-step grid")
+    # a family is the full band of its grid: every map (i, j) with
+    # 0 <= i < j <= min(i + band, steps), the band being its longest map
+    band = max(j - i for i, j in maps)
+    for i in range(grid.steps):
+        for j in range(i + 1, min(i + band, grid.steps) + 1):
+            if (i, j) not in maps:
+                raise ValueError(
+                    f"maps lack key '{i},{j}' of the band {band} of the {grid.steps}-step grid"
+                )
+    stack = np.zeros((grid.steps, band + 1, *shape), dtype=complex)
+    for (i, j), matrix in maps.items():
+        stack[i, j - i] = matrix
+    references, _ = _matrices(doc, "reference_states", 1)
+    return DynamicalMapFamily(grid, policy, stack, references)
 
 
 def tensors_to_json(tensor_set: TransferTensorSet) -> dict:

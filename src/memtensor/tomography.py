@@ -19,17 +19,23 @@ beside ``d**2``, as a truncated Taylor action of the same midpoint product
 (:meth:`~memtensor.models.PropagatorCache.act`); :func:`steps_by_action`
 holds the rule.
 
-Also here: CPTP verification via the Choi matrix, the superchannel for
-initially correlated states, and the decomposition of a correlated joint
-state into uncorrelated branches (one per element of a positive tomographic
-frame), which lets correlated dynamics be propagated without ever forming an
-inhomogeneous term.
+The family is one banded array, ``stack[i, g] = map(t_i -> t_{i+g})``
+(:class:`DynamicalMapFamily`): the steps write it, and the transfer-tensor
+recursion reads it as it stands.
+
+Also here: CPTP verification via the Choi matrix, the joint extension
+``A (x) id`` of a system superoperator, and the decomposition of a correlated
+joint state into uncorrelated branches (one per element of a positive
+tomographic frame), which lets correlated dynamics be propagated without ever
+forming an inhomogeneous term.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -190,83 +196,54 @@ class ReferenceStates:
         return self._trace_s @ joint @ embeds
 
 
-def reference_state(
-    policy: ReferencePolicy,
-    model: LindbladModel,
-    t: float,
-    joint_trajectory: list[np.ndarray] | None = None,
-    grid: TimeGrid | None = None,
-    rho_se0: np.ndarray | None = None,
-    substep: float = 1 / 64,
-) -> np.ndarray:
-    """Reference environment state of ``policy`` at time ``t``.
-
-    ``TrueEnvironment`` takes either a precomputed ``joint_trajectory`` on
-    ``grid`` (``t`` must be a grid point) or the initial joint state to
-    integrate from; ``FrozenSystem`` needs ``rho_se0``.
-    """
-    if isinstance(policy, FixedState):
-        return policy.tau
-    if isinstance(policy, TrueEnvironment) and joint_trajectory is not None:
-        if grid is None:
-            raise ValueError("a joint trajectory needs its grid")
-        j = round((t - grid.t0) / grid.dt)
-        if not 0 <= j <= grid.steps or abs(grid.time(j) - t) > 1e-9:
-            raise ValueError(f"t={t} is not a point of the trajectory grid")
-        return partial_trace(joint_trajectory[j], model.layout, "environment")
-    if rho_se0 is None:
-        raise ValueError(
-            f"{policy_label(policy)} policy needs a joint trajectory or initial state"
-        )
-    return ReferenceStates(policy, model, rho_se0, substep=substep).state(t)
-
-
 # ---------------------------------------------------------------------------
 # Dynamical maps
 # ---------------------------------------------------------------------------
 
 
-def dynamical_map(
-    model: LindbladModel,
-    s: float,
-    t: float,
-    tau: np.ndarray,
-    substeps: int = 64,
-) -> np.ndarray:
-    """Map superoperator on the system for ``[s, t]`` with reference state ``tau``.
-
-    Columns are the vectorized images of the system matrix units propagated
-    jointly with ``tau``; the result is completely positive and trace
-    preserving whenever ``tau`` is a valid state.
-    """
-    from .models import propagator  # local import keeps module init light
-
-    if t < s:
-        raise ValueError(f"need t >= s, got s={s}, t={t}")
-    validate_density_operator(tau)
-    u = propagator(model, s, t, substeps)
-    trace_e = trace_out_superop(model.layout, "system")
-    embed = embed_environment_superop(tau, model.layout)
-    return trace_e @ u @ embed
-
-
 @dataclass(eq=False)
 class DynamicalMapFamily:
-    """Grid-indexed family of dynamical maps ``(i, j) -> map(t_i -> t_j)``."""
+    """Banded family of dynamical maps on a grid, stored as one array.
+
+    ``stack[i, g] = map(t_i -> t_{i+g})`` for ``1 <= g <= min(band, steps - i)``
+    and zero elsewhere, where ``band = stack.shape[1] - 1``: the array
+    tomography writes and the transfer-tensor recursion reads. ``map(i, j)``
+    indexes it and ``maps`` is a read-only ``(i, j)``-keyed view in order of
+    ``(i, j)``. ``reference_states`` holds ``tau(t_j)`` for ``j = 0 .. steps``.
+    """
 
     grid: TimeGrid
     policy: ReferencePolicy
-    maps: dict = field(default_factory=dict)
+    stack: np.ndarray
     reference_states: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        shape = np.shape(self.stack)
+        if len(shape) != 4 or shape[0] != self.grid.steps or shape[1] < 2 or shape[2] != shape[3]:
+            raise ValueError(
+                f"stack must have shape (steps={self.grid.steps}, band + 1 >= 2, n, n), "
+                f"got {shape}"
+            )
+
+    @property
+    def band(self) -> int:
+        return self.stack.shape[1] - 1
+
     def map(self, i: int, j: int) -> np.ndarray:
-        try:
-            return self.maps[(i, j)]
-        except KeyError:
+        if not 0 <= i < j <= min(i + self.band, self.grid.steps):
             raise KeyError(
-                f"map ({i}, {j}) not in family (steps={self.grid.steps}, "
-                f"{len(self.maps)} maps stored)"
-            ) from None
+                f"map ({i}, {j}) not in family (steps={self.grid.steps}, band={self.band})"
+            )
+        return self.stack[i, j - i]
+
+    @property
+    def maps(self) -> Mapping:
+        steps, band = self.grid.steps, self.band
+        return MappingProxyType({
+            (i, i + g): self.stack[i, g]
+            for i in range(steps)
+            for g in range(1, min(band, steps - i) + 1)
+        })
 
 
 def steps_by_action(n: int, width: int, unbuilt: int) -> bool:
@@ -303,7 +280,7 @@ def reconstruct_family(
     ``X (x) tau(t_i)`` are propagated, step by step: at step ``k`` the images
     of every start still inside its band form one block, stepped in one
     call, either as ``cache.adjacent(k) @ block`` or as ``cache.act(k,
-    block)``. The route is chosen once per call by :func:`steps_by_action`
+    block)``, and their traces are written to ``stack[i, k + 1 - i]``. The route is chosen once per call by :func:`steps_by_action`
     from the Liouville dimension, the image columns and the step phases the
     cache has not built; both give the same maps to rounding.
     """
@@ -317,33 +294,30 @@ def reconstruct_family(
     )
     layout = model.layout
     trace_e = trace_out_superop(layout, "system")
-    family = DynamicalMapFamily(grid=grid, policy=policy)
-    embeds = {}
-    for i in range(grid.steps + 1):
-        tau = refs.state(grid.time(i))
-        family.reference_states[i] = tau
-        if i < grid.steps:
-            embeds[i] = embed_environment_superop(tau, layout)
-    ends = [grid.steps if band is None else min(grid.steps, i + band) for i in range(grid.steps)]
+    # every reference state first, in ascending time: a time-dependent policy
+    # integrates its state forward through the queries
+    references = {i: refs.state(grid.time(i)) for i in range(grid.steps + 1)}
+    band = grid.steps if band is None else min(band, grid.steps)
+    ends = [min(grid.steps, i + band) for i in range(grid.steps)]
     ds2 = layout.dim_system ** 2
     by_action = steps_by_action(
         layout.dim_joint ** 2,
         ds2 * sum(end - i for i, end in enumerate(ends)),
         cache.unbuilt(grid.steps),
     )
-    maps = {}
-    live = []  # starts whose images the block holds, ds2 columns each, in order
+    stack = np.zeros((grid.steps, band + 1, ds2, ds2), dtype=complex)
     block = np.empty((layout.dim_joint ** 2, 0), dtype=complex)
+    first = 0  # the block holds the images of starts first .. k - 1, ds2 columns each
     for k in range(grid.steps):
-        gone = sum(ends[i] <= k for i in live)  # bands end in order of start
-        live = live[gone:] + [k]
-        block = np.concatenate([block[:, gone * ds2 :], embeds[k]], axis=1)
+        gone = sum(ends[i] <= k for i in range(first, k))  # bands end in order of start
+        first += gone
+        embed = embed_environment_superop(references[k], layout)
+        block = np.concatenate([block[:, gone * ds2 :], embed], axis=1)
         block = cache.act(k, block) if by_action else cache.adjacent(k) @ block
+        live = np.arange(first, k + 1)
         images = (trace_e @ block).reshape(ds2, len(live), ds2).transpose(1, 0, 2)
-        for i, image in zip(live, np.ascontiguousarray(images)):
-            maps[(i, k + 1)] = image
-    family.maps.update(sorted(maps.items()))
-    return family
+        stack[live, k + 1 - live] = images
+    return DynamicalMapFamily(grid, policy, stack, references)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +355,7 @@ def check_cptp(s: np.ndarray, tol: float = 1e-8) -> CptpReport:
 
 
 # ---------------------------------------------------------------------------
-# Superchannel with initial correlations
+# Joint extension of system superoperators
 # ---------------------------------------------------------------------------
 
 
@@ -395,34 +369,6 @@ def extend_to_joint(a: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     eye_e = np.eye(de)
     mat = np.einsum("abCD,fF,eE->bfaeDFCE", a4, eye_e, eye_e)
     return mat.reshape(d * d, d * d)
-
-
-def superchannel_apply(
-    model: LindbladModel,
-    preparation: np.ndarray,
-    rho_se0: np.ndarray,
-    t: float,
-    substeps: int = 64,
-    t0: float = 0.0,
-) -> np.ndarray:
-    """System state at ``t`` after preparing with superoperator ``preparation``.
-
-    ``preparation`` acts on the system at ``t0``; the identity preparation
-    gives the freely evolved state. Not trace preserving in general, so the
-    output is whatever operator the linear dynamics produces.
-    """
-    from .models import propagator
-
-    layout = model.layout
-    ds = layout.dim_system
-    if preparation.shape != (ds * ds, ds * ds):
-        raise ValueError(
-            f"preparation must be {ds * ds}x{ds * ds} on the system, got {preparation.shape}"
-        )
-    validate_density_operator(rho_se0)
-    prepared = extend_to_joint(preparation, layout) @ vectorize(rho_se0)
-    evolved = propagator(model, t0, t, substeps) @ prepared
-    return partial_trace(devectorize(evolved, layout.dim_joint), layout, "system")
 
 
 # ---------------------------------------------------------------------------

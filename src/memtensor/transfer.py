@@ -9,9 +9,9 @@ recursion
 (Cerrillo and Cao, PRL 112, 110401 (2014)). For a fixed end ``k`` it is a
 unit upper-triangular system in the tensors ``T(1 .. L, end k)``, which
 :func:`build_tensors` solves by blocked forward substitution: it reads the
-family into one array ``stack[i, g] = map(i -> i + g)`` and keeps the tensors
-of the current end as one row, so each tensor costs one matrix product of
-the row's filled part with the stacked maps from its start. After that the
+family's array ``stack[i, g] = map(i -> i + g)`` as it stands and keeps the
+tensors of the current end as one row, so each tensor costs one matrix
+product of the row's filled part with the stacked maps from its start. After that the
 state at any step decomposes over its own history,
 
     rho_k  =  sum_{l=1..k} T(l, end k) rho_{k-l}  +  residual_k,
@@ -54,8 +54,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import hermitian_basis, hermitize
-from .models import LindbladModel, TimeGrid
+from .linalg import _integer, hermitian_basis, hermitize
+from .models import LindbladModel, TimeGrid, _finite
 from .tomography import (
     DynamicalMapFamily,
     FixedState,
@@ -81,13 +81,11 @@ class MemoryConfig:
     transient_steps: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.m < 1 or self.c < 1 or self.transient_steps < 0:
-            raise ValueError(
-                f"need m >= 1, c >= 1, transient_steps >= 0, got "
-                f"m={self.m}, c={self.c}, transient_steps={self.transient_steps}"
-            )
+        if _finite(self.dt, "dt") <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        _integer(self.m, "m", 1)
+        _integer(self.c, "c", 1)
+        _integer(self.transient_steps, "transient_steps", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +156,7 @@ def build_tensors(
     Parameters
     ----------
     family : DynamicalMapFamily
-        Must contain every map inside the windows ``[p, p + max_length]`` for
+        Its grid and band must cover the windows ``[p, p + max_length]`` of
         the stored start steps ``p``.
     config : MemoryConfig
         Grid/cutoff/period bookkeeping carried by the result.
@@ -179,11 +177,11 @@ def build_tensors(
     Tensors are computed end by end. At end ``k`` the row
     ``[T(top, k) ... T(1, k)]`` fills from the right, and ``T(l, k)`` is
     ``map(k-l -> k)`` minus one product of the ``l - 1`` entries already in
-    the row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``, stacked
-    from one array of the family: one matrix product per tensor, never the
-    whole triangular system. ``max_length`` and ``dense_window`` must be at
-    least 1 (``ValueError``); a map the recursion needs but the family lacks
-    is a ``KeyError`` naming the first tensor it leaves uncovered.
+    the row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``, one slice
+    of ``family.stack``: one matrix product per tensor, never the whole
+    triangular system. ``max_length`` and ``dense_window`` must be at least 1
+    (``ValueError``); a tensor longer than the family's band or ending past
+    its grid is a ``KeyError`` naming the first such tensor.
     """
     if max_length is None:
         max_length = config.m
@@ -194,8 +192,8 @@ def build_tensors(
     dense = dense_window is not None
     last_end = dense_window if dense else phases - 1 + max_length
     max_length = min(max_length, last_end)
-    stack, reach = _map_stack(family, last_end, max_length)
-    n = stack.shape[-1]
+    stack = family.stack
+    band, n = stack.shape[1] - 1, stack.shape[-1]
     tensors = {}
     for k in range(1, last_end + 1):
         # row = [T(top, k) ... T(1, k)], filled from the right
@@ -203,8 +201,11 @@ def build_tensors(
         row = np.empty((n, top * n), dtype=complex)
         for l in range(1, top + 1):
             i = k - l
-            if l > reach[i]:
-                _raise_uncovered(family, i, l)
+            if l > band or k > len(stack):
+                raise KeyError(
+                    f"map family does not cover tensor (start={i}, length={l}): "
+                    f"its grid has {len(stack)} steps and its band is {band}"
+                )
             t_l = stack[i, l] - row[:, (top - l + 1) * n :] @ stack[i, 1:l].reshape(-1, n)
             row[:, (top - l) * n : (top - l + 1) * n] = t_l
             if dense or i < phases:
@@ -218,35 +219,6 @@ def build_tensors(
         k: inhomogeneous_residual(exact_states, tensor_set, k) for k in range(1, k_max + 1)
     }
     return replace(tensor_set, residuals=residuals)
-
-
-def _map_stack(family: DynamicalMapFamily, last_end: int, max_length: int):
-    """``stack[i, g] = map(i -> i + g)`` for every map the tensors ending by
-    ``last_end`` can use, and ``reach[i]``, the longest tensor from start
-    ``i`` whose maps ``g = 1 .. length`` are all in the family."""
-    maps = family.maps
-    n = len(next(iter(maps.values()))) if maps else 0
-    stack = np.zeros((last_end, max_length + 1, n, n), dtype=complex)
-    covered = np.zeros((last_end, max_length + 1), dtype=bool)
-    for i in range(last_end):
-        for g in range(1, min(max_length, last_end - i) + 1):
-            lam = maps.get((i, i + g))
-            if lam is not None:
-                stack[i, g] = lam
-                covered[i, g] = True
-    reach = np.cumprod(covered[:, 1:], axis=1).sum(axis=1)
-    return stack, reach.tolist()
-
-
-def _raise_uncovered(family: DynamicalMapFamily, start: int, length: int):
-    """Name the tensor and the first of its maps that the family lacks."""
-    try:
-        for gap in range(length, 0, -1):
-            family.map(start, start + gap)
-    except KeyError as exc:
-        raise KeyError(
-            f"map family does not cover tensor (start={start}, length={length}): {exc}"
-        ) from exc
 
 
 def inhomogeneous_residual(
@@ -367,6 +339,7 @@ def propagate(
     matrix and is built once, so the cost per step does not depend
     on the horizon; a dense set builds each block from its own rows.
     """
+    _integer(total_steps, "total_steps", 0)
     m = tensors.config.m
     n_seed = len(seed_states)
     if n_seed < 1:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from memtensor import cli
-from memtensor.models import model_from_config
+from memtensor.models import LindbladModel, model_from_config
 from memtensor.serialization import complex_matrix_to_json
 
 
@@ -199,6 +199,21 @@ def test_validate_rejects_negative_rate(tmp_path, capsys):
     assert "rate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("experiment", ["evolve", "tomography", "tensors"])
+def test_a_run_builds_its_model_once(tmp_path, monkeypatch, experiment):
+    built = []
+    post_init = LindbladModel.__post_init__
+
+    def counting(model):
+        built.append(model)
+        post_init(model)
+
+    monkeypatch.setattr(LindbladModel, "__post_init__", counting)
+    args = [experiment, "--steps", "2", "--m", "2", "--substeps", "4", "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    assert len(built) == 1
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -210,7 +225,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_3(tmp_path, monkeypatch):
-    def boom(config, out, args):
+    def boom(config, inputs, out, args):
         raise ValueError("synthetic numerical failure")
 
     monkeypatch.setitem(cli.EXPERIMENTS, "evolve", boom)
@@ -296,7 +311,7 @@ def test_non_numeric_memory_time_exits_2(tmp_path, capsys):
 
 def test_bad_grid_dt_in_tensors_runner_is_config_error(tmp_path):
     with pytest.raises(cli.ConfigError, match="grid"):
-        cli.run_tensors({"grid": {"dt": "x"}}, tmp_path, None)
+        cli.run_tensors({"grid": {"dt": "x"}}, cli.build_inputs({}), tmp_path, None)
 
 
 def _run_config(tmp_path, experiment, config):
@@ -333,7 +348,7 @@ def test_every_malformed_setting_exits_2_naming_it(tmp_path, capsys, name):
         assert name in capsys.readouterr().err
         # the runner refuses it on its own too, not only through validate_config
         with pytest.raises(cli.ConfigError, match=name):
-            cli.EXPERIMENTS[experiment](config, tmp_path, None)
+            cli.EXPERIMENTS[experiment](config, cli.build_inputs(config), tmp_path, None)
     assert not (tmp_path / "o").exists()
 
 

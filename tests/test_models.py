@@ -65,6 +65,19 @@ def test_time_grid():
     assert grid.time(3) == 1.5
     with pytest.raises(ValueError):
         TimeGrid(0.0, -0.1, 4)
+    # each malformed field is refused by name
+    for args, name in [
+        ((0.0, math.nan, 3), "dt"),
+        ((0.0, math.inf, 3), "dt"),
+        ((0.0, True, 3), "dt"),
+        ((math.inf, 0.5, 2), "t0"),
+        ((math.nan, 0.5, 2), "t0"),
+        ((0.0, 0.5, 2.5), "steps"),
+        ((0.0, 0.5, True), "steps"),
+        ((0.0, 0.5, 0), "steps"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            TimeGrid(*args)
 
 
 def test_liouvillian_zero_model():

@@ -167,6 +167,46 @@ def test_malformed_documents_raise_value_error_naming_the_key(kind, section, key
         load(doc)
 
 
+# id: (keys added to the maps of a 4-step, band-2 family, keys deleted, text
+# the refusal names)
+BAND_BREAKS = {
+    "off-grid-key": (["7,9"], [], "'7,9'"),
+    "reversed-key": (["2,1"], [], "'2,1'"),
+    "gap-in-band": ([], ["1,3"], "'1,3'"),
+    "no-maps": ([], ["0,1", "0,2", "1,2", "1,3", "2,3", "2,4", "3,4"], "no map"),
+}
+
+
+@pytest.mark.parametrize("added, deleted, named", BAND_BREAKS.values(), ids=BAND_BREAKS.keys())
+def test_loaded_family_must_be_the_band_of_its_grid(added, deleted, named):
+    grid = TimeGrid(0.0, 0.625, 4)
+    family = reconstruct_family(example_model(), grid, FixedState(np.eye(2) / 2), 8, band=2)
+    doc = family_to_json(family)
+    loaded = family_from_json(copy.deepcopy(doc))  # the unedited document loads
+    assert loaded.band == 2 and list(loaded.maps) == list(family.maps)
+    np.testing.assert_array_equal(loaded.stack, family.stack)
+    maps = doc["maps"]
+    for key in added:
+        maps[key] = maps["0,1"]
+    for key in deleted:
+        del maps[key]
+    with pytest.raises(ValueError, match=named):
+        family_from_json(doc)
+
+
+def test_malformed_numbers_in_documents_are_refused_by_name():
+    family = _small_family()
+    tensors = build_tensors(family, MemoryConfig(dt=0.625, m=1, c=1))
+    doc = tensors_to_json(tensors)
+    doc["config"]["m"] = 1.5
+    with pytest.raises(ValueError, match="m must be an integer"):
+        tensors_from_json(doc)
+    doc = family_to_json(family)
+    doc["grid"]["steps"] = 2.5
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        family_from_json(doc)
+
+
 def test_format_guards():
     with pytest.raises(ValueError):
         family_from_json({"format": "something-else"})

@@ -32,6 +32,7 @@ from memtensor.models import (
     propagator,
 )
 from memtensor.tomography import (
+    DynamicalMapFamily,
     FixedState,
     FrozenSystem,
     ReferenceStates,
@@ -39,12 +40,9 @@ from memtensor.tomography import (
     check_cptp,
     choi_matrix,
     decompose_initial_state,
-    dynamical_map,
     extend_to_joint,
     reconstruct_family,
-    reference_state,
     steps_by_action,
-    superchannel_apply,
     tomography_frame,
 )
 
@@ -90,26 +88,23 @@ def decoupled_model():
 
 def test_fixed_state_policy():
     tau = random_state(2)
-    policy = FixedState(tau)
+    provider = ReferenceStates(FixedState(tau), example_model())
     for t in (0.0, 1.3, 9.4):
-        np.testing.assert_array_equal(reference_state(policy, example_model(), t), tau)
+        np.testing.assert_array_equal(provider.state(t), tau)
 
 
 def test_true_environment_at_t0():
     target = 0.75 * projector(PLUS) + 0.25 * projector(MINUS)
-    got = reference_state(
-        TrueEnvironment(), example_model(), 0.0, rho_se0=example_initial_state()
-    )
+    got = ReferenceStates(TrueEnvironment(), example_model(), example_initial_state()).state(0.0)
     np.testing.assert_allclose(got, target, atol=1e-13)
 
 
 def test_true_environment_from_trajectory_matches_provider():
+    # the true-env reference state is the environment marginal of the joint trajectory
     model = example_model()
     grid = TimeGrid(0.0, 0.25, 4)
     traj = evolve_state(example_initial_state(), model, grid, substeps=16)
-    from_traj = reference_state(
-        TrueEnvironment(), model, grid.time(3), joint_trajectory=traj, grid=grid
-    )
+    from_traj = partial_trace(traj[3], model.layout, "environment")
     provider = ReferenceStates(
         TrueEnvironment(), model, example_initial_state(), substep=0.25 / 16
     )
@@ -117,8 +112,8 @@ def test_true_environment_from_trajectory_matches_provider():
 
 
 def test_true_environment_requires_input():
-    with pytest.raises(ValueError):
-        reference_state(TrueEnvironment(), example_model(), 1.0)
+    with pytest.raises(ValueError, match="initial joint state"):
+        ReferenceStates(TrueEnvironment(), example_model())
 
 
 def test_frozen_system_matches_rapid_reset_limit():
@@ -163,16 +158,10 @@ def test_frozen_system_preserves_trace_and_positivity():
 # --- dynamical maps ---------------------------------------------------------
 
 
-def test_dynamical_map_zero_interval_is_identity():
-    tau = random_state(2)
-    np.testing.assert_allclose(
-        dynamical_map(example_model(), 0.7, 0.7, tau, substeps=8), np.eye(4), atol=1e-13
-    )
-
-
-def test_dynamical_map_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        dynamical_map(example_model(), 1.0, 0.4, random_state(2))
+def one_step_map(model, s, t, tau, substeps):
+    """``map(s -> t)`` with reference ``tau``, reconstructed on a one-step grid."""
+    family = reconstruct_family(model, TimeGrid(s, t - s, 1), FixedState(tau), substeps=substeps)
+    return family.map(0, 1)
 
 
 def test_decoupled_map_is_system_unitary_for_any_reference():
@@ -183,13 +172,13 @@ def test_decoupled_map_is_system_unitary_for_any_reference():
     )
     expected = sandwich_superop(u_sys, u_sys)
     for tau in (projector(KET0), random_state(2), np.eye(2) / 2):
-        got = dynamical_map(model, s, t, tau, substeps=128)
+        got = one_step_map(model, s, t, tau, substeps=128)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
 def test_example_one_step_map_is_cptp():
     tau = 0.75 * projector(PLUS) + 0.25 * projector(MINUS)
-    lam = dynamical_map(example_model(), 0.0, 0.625, tau, substeps=64)
+    lam = one_step_map(example_model(), 0.0, 0.625, tau, substeps=64)
     report = check_cptp(lam, tol=1e-8)
     assert report.passed
     assert report.trace_dev <= 1e-10
@@ -204,9 +193,13 @@ def test_family_two_point_grid():
     tau = 0.75 * projector(PLUS) + 0.25 * projector(MINUS)
     family = reconstruct_family(model, grid, FixedState(tau), substeps=32)
     assert set(family.maps) == {(0, 1)}
-    np.testing.assert_allclose(
-        family.map(0, 1), dynamical_map(model, 0.0, 0.625, tau, substeps=32), atol=1e-12
+    # oracle: the whole joint propagator between the embedding and the trace
+    want = (
+        trace_out_superop(LAYOUT, "system")
+        @ propagator(model, 0.0, 0.625, 32)
+        @ embed_environment_superop(tau, LAYOUT)
     )
+    np.testing.assert_allclose(family.map(0, 1), want, atol=1e-12)
 
 
 def test_family_maps_do_not_compose_for_driven_model():
@@ -249,8 +242,14 @@ def test_family_banded():
     grid = TimeGrid(0.0, 0.625, 5)
     family = reconstruct_family(model, grid, FixedState(np.eye(2) / 2), substeps=8, band=2)
     assert all(j - i <= 2 for (i, j) in family.maps)
-    with pytest.raises(KeyError):
-        family.map(0, 4)
+    assert family.band == 2 and family.stack.shape == (5, 3, 4, 4)
+    for i, j in [(0, 4), (2, 1), (3, 3), (-1, 1), (4, 6)]:
+        with pytest.raises(KeyError, match=r"steps=5, band=2"):
+            family.map(i, j)
+    with pytest.raises(TypeError):
+        family.maps[(0, 1)] = np.eye(4)
+    with pytest.raises(ValueError, match="stack"):
+        DynamicalMapFamily(grid, family.policy, family.stack[:4])
 
 
 def test_policy_consistency_for_product_initial_state():
@@ -409,38 +408,7 @@ def test_choi_matrix_of_conjugation():
     assert np.max(np.abs(eigs[:-1])) < 1e-10
 
 
-# --- superchannel -----------------------------------------------------------
-
-
-def test_superchannel_identity_preparation_at_t0():
-    rho0 = example_initial_state()
-    out = superchannel_apply(example_model(), np.eye(4), rho0, 0.0)
-    np.testing.assert_allclose(out, partial_trace(rho0, LAYOUT, "system"), atol=1e-12)
-
-
-def test_superchannel_entanglement_breaking_preparation():
-    model = example_model()
-    rho0 = example_initial_state()
-    replace = np.outer(vectorize(projector(KET0)), vectorize(np.eye(2)).conj())
-    t = 1.25
-    out = superchannel_apply(model, replace, rho0, t, substeps=64)
-    env0 = partial_trace(rho0, LAYOUT, "environment")
-    direct = devectorize(
-        propagator(model, 0.0, t, 64) @ vectorize(np.kron(projector(KET0), env0)), 4
-    )
-    np.testing.assert_allclose(out, partial_trace(direct, LAYOUT, "system"), atol=1e-12)
-
-
-def test_superchannel_linearity():
-    model = example_model()
-    rho0 = example_initial_state()
-    a1, a2 = random_superop(2), random_superop(2)
-    c1, c2 = 0.7 - 0.2j, -0.4 + 1.1j
-    combined = superchannel_apply(model, c1 * a1 + c2 * a2, rho0, 0.8, substeps=16)
-    separate = c1 * superchannel_apply(model, a1, rho0, 0.8, substeps=16) + (
-        c2 * superchannel_apply(model, a2, rho0, 0.8, substeps=16)
-    )
-    np.testing.assert_allclose(combined, separate, atol=1e-11)
+# --- joint extension --------------------------------------------------------
 
 
 def test_extend_to_joint_action():

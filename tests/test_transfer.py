@@ -75,6 +75,24 @@ def test_memory_config_validation():
         MemoryConfig(dt=-0.1, m=2, c=2)
     with pytest.raises(ValueError):
         MemoryConfig(dt=0.1, m=0, c=2)
+    # each malformed field is refused by name
+    good = {"dt": 0.1, "m": 2, "c": 2, "transient_steps": 0}
+    for name, value in [
+        ("dt", math.nan), ("dt", math.inf), ("dt", True), ("dt", 0.0),
+        ("m", 2.5), ("m", True), ("m", 0),
+        ("c", 1.0), ("c", False), ("c", 0),
+        ("transient_steps", 0.5), ("transient_steps", True), ("transient_steps", -1),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            MemoryConfig(**dict(good, **{name: value}))
+
+
+@pytest.mark.parametrize("total_steps", [-1, 2.5, True])
+def test_propagate_refuses_a_malformed_total_steps(example_setup, total_steps):
+    _, _, grid, _, family, sys_traj = example_setup
+    tensors = build_tensors(family, MemoryConfig(dt=grid.dt, m=2, c=5))
+    with pytest.raises(ValueError, match="total_steps"):
+        propagate(tensors, sys_traj[:2], total_steps)
 
 
 def test_single_step_config(example_setup):
@@ -120,6 +138,10 @@ def test_missing_map_raises_coverage_error(example_setup):
     banded = reconstruct_family(model, grid, FixedState(TAU0), substeps=8, band=2)
     with pytest.raises(KeyError, match=r"does not cover tensor \(start=0, length=3\)"):
         build_tensors(banded, MemoryConfig(dt=grid.dt, m=4, c=5))
+    # a tensor ending past the grid: the periodic set needs ends up to 5 - 1 + 2
+    short = reconstruct_family(model, TimeGrid(0.0, grid.dt, 3), FixedState(TAU0), substeps=8)
+    with pytest.raises(KeyError, match=r"\(start=3, length=1\).* 3 steps .* band is 3"):
+        build_tensors(short, MemoryConfig(dt=grid.dt, m=2, c=5))
 
 
 def reference_build_tensors(family, config, max_length=None, dense_window=None):
