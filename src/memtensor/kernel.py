@@ -51,6 +51,7 @@ from .models import (
 )
 from .tomography import (
     DynamicalMapFamily,
+    FixedState,
     ReferencePolicy,
     ReferenceStates,
     extend_to_joint,
@@ -95,8 +96,13 @@ class _KernelContext:
         de = self.layout.dim_environment
         x = np.eye(de) / de if x_env is None else x_env
         self.embed_x = embed_environment_superop(x, self.layout)
+        # under a fixed reference state P and Q = 1 - P are constant: built once
+        fixed = isinstance(choice.policy, FixedState)
+        self.fixed = projector_superop(choice.policy.tau, self.layout) if fixed else None
 
     def projector(self, t):
+        if self.fixed is not None:
+            return self.fixed[0]
         return embed_environment_superop(self.refs.state(t), self.layout) @ self.trace_e
 
     def left(self, t):
@@ -118,6 +124,8 @@ class _KernelContext:
 
     def q_generators(self, times):
         """Stack of ``Q_t L_t`` at each of ``times``."""
+        if self.fixed is not None:
+            return self.fixed[1] @ generator_stack(self.model, times)
         qs = np.stack([self.eye - self.projector(t) for t in times])
         return qs @ generator_stack(self.model, times)
 

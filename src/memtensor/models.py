@@ -15,9 +15,14 @@ One primitive, :func:`ordered_exponential`, forms every time-ordered product
 in the package: joint propagators here, reference-state integration in
 ``tomography`` and the ``Q L`` exponential of the direct kernel route. It
 asks a callback for the generator stack ``(K, n, n)`` at a chunk of substep
-midpoints and exponentiates each chunk in one batched call, or applies each
-substep to a narrow block as a truncated Taylor action; chunks are bounded
-in bytes. :func:`generator_stack` contracts the superoperators a model builds
+midpoints; chunks are bounded in bytes. Every such generator preserves
+Hermiticity, so in the orthonormal Hermitian basis of
+:func:`~memtensor.linalg.hermitian_basis` it is a real matrix: each chunk is
+changed to these real coordinates once and exponentiated as one batched
+Taylor series (:func:`~memtensor.linalg.taylor_exponential`), matrix products
+only. A generator that breaks Hermiticity is refused. Alternatively each
+substep is applied to a narrow block as a truncated Taylor action.
+:func:`generator_stack` contracts the superoperators a model builds
 once into such stacks. :class:`PropagatorCache` builds each grid step once
 and, for a declared period commensurate with the grid, only the steps of the
 first period; its ``act`` applies a step to a block without building it.
@@ -28,6 +33,7 @@ demos is provided by :func:`example_model` / :func:`example_initial_state`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -39,11 +45,12 @@ from .linalg import (
     SpaceLayout,
     _integer,
     expm_action,
+    hermitian_basis,
     hermiticity_defect,
     left_mult_superop,
-    matrix_exponential,
     right_mult_superop,
     sandwich_superop,
+    taylor_exponential,
     validate_density_operator,
     vectorize,
     devectorize,
@@ -196,6 +203,17 @@ def midpoints(s: float, t: float, substeps: int) -> tuple[np.ndarray, float]:
     return s + (np.arange(substeps) + 0.5) * h, h
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinate_basis(n: int) -> np.ndarray:
+    """``hermitian_basis(sqrt(n))``, read-only and built once per ``n``."""
+    d = math.isqrt(n)
+    if d * d != n:
+        raise ValueError(f"Liouville dimension {n} is not a square")
+    basis = hermitian_basis(d)
+    basis.flags.writeable = False
+    return basis
+
+
 def ordered_exponential(
     generators, times: np.ndarray, h: float, start: np.ndarray, action: bool = False
 ) -> np.ndarray:
@@ -204,28 +222,51 @@ def ordered_exponential(
     The midpoint-sampled, piecewise-constant ordered exponential (second
     order in ``h``) on which every propagator of the package is built.
     ``generators(times)`` returns the generator stack ``(K, n, n)`` at the
-    given midpoints; it is called on consecutive chunks of ``times``, each
-    exponentiated in one batched call. ``start`` is an ``n``-vector or an
-    ``(n, m)`` matrix (the identity gives the propagator itself).
+    given midpoints; it is called on consecutive chunks of ``times``.
+    ``start`` is an ``n``-vector or an ``(n, m)`` matrix (the identity gives
+    the propagator itself).
+
+    Every generator must preserve Hermiticity, as the Lindbladian, ``Q L``
+    for a Hermitian reference state and the frozen-system generator do: in
+    the orthonormal Hermitian basis ``B`` of
+    :func:`~memtensor.linalg.hermitian_basis` (``n = d^2``) such a
+    generator is a real matrix. Each chunk is changed to these coordinates
+    once, ``B^dag G B``, and a stack with an imaginary part above 1e-12 of
+    its largest entry is refused (``ValueError``). The real stack is
+    exponentiated in one batched Taylor series
+    (:func:`~memtensor.linalg.taylor_exponential`), the real steps are
+    multiplied in order, and the product returns to operator space once per
+    call: ``B P (B^dag start)``.
 
     With ``action``, each substep is applied to the running block as a
-    truncated Taylor action (:func:`~memtensor.linalg.expm_action`) instead
-    of an ``n x n`` exponential: the same product, to rounding, for ``d``
+    truncated Taylor action (:func:`~memtensor.linalg.expm_action`) of the
+    complex generator instead: the same product, to rounding, for ``d``
     products of ``n x n`` by ``n x w`` per substep (a degree-``d`` series on
-    ``w`` columns) instead of about ten ``n x n`` products.
+    ``w`` columns) instead of a series of ``n x n`` products.
     """
     out = np.asarray(start, dtype=complex)
     n = out.shape[0]
     chunk = max(1, _STACK_BYTES // (16 * n * n))
-    for lo in range(0, len(times), chunk):
-        stack = generators(times[lo : lo + chunk])
-        if action:
-            for generator in stack:
+    if action:
+        for lo in range(0, len(times), chunk):
+            for generator in generators(times[lo : lo + chunk]):
                 out = expm_action(generator, out, h)
-        else:
-            for step in matrix_exponential(stack, h):
-                out = step @ out
-    return out
+        return out
+    basis = _coordinate_basis(n)
+    basis_h = basis.conj().T
+    product = np.eye(n)
+    for lo in range(0, len(times), chunk):
+        stack = basis_h @ generators(times[lo : lo + chunk]) @ basis
+        defect = float(np.abs(stack.imag).max())
+        if defect > 1e-12 * float(np.abs(stack).max()):
+            raise ValueError(
+                f"generator stack does not preserve Hermiticity: its imaginary part in "
+                f"Hermitian coordinates reaches {defect:.1e}"
+            )
+        stack = h * stack.real  # the complex stack is not kept
+        for step in taylor_exponential(stack):
+            product = step @ product
+    return basis @ (product @ (basis_h @ out))
 
 
 def generator_stack(model: LindbladModel, times) -> np.ndarray:
@@ -252,8 +293,7 @@ def propagator(model: LindbladModel, s: float, t: float, substeps: int = 64) -> 
     """
     if t < s:
         raise ValueError(f"need t >= s, got s={s}, t={t}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    _integer(substeps, "substeps", 1)
     u = np.eye(model.layout.dim_joint ** 2, dtype=complex)
     if t == s:
         return u
@@ -278,8 +318,7 @@ class PropagatorCache:
     """
 
     def __init__(self, model: LindbladModel, grid: TimeGrid, substeps: int = 64):
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
+        _integer(substeps, "substeps", 1)
         self.model = model
         self.grid = grid
         self.substeps = substeps

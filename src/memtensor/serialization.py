@@ -151,7 +151,20 @@ def family_from_json(doc: dict) -> DynamicalMapFamily:
     stack = np.zeros((grid.steps, band + 1, *shape), dtype=complex)
     for (i, j), matrix in maps.items():
         stack[i, j - i] = matrix
+    # one reference state per grid point 0 .. steps, and no other
     references, _ = _matrices(doc, "reference_states", 1)
+    points = range(grid.steps + 1)
+    missing = [j for j in points if j not in references]
+    if missing:
+        raise ValueError(
+            f"reference_states lack key '{missing[0]}' of the {grid.steps}-step grid"
+        )
+    extra = sorted(set(references) - set(points))
+    if extra:
+        raise ValueError(
+            f"reference_states key '{extra[0]}' is not a point of the {grid.steps}-step grid"
+        )
+    references = {j: references[j] for j in points}
     return DynamicalMapFamily(grid, policy, stack, references)
 
 

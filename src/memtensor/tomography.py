@@ -42,6 +42,7 @@ import numpy as np
 
 from .linalg import (
     SpaceLayout,
+    _integer,
     devectorize,
     embed_environment_superop,
     embed_system_superop,
@@ -251,11 +252,15 @@ def steps_by_action(n: int, width: int, unbuilt: int) -> bool:
 
     ``n = d^2`` is the Liouville dimension, ``width`` the image columns the
     call steps (maps times ``d_S^2``) and ``unbuilt`` the distinct step
-    phases its cache has not built. Building a step costs about ten ``n^3``
-    products per substep (a Pade exponential) and then little per column; an
-    action substep costs about 17 products of ``n^2`` per column (a degree-16
-    series at ``||h L||_1`` near 0.8). The dense route wins unless
-    ``2 * width < unbuilt * n``; with every phase built it always does.
+    phases its cache has not built. Building a step costs, per substep, a
+    change to Hermitian coordinates (two complex ``n^3`` products) and a
+    real Taylor series of about eight real ``n^3`` products, and then little
+    per column; an action substep costs about 17 complex products of ``n^2``
+    per column (a degree-16 series at ``||h L||_1`` near 0.8). The dense
+    route wins unless ``2 * width < unbuilt * n``; with every phase built it
+    always does. The rule dates from a dense substep of about ten complex
+    ``n^3`` products (a Pade exponential), twice the present cost, so it
+    leans towards the action by up to that factor.
     """
     return 2 * width < unbuilt * n
 
@@ -284,10 +289,9 @@ def reconstruct_family(
     from the Liouville dimension, the image columns and the step phases the
     cache has not built; both give the same maps to rounding.
     """
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    if band is not None and band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
+    _integer(substeps, "substeps", 1)
+    if band is not None:
+        _integer(band, "band", 1)
     cache = cache_for(model, grid, substeps, cache)
     refs = ReferenceStates(
         policy, model, rho_se0, t0=grid.t0, substep=grid.dt / substeps

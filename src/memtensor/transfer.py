@@ -179,15 +179,15 @@ def build_tensors(
     ``map(k-l -> k)`` minus one product of the ``l - 1`` entries already in
     the row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``, one slice
     of ``family.stack``: one matrix product per tensor, never the whole
-    triangular system. ``max_length`` and ``dense_window`` must be at least 1
-    (``ValueError``); a tensor longer than the family's band or ending past
-    its grid is a ``KeyError`` naming the first such tensor.
+    triangular system. ``max_length`` and ``dense_window`` must be integers
+    of at least 1 (``ValueError``); a tensor longer than the family's band
+    or ending past its grid is a ``KeyError`` naming the first such tensor.
     """
     if max_length is None:
         max_length = config.m
     for name, value in (("max_length", max_length), ("dense_window", dense_window)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        if value is not None:
+            _integer(value, name, 1)
     phases = config.transient_steps + config.c
     dense = dense_window is not None
     last_end = dense_window if dense else phases - 1 + max_length

@@ -19,6 +19,7 @@ from memtensor.linalg import (
     partial_trace,
     right_mult_superop,
     sandwich_superop,
+    taylor_exponential,
     trace_distance,
     trace_norm,
     trace_out_superop,
@@ -259,6 +260,40 @@ def test_matrix_exponential_commuting_composition():
         matrix_exponential(m, 0.4) @ matrix_exponential(m, 0.5),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("coordinates", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 7, 64])
+@pytest.mark.parametrize("norm", [1e-4, 0.05, 1.0, 5.0, 20.0])
+def test_taylor_exponential_matches_the_pade_exponential(norm, k, coordinates):
+    # Hermiticity-preserving generators B R B^dag: the real stack R is what
+    # ordered_exponential exponentiates, the complex one the same in operator
+    # space; 1-norms from no squaring to four squarings
+    basis = hermitian_basis(4)
+    real = RNG.standard_normal((k, 16, 16))
+    real *= norm / np.abs(real).sum(axis=1).max()
+    stack = real if coordinates == "real" else basis @ real @ basis.conj().T
+    got = taylor_exponential(stack, 0.5)
+    assert got.shape == stack.shape and got.dtype == stack.dtype
+    for m, e in zip(stack, got):
+        want = matrix_exponential(m, 0.5)
+        np.testing.assert_allclose(e, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_taylor_exponential_small_cases():
+    np.testing.assert_array_equal(taylor_exponential(np.zeros((2, 3, 3))), np.stack([np.eye(3)] * 2))
+    thetas = np.array([0.3, -1.2, 2.5])
+    np.testing.assert_allclose(
+        taylor_exponential(np.diag(1j * thetas)[None]),
+        np.diag(np.exp(1j * thetas))[None],
+        rtol=0,
+        atol=1e-15,
+    )
+    for bad in (np.zeros((3, 3)), np.zeros((2, 3, 4))):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            taylor_exponential(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        taylor_exponential(np.full((1, 2, 2), np.inf))
 
 
 @pytest.mark.parametrize("norm", [0.05, 0.8, 3.0, 40.0])

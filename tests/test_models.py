@@ -9,6 +9,7 @@ from memtensor.linalg import (
     SpaceLayout,
     apply_superop,
     devectorize,
+    hermitian_basis,
     hermiticity_defect,
     matrix_exponential,
     partial_trace,
@@ -24,7 +25,9 @@ from memtensor.models import (
     evolve_state,
     example_initial_state,
     example_model,
+    generator_stack,
     liouvillian,
+    midpoints,
     model_from_config,
     ordered_exponential,
     propagator,
@@ -37,6 +40,13 @@ def random_state(d):
     a = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def hermiticity_preserving(k, n):
+    """``k`` random generators ``B R B^dag`` with ``R`` real: in the Hermitian
+    basis ``B`` they are real, as ``ordered_exponential`` requires."""
+    basis = hermitian_basis(math.isqrt(n))
+    return basis @ (0.7 * RNG.standard_normal((k, n, n))) @ basis.conj().T
 
 
 def lindblad_rhs(model, t, rho):
@@ -175,7 +185,7 @@ def test_ordered_exponential_matches_one_exponential_per_substep(k, vector_start
     # n = 16 puts 64 generators in a chunk: K = 1, below, equal to and not
     # a multiple of the chunk
     n, h = 16, 0.1
-    gens = 0.5 * (RNG.standard_normal((k, n, n)) + 1j * RNG.standard_normal((k, n, n)))
+    gens = hermiticity_preserving(k, n)
     start = RNG.standard_normal(n) if vector_start else np.eye(n)
     calls = []
 
@@ -189,6 +199,34 @@ def test_ordered_exponential_matches_one_exponential_per_substep(k, vector_start
         want = matrix_exponential(g, h) @ want
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
     assert sum(calls) == k and max(calls) == min(k, 64)
+
+
+def test_ordered_exponential_refuses_generators_that_break_hermiticity():
+    gens = hermiticity_preserving(3, 16)
+    times = np.arange(3) + 0.5
+    ordered_exponential(lambda ts: gens, times, 0.1, np.eye(16))
+    broken = gens.copy()
+    broken[1] += 1e-6j * np.eye(16)  # X -> i X does not keep X Hermitian
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        ordered_exponential(lambda ts: broken, times, 0.1, np.eye(16))
+    with pytest.raises(ValueError, match="not a square"):
+        ordered_exponential(lambda ts: np.zeros((3, 3, 3)), times, 0.1, np.eye(3))
+
+
+def test_propagators_need_no_pade_exponential(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy expm called")
+
+    monkeypatch.setattr("memtensor.linalg.expm", refuse)
+    u = propagator(example_model(), 0.0, 0.5)
+    with pytest.raises(AssertionError):
+        matrix_exponential(np.eye(2))
+    monkeypatch.undo()
+    times, h = midpoints(0.0, 0.5, 64)
+    want = np.eye(16)
+    for generator in generator_stack(example_model(), times):
+        want = matrix_exponential(generator, h) @ want
+    np.testing.assert_allclose(u, want, rtol=0, atol=1e-13)
 
 
 def test_propagator_cache_builds_one_period_and_reuses_it():
@@ -230,7 +268,7 @@ def test_ordered_exponential_action_matches_the_dense_product(k):
     # the two routes share the chunking (64 generators at n = 16) and differ
     # only in how a substep is applied
     n, h = 16, 0.1
-    gens = 0.5 * (RNG.standard_normal((k, n, n)) + 1j * RNG.standard_normal((k, n, n)))
+    gens = hermiticity_preserving(k, n)
     start = RNG.standard_normal((n, 3))
     calls = []
 
@@ -280,6 +318,17 @@ def test_propagator_cache_act_checks_the_declared_period():
 def test_propagator_cache_refuses_substeps_below_one(substeps):
     with pytest.raises(ValueError, match="substeps"):
         PropagatorCache(example_model(), TimeGrid(0.0, 0.5, 2), substeps)
+
+
+@pytest.mark.parametrize("substeps", [2.5, True])
+@pytest.mark.parametrize("build", ["propagator", "cache"])
+def test_substeps_must_be_an_integer(build, substeps):
+    model = example_model()
+    with pytest.raises(ValueError, match="substeps must be an integer"):
+        if build == "propagator":
+            propagator(model, 0.0, 0.5, substeps)
+        else:
+            PropagatorCache(model, TimeGrid(0.0, 0.5, 2), substeps)
 
 
 def test_propagator_rejects_non_hermitian_hamiltonian_at_a_midpoint():

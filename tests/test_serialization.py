@@ -194,6 +194,34 @@ def test_loaded_family_must_be_the_band_of_its_grid(added, deleted, named):
         family_from_json(doc)
 
 
+# id: (keys deleted from the reference states of a 4-step family, key added,
+# text the refusal names)
+REFERENCE_BREAKS = {
+    "empty": (["0", "1", "2", "3", "4"], None, "'0'"),
+    "missing-point": (["2"], None, "'2'"),
+    "missing-last-point": (["4"], None, "'4'"),
+    "extra-point": ([], "5", "'5'"),
+    "negative-point": ([], "-1", "'-1'"),
+}
+
+
+@pytest.mark.parametrize("deleted, added, named", REFERENCE_BREAKS.values(),
+                         ids=REFERENCE_BREAKS.keys())
+def test_loaded_family_holds_one_reference_state_per_grid_point(deleted, added, named):
+    grid = TimeGrid(0.0, 0.625, 4)
+    family = reconstruct_family(example_model(), grid, FixedState(np.eye(2) / 2), 8, band=2)
+    doc = family_to_json(family)
+    loaded = family_from_json(copy.deepcopy(doc))  # the unedited document loads
+    assert list(loaded.reference_states) == list(range(5))
+    states = doc["reference_states"]
+    for key in deleted:
+        del states[key]
+    if added is not None:
+        states[added] = states["0"]
+    with pytest.raises(ValueError, match=f"reference_states.*{named}"):
+        family_from_json(doc)
+
+
 def test_malformed_numbers_in_documents_are_refused_by_name():
     family = _small_family()
     tensors = build_tensors(family, MemoryConfig(dt=0.625, m=1, c=1))

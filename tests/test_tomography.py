@@ -237,6 +237,18 @@ def test_family_cptp_sweep_and_reference_records():
         assert abs(np.trace(family.reference_states[j]) - 1) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"band": 2.5}, {"band": True}, {"substeps": 2.5}, {"substeps": True}],
+    ids=["band=2.5", "band=True", "substeps=2.5", "substeps=True"],
+)
+def test_reconstruct_family_refuses_non_integer_arguments(kwargs):
+    (name,) = kwargs
+    policy = FixedState(np.eye(2) / 2)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        reconstruct_family(example_model(), TimeGrid(0.0, 0.625, 3), policy, **kwargs)
+
+
 def test_family_banded():
     model = example_model()
     grid = TimeGrid(0.0, 0.625, 5)

@@ -196,6 +196,18 @@ def test_empty_tensor_sets_are_refused(example_setup, kwargs):
         build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5), **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_length": 2.5}, {"max_length": True}, {"dense_window": 2.5}, {"dense_window": True}],
+    ids=["max_length=2.5", "max_length=True", "dense_window=2.5", "dense_window=True"],
+)
+def test_non_integer_lengths_are_refused(example_setup, kwargs):
+    _, _, grid, _, family, _ = example_setup
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5), **kwargs)
+
+
 def test_semigroup_tensors_vanish_beyond_one_step():
     model = semigroup_model()
     grid = TimeGrid(0.0, 0.4, 10)
