@@ -37,6 +37,7 @@ from .linalg import (
     apply_superop,
     devectorize,
     embed_environment_superop,
+    hermitize,
     operator_norm,
     trace_out_superop,
     vectorize,
@@ -98,12 +99,15 @@ class _KernelContext:
         self.embed_x = embed_environment_superop(x, self.layout)
         # under a fixed reference state P and Q = 1 - P are constant: built once
         fixed = isinstance(choice.policy, FixedState)
-        self.fixed = projector_superop(choice.policy.tau, self.layout) if fixed else None
+        self.fixed = projector_superop(hermitize(choice.policy.tau), self.layout) if fixed else None
 
     def projector(self, t):
+        """``P_t`` from the Hermitian part of ``tau(t)``, so that ``Q L``
+        preserves Hermiticity however close to the validation tolerance
+        ``tau`` is."""
         if self.fixed is not None:
             return self.fixed[0]
-        return embed_environment_superop(self.refs.state(t), self.layout) @ self.trace_e
+        return embed_environment_superop(hermitize(self.refs.state(t)), self.layout) @ self.trace_e
 
     def left(self, t):
         """``tr_E P_t L_t``: the end of every kernel-route object."""

@@ -193,35 +193,36 @@ def taylor_exponential(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
     One truncated Taylor series with scaling and squaring (Al-Mohy and
     Higham 2011) over the whole stack, by matrix products alone: no loop
-    over the matrices and no LU solve. The largest 1-norm of the stack sets
-    ``s`` squarings, the fewest that bring it to ``theta[18]``, and then the
-    lowest degree ``d`` with ``||scale * M||_1 / 2^s <= theta[d]``; the
-    polynomial is evaluated by Paterson-Stockmeyer, ``ceil(sqrt(d)) - 1 +
-    d // ceil(sqrt(d))`` products. A real stack stays real.
+    over the matrices and no LU solve. The largest 1-norm of ``scale * M``
+    sets ``s`` squarings, the fewest that bring it to ``theta[18]``, and
+    then the lowest degree ``d`` with ``||scale * M||_1 / 2^s <= theta[d]``;
+    the polynomial is evaluated by Paterson-Stockmeyer, ``ceil(sqrt(d)) - 1
+    + d // ceil(sqrt(d))`` products. ``scale * M / 2^s`` is the only copy of
+    the stack made. A real stack stays real.
     """
-    a = scale * np.asarray(m)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
+    m = np.asarray(m)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    norm = abs(scale) * float(np.abs(m).sum(axis=1).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError("stack has non-finite entries")
-    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA[18]))) if norm else 0
-    if squarings:
-        a /= 2.0**squarings
-        norm /= 2.0**squarings
-    degree = next(d for d, theta in _TAYLOR_THETA.items() if theta >= norm)
+    squarings = 0
+    while norm > _TAYLOR_THETA[18]:  # halving is exact: no rounding past theta[18]
+        norm /= 2.0
+        squarings += 1
+    degree = next(d for d in range(1, 19) if _TAYLOR_THETA[d] >= norm)
     coefficients = _TAYLOR_BLOCKS[degree]
     r, q = coefficients.shape[0] - 1, coefficients.shape[1]
-    powers = np.empty((q + 1, *a.shape), dtype=a.dtype)  # I, A, ..., A^q
-    powers[0] = np.eye(a.shape[1])
-    powers[1] = a
+    powers = np.empty((q + 1, *m.shape), dtype=np.result_type(m, scale))  # I, A, ..., A^q
+    powers[0] = np.eye(m.shape[1])
+    a = np.multiply(m, scale / 2.0**squarings, out=powers[1])
     for j in range(2, q + 1):
         np.matmul(powers[j - 1], a, out=powers[j])
     flat = powers[:q].reshape(q, -1)
-    out = (coefficients[r] @ flat).reshape(a.shape)
+    out = (coefficients[r] @ flat).reshape(m.shape)
     for i in reversed(range(r)):
         out = out @ powers[q]
-        out += (coefficients[i] @ flat).reshape(a.shape)
+        out += (coefficients[i] @ flat).reshape(m.shape)
     for _ in range(squarings):
         out = out @ out
     return out

@@ -236,7 +236,9 @@ def ordered_exponential(
     exponentiated in one batched Taylor series
     (:func:`~memtensor.linalg.taylor_exponential`), the real steps are
     multiplied in order, and the product returns to operator space once per
-    call: ``B P (B^dag start)``.
+    call: ``B P (B^dag start)``. A start narrower than half of ``n`` (a
+    single state) is stepped itself instead: each real step acts on its
+    coordinates in turn, which saves one ``n x n`` product per substep.
 
     With ``action``, each substep is applied to the running block as a
     truncated Taylor action (:func:`~memtensor.linalg.expm_action`) of the
@@ -254,7 +256,11 @@ def ordered_exponential(
         return out
     basis = _coordinate_basis(n)
     basis_h = basis.conj().T
-    product = np.eye(n)
+    width = out.size // n
+    # a narrow start is stepped itself, as the real (n, 2 width) view of its
+    # coordinates; a wide one (the identity) waits for the product of the steps
+    narrow = 2 * width < n
+    state = (basis_h @ out.reshape(n, width)).view(np.float64) if narrow else np.eye(n)
     for lo in range(0, len(times), chunk):
         stack = basis_h @ generators(times[lo : lo + chunk]) @ basis
         defect = float(np.abs(stack.imag).max())
@@ -263,10 +269,10 @@ def ordered_exponential(
                 f"generator stack does not preserve Hermiticity: its imaginary part in "
                 f"Hermitian coordinates reaches {defect:.1e}"
             )
-        stack = h * stack.real  # the complex stack is not kept
-        for step in taylor_exponential(stack):
-            product = step @ product
-    return basis @ (product @ (basis_h @ out))
+        for step in taylor_exponential(stack.real, h):
+            state = step @ state
+    coords = state.view(complex) if narrow else state @ (basis_h @ out.reshape(n, width))
+    return (basis @ coords).reshape(out.shape)
 
 
 def generator_stack(model: LindbladModel, times) -> np.ndarray:

@@ -46,6 +46,7 @@ from .linalg import (
     devectorize,
     embed_environment_superop,
     embed_system_superop,
+    hermitize,
     partial_trace,
     trace_out_superop,
     validate_density_operator,
@@ -90,7 +91,8 @@ class FrozenSystem:
     ``d tau/dt = tr_S{ L(t) (sigma(t) (x) tau) }``, the limit of resetting
     the system to ``sigma(t)`` infinitely often. A policy loaded from JSON
     has ``sigma=None``: its family carries the stored reference states, and
-    nothing can be integrated from it.
+    nothing can be integrated from it. ``sigma(t)`` enters through its
+    Hermitian part.
     """
 
     sigma: Callable[[float], np.ndarray] | None
@@ -115,7 +117,7 @@ class ReferenceStates:
     Time-dependent policies are integrated with
     :func:`~memtensor.models.ordered_exponential`, the primitive behind the
     propagators, caching along the way so that repeated or monotone queries
-    stay cheap.
+    stay cheap. The initial joint state enters through its Hermitian part.
     """
 
     def __init__(
@@ -141,11 +143,12 @@ class ReferenceStates:
         if rho_se0 is None:
             raise ValueError(f"{policy_label(policy)} policy needs the initial joint state")
         validate_density_operator(rho_se0)
+        rho_se0 = hermitize(np.asarray(rho_se0, dtype=complex))
         self._trace_s = trace_out_superop(self._layout, "environment")
         if isinstance(policy, TrueEnvironment):
             # cache of vectorized joint states, keyed by time
             self._times = [t0]
-            self._cache = {t0: vectorize(np.array(rho_se0, dtype=complex))}
+            self._cache = {t0: vectorize(rho_se0)}
         else:
             validate_density_operator(policy.sigma(t0))
             env0 = partial_trace(rho_se0, self._layout, "environment")
@@ -192,7 +195,7 @@ class ReferenceStates:
         if isinstance(self.policy, TrueEnvironment):
             return joint
         embeds = np.stack(
-            [embed_system_superop(self.policy.sigma(t), self._layout) for t in times]
+            [embed_system_superop(hermitize(self.policy.sigma(t)), self._layout) for t in times]
         )
         return self._trace_s @ joint @ embeds
 

@@ -167,6 +167,25 @@ def test_generator_direct_decoupled_is_system_commutator():
     np.testing.assert_allclose(gen, oracle, atol=1e-12)
 
 
+def test_reference_inputs_enter_through_their_hermitian_part():
+    # an anti-Hermitian part of 5e-13 passes validation; the kernel route
+    # uses the Hermitian part, here the clean input exactly, so the kernel
+    # is the clean one to the bit
+    skew = 5e-13j * PAULI["X"]
+    model = example_model()
+    rho0 = example_initial_state()
+    ket0 = np.outer(KET0, KET0).astype(complex)
+    cases = [
+        (FixedState(TAU0), FixedState(TAU0 + skew), rho0),
+        (TrueEnvironment(), TrueEnvironment(), rho0 + np.kron(skew, PAULI["I"])),
+        (FrozenSystem(lambda t: ket0), FrozenSystem(lambda t: ket0 + skew), rho0),
+    ]
+    for clean, skewed, rho in cases:
+        want = nz_kernel_direct(model, ProjectorChoice(clean), 0.0, 1.0, 16, rho_se0=rho0)
+        got = nz_kernel_direct(model, ProjectorChoice(skewed), 0.0, 1.0, 16, rho_se0=rho)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_kernel_rejects_bad_interval():
     with pytest.raises(ValueError):
         nz_kernel_direct(example_model(), ProjectorChoice(FixedState(TAU0)), 1.0, 1.0)

@@ -289,6 +289,11 @@ def test_taylor_exponential_small_cases():
         rtol=0,
         atol=1e-15,
     )
+    # one ulp above theta[18] * 2^4, where log2 of the ratio rounds to exactly 4
+    x = np.nextafter(1.09 * 16, np.inf)
+    np.testing.assert_allclose(
+        taylor_exponential(np.diag([x, 0.0])[None])[0], np.diag([np.exp(x), 1.0]), rtol=1e-13
+    )
     for bad in (np.zeros((3, 3)), np.zeros((2, 3, 4))):
         with pytest.raises(ValueError, match="stack of square matrices"):
             taylor_exponential(bad)
