@@ -5,6 +5,12 @@ config file (or from built-in defaults), emitting CSV artifacts with full
 parameter echoes. There is no randomness anywhere in the pipeline, so
 identical configs produce byte-identical outputs.
 
+Each runner only computes: it takes the merged config, the model inputs of
+:func:`build_inputs` and the parsed flags, and returns its outputs in order,
+``(file name, columns, rows, echo extras)`` for a CSV and ``(file name,
+document)`` for JSON. :func:`main` validates the config once, also for
+``validate``, then writes every output through one writer and prints its path.
+
 Config file schema (all keys optional; flags override file values)::
 
     {
@@ -37,7 +43,8 @@ Lists are non-empty. A malformed value or section exits 2 naming its key.
 ``sweep.c_values`` counts grid steps per driving period, so ``error-sweep``
 needs a model with a ``period`` and exits 2 on a static one.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error or an ``--out`` that cannot be created
+or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .models import (
     LindbladModel,
     PropagatorCache,
     TimeGrid,
+    complex_matrix_from_json,
     evolve_state,
     example_initial_state,
     example_model,
@@ -79,12 +87,7 @@ from .transfer import (
     tensor_norm_profile,
 )
 from .kernel import ProjectorChoice, convergence_study, kernel_norm_curve
-from .serialization import (
-    complex_matrix_from_json,
-    family_to_json,
-    save_json,
-    tensors_to_json,
-)
+from .serialization import family_to_json, save_json, tensors_to_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,22 +121,6 @@ def write_csv(path: Path, columns: list[str], rows: list[tuple], parameters: dic
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def state_columns(d: int) -> list[str]:
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            cols += [f"rho{i}{j}_re", f"rho{i}{j}_im"]
-    return cols
-
-
-def state_row(rho: np.ndarray) -> list[float]:
-    values = []
-    for i in range(rho.shape[0]):
-        for j in range(rho.shape[1]):
-            values += [float(rho[i, j].real), float(rho[i, j].imag)]
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +252,13 @@ def _policy_state(policy_cfg: dict, key: str, d: int) -> np.ndarray:
     return state
 
 
+def _ground(d: int) -> np.ndarray:
+    """The default frozen system state ``|0><0|`` of dimension ``d``."""
+    state = np.zeros((d, d), dtype=complex)
+    state[0, 0] = 1.0
+    return state
+
+
 def build_policy(config: dict, model: LindbladModel, rho0: np.ndarray):
     policy_cfg = _section(config, "policy")
     kind = policy_cfg.get("kind", "fixed")
@@ -276,20 +270,22 @@ def build_policy(config: dict, model: LindbladModel, rho0: np.ndarray):
     if kind == "true-env":
         return TrueEnvironment()
     if kind == "frozen":
-        sigma = np.zeros((layout.dim_system,) * 2, dtype=complex)
-        sigma[0, 0] = 1.0
+        sigma = _ground(layout.dim_system)
         if "sigma" in policy_cfg:
             sigma = _policy_state(policy_cfg, "sigma", layout.dim_system)
         return FrozenSystem(lambda t: sigma)
     raise ConfigError(f"policy.kind must be fixed|true-env|frozen, got {kind!r}")
 
 
-def build_grid(config: dict, default_dt: float, default_steps: int) -> TimeGrid:
-    return TimeGrid(
+def build_grid(config: dict, default_dt: float, default_steps: int) -> tuple[TimeGrid, int]:
+    """A runner's time grid and the substeps of each of its steps."""
+    substeps = setting(config, "substeps", 64)
+    grid = TimeGrid(
         t0=setting(config, "grid.t0", 0.0),
         dt=setting(config, "grid.dt", default_dt),
         steps=setting(config, "grid.steps", default_steps),
     )
+    return grid, substeps
 
 
 def resolve_memory(config: dict, model: LindbladModel, dt: float, policy=None):
@@ -362,35 +358,49 @@ def _echo(config: dict, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_evolve(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
-    """Exact reduced trajectory. Columns: step, wt, rho elements (re/im), trace_re."""
+def _run_memory(config: dict, model: LindbladModel, dt: float, policy):
+    """:func:`resolve_memory` on a runner's grid, warning on stderr when
+    ``memory.t_m`` differs from ``m * dt`` there."""
+    memory, commensurate = resolve_memory(config, model, dt, policy)
+    for warning in memory_time_warnings(config, memory.m, dt):
+        print(f"warning: {warning}", file=sys.stderr)
+    return memory, commensurate
+
+
+def _exact_states(inputs: tuple, grid: TimeGrid, substeps: int, cache=None) -> list:
+    """Exact reduced system states of the inputs' joint evolution on ``grid``."""
     model, rho0, _ = inputs
-    substeps = setting(config, "substeps", 64)
-    grid = build_grid(config, default_dt=0.625, default_steps=8)
-    trajectory = evolve_state(rho0, model, grid, substeps=substeps)
-    ds = model.layout.dim_system
+    joint = evolve_state(rho0, model, grid, substeps, cache=cache)
+    return [partial_trace(rho, model.layout, "system") for rho in joint]
+
+
+def _state_table(name: str, grid: TimeGrid, states: list, exact=None, **extras) -> tuple:
+    """CSV output of a reduced trajectory: step, wt, rho elements (re/im),
+    trace_re, and trace_distance_exact to ``exact`` when it is given."""
+    d = len(states[0])
+    entries = [f"rho{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im")]
+    columns = ["step", "wt", *entries, "trace_re"]
     rows = []
-    for j, joint in enumerate(trajectory):
-        rho = partial_trace(joint, model.layout, "system")
-        rows.append(
-            (j, grid.time(j), *state_row(rho), float(np.trace(rho).real))
-        )
-    path = out / "evolve.csv"
-    write_csv(
-        path,
-        ["step", "wt", *state_columns(ds), "trace_re"],
-        rows,
-        _echo(config, experiment="evolve"),
-    )
-    return [path]
+    for k, rho in enumerate(states):
+        row = [k, grid.time(k), *(float(v) for z in rho.ravel() for v in (z.real, z.imag))]
+        row.append(float(np.trace(rho).real))
+        rows.append(row if exact is None else row + [trace_distance(rho, exact[k])])
+    if exact is not None:
+        columns.append("trace_distance_exact")
+    return name, columns, rows, extras
 
 
-def run_tomography(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
+def run_evolve(config: dict, inputs: tuple, args) -> list[tuple]:
+    """Exact reduced trajectory. Columns: step, wt, rho elements (re/im), trace_re."""
+    grid, substeps = build_grid(config, default_dt=0.625, default_steps=8)
+    return [_state_table("evolve.csv", grid, _exact_states(inputs, grid, substeps))]
+
+
+def run_tomography(config: dict, inputs: tuple, args) -> list[tuple]:
     """Family CPTP report (columns: i, j, trace_dev, choi_min_eig, passed)
     plus the family itself as JSON."""
     model, rho0, policy = inputs
-    substeps = setting(config, "substeps", 64)
-    grid = build_grid(config, default_dt=0.625, default_steps=16)
+    grid, substeps = build_grid(config, default_dt=0.625, default_steps=16)
     family = reconstruct_family(
         model, grid, policy, substeps=substeps, rho_se0=rho0
     )
@@ -398,16 +408,8 @@ def run_tomography(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     for (i, j), lam in family.maps.items():
         report = check_cptp(lam, tol=1e-8)
         rows.append((i, j, report.trace_dev, report.choi_min_eig, int(report.passed)))
-    report_path = out / "tomography_report.csv"
-    write_csv(
-        report_path,
-        ["i", "j", "trace_dev", "choi_min_eig", "passed"],
-        rows,
-        _echo(config, experiment="tomography"),
-    )
-    family_path = out / "family.json"
-    save_json(family_to_json(family), family_path)
-    return [report_path, family_path]
+    columns = ["i", "j", "trace_dev", "choi_min_eig", "passed"]
+    return [("tomography_report.csv", columns, rows, {}), ("family.json", family_to_json(family))]
 
 
 def _transfer_tensors(cache, policy, rho0, memory, periodic, max_length, exact):
@@ -434,16 +436,13 @@ def _transfer_tensors(cache, policy, rho0, memory, periodic, max_length, exact):
     )
 
 
-def run_tensors(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
+def run_tensors(config: dict, inputs: tuple, args) -> list[tuple]:
     """Transfer tensors as JSON plus the norm profile (columns: length,
     start, operator_norm). Lengths reach 2m-1 so the error bound is usable."""
     model, rho0, policy = inputs
-    substeps = setting(config, "substeps", 64)
     # parses t0, dt and any configured steps; the window is chosen below
-    grid = build_grid(config, default_dt=math.pi / 5, default_steps=1)
-    memory, commensurate = resolve_memory(config, model, grid.dt, policy)
-    for warning in memory_time_warnings(config, memory.m, grid.dt):
-        print(f"warning: {warning}", file=sys.stderr)
+    grid, substeps = build_grid(config, default_dt=math.pi / 5, default_steps=1)
+    memory, commensurate = _run_memory(config, model, grid.dt, policy)
     max_length = 2 * memory.m - 1
     if commensurate:
         window = memory.c + memory.transient_steps + max_length
@@ -452,58 +451,31 @@ def run_tensors(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     else:
         window = memory.m + max_length
     cache = PropagatorCache(model, TimeGrid(grid.t0, grid.dt, window), substeps)
-    joint = evolve_state(
-        rho0, model, TimeGrid(grid.t0, grid.dt, memory.m), substeps, cache=cache
-    )
-    exact = [partial_trace(r, model.layout, "system") for r in joint]
+    exact = _exact_states(inputs, TimeGrid(grid.t0, grid.dt, memory.m), substeps, cache)
     tensors = _transfer_tensors(cache, policy, rho0, memory, commensurate, max_length, exact)
-    tensors_path = out / "tensors.json"
-    save_json(tensors_to_json(tensors), tensors_path)
     profile = tensor_norm_profile(tensors)
     rows = [(l, p, norm) for (l, p), norm in sorted(profile.items())]
-    norms_path = out / "tensor_norms.csv"
-    write_csv(
-        norms_path,
-        ["length", "start", "operator_norm"],
-        rows,
-        _echo(config, experiment="tensors", commensurate=commensurate),
-    )
-    return [tensors_path, norms_path]
+    columns = ["length", "start", "operator_norm"]
+    extras = {"commensurate": commensurate}
+    return [("tensors.json", tensors_to_json(tensors)), ("tensor_norms.csv", columns, rows, extras)]
 
 
-def run_propagate(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
+def run_propagate(config: dict, inputs: tuple, args) -> list[tuple]:
     """Memory-truncated long-time propagation. Columns: step, wt, rho
     elements (re/im), trace_re, and trace_distance_exact with --oracle."""
     model, rho0, policy = inputs
-    substeps = setting(config, "substeps", 64)
-    grid = build_grid(config, default_dt=0.625, default_steps=160)
-    memory, commensurate = resolve_memory(config, model, grid.dt, policy)
-    for warning in memory_time_warnings(config, memory.m, grid.dt):
-        print(f"warning: {warning}", file=sys.stderr)
+    grid, substeps = build_grid(config, default_dt=0.625, default_steps=160)
+    memory, commensurate = _run_memory(config, model, grid.dt, policy)
     cache = PropagatorCache(model, grid, substeps)
     oracle_window = grid.steps if args.oracle else min(memory.m, grid.steps)
-    joint = evolve_state(
-        rho0, model, TimeGrid(grid.t0, grid.dt, oracle_window), substeps, cache=cache
-    )
-    exact = [partial_trace(r, model.layout, "system") for r in joint]
+    exact = _exact_states(inputs, TimeGrid(grid.t0, grid.dt, oracle_window), substeps, cache)
     tensors = _transfer_tensors(cache, policy, rho0, memory, commensurate, memory.m, exact)
     trajectory = propagate(tensors, exact[: memory.m], grid.steps, include_residuals=True)
-    ds = model.layout.dim_system
-    columns = ["step", "wt", *state_columns(ds), "trace_re"]
-    if args.oracle:
-        columns.append("trace_distance_exact")
-    rows = []
-    for j, rho in enumerate(trajectory):
-        row = [j, grid.time(j), *state_row(rho), float(np.trace(rho).real)]
-        if args.oracle:
-            row.append(trace_distance(rho, exact[j]))
-        rows.append(tuple(row))
-    path = out / "propagate.csv"
-    write_csv(path, columns, rows, _echo(config, experiment="propagate", oracle=bool(args.oracle)))
-    return [path]
+    oracle = exact if args.oracle else None
+    return [_state_table("propagate.csv", grid, trajectory, oracle, oracle=bool(args.oracle))]
 
 
-def run_error_sweep(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
+def run_error_sweep(config: dict, inputs: tuple, args) -> list[tuple]:
     """Cutoff-error landscape. Columns: wt_m, wdt, m, c, error (long-time
     max), bound (second-window envelope), heuristic (max longest-tensor
     norm), unphysical (error > 2), bound_ok. Each cell reuses one period of
@@ -520,14 +492,15 @@ def run_error_sweep(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
             "error-sweep needs a model with a driving period (model.period): "
             "sweep.c_values counts steps per period"
         )
+    # every cell's grid is commensurate, so reuse depends on the policy alone
+    if not resolve_memory(config, model, model.period, policy)[1]:
+        raise ConfigError(
+            f"error-sweep needs periodic tensor reuse, which the "
+            f"{policy_label(policy)} reference policy does not allow"
+        )
     cells = []  # (c, dt, steps, memory steps), all checked before any propagation
     for c in c_values:
         dt = model.period / c
-        if not resolve_memory(config, model, dt, policy)[1]:
-            raise ConfigError(
-                f"error-sweep needs periodic tensor reuse, which the "
-                f"{policy_label(policy)} reference policy does not allow"
-            )
         ms = [m for m in (max(1, round(t / dt)) for t in tm_targets) if 1.24 <= m * dt <= 10.01]
         cells += [(c, dt, int(round(horizon / dt)), ms)] if ms else []
     if not cells:
@@ -538,8 +511,7 @@ def run_error_sweep(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
     for c, dt, total, ms in cells:
         grid_long = TimeGrid(0.0, dt, total)
         cache = PropagatorCache(model, grid_long, substeps)
-        joint = evolve_state(rho0, model, grid_long, substeps, cache=cache)
-        exact = [partial_trace(r, model.layout, "system") for r in joint]
+        exact = _exact_states(inputs, grid_long, substeps, cache)
         for m in ms:
             memory = MemoryConfig(dt=dt, m=m, c=c)
             tensors = _transfer_tensors(cache, policy, rho0, memory, True, 2 * m - 1, exact)
@@ -565,26 +537,17 @@ def run_error_sweep(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
                     int(unphysical or max_error <= max_bound),
                 )
             )
-    path = out / "error_sweep.csv"
-    write_csv(
-        path,
-        ["wt_m", "wdt", "m", "c", "error", "bound", "heuristic", "unphysical", "bound_ok"],
-        rows,
-        _echo(config, experiment="error-sweep"),
-    )
-    return [path]
+    columns = ["wt_m", "wdt", "m", "c", "error", "bound", "heuristic", "unphysical", "bound_ok"]
+    return [("error_sweep.csv", columns, rows, {})]
 
 
-def run_kernel_norms(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
+def run_kernel_norms(config: dict, inputs: tuple, args) -> list[tuple]:
     """Kernel-norm decay for the three projector choices. Columns: policy,
     wt, kernel_norm."""
     model, rho0, _ = inputs
-    substeps = setting(config, "substeps", 64)
-    grid = build_grid(config, default_dt=0.25, default_steps=20)
+    grid, substeps = build_grid(config, default_dt=0.25, default_steps=20)
     tau0 = partial_trace(rho0, model.layout, "environment")
-    ds = model.layout.dim_system
-    ground = np.zeros((ds, ds), dtype=complex)
-    ground[0, 0] = 1.0
+    ground = _ground(model.layout.dim_system)
     h = grid.dt / 16
     choices = [
         ProjectorChoice(FixedState(tau0), h),
@@ -592,17 +555,10 @@ def run_kernel_norms(config: dict, inputs: tuple, out: Path, args) -> list[Path]
         ProjectorChoice(TrueEnvironment(), h),
     ]
     rows = kernel_norm_curve(model, choices, grid, rho0, substeps=substeps)
-    path = out / "kernel_norms.csv"
-    write_csv(
-        path,
-        ["policy", "wt", "kernel_norm"],
-        rows,
-        _echo(config, experiment="kernel-norms"),
-    )
-    return [path]
+    return [("kernel_norms.csv", ["policy", "wt", "kernel_norm"], rows, {})]
 
 
-def run_convergence(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
+def run_convergence(config: dict, inputs: tuple, args) -> list[tuple]:
     """Scaled-kernel vs full-length-tensor comparison. Columns: wt, n,
     relative_difference."""
     model, rho0, _ = inputs
@@ -620,27 +576,7 @@ def run_convergence(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
         map_substeps=substeps,
         kernel_substeps=setting(config, "convergence.kernel_substeps", 1024),
     )
-    path = out / "convergence.csv"
-    write_csv(
-        path,
-        ["wt", "n", "relative_difference"],
-        rows,
-        _echo(config, experiment="convergence"),
-    )
-    return [path]
-
-
-def run_validate(config: dict, inputs: tuple, out: Path, args) -> list[Path]:
-    """Schema, range and compatibility checks; exit 2 on errors."""
-    errors, warnings, _ = validate_config(config)
-    for warning in warnings:
-        print(f"warning: {warning}")
-    for error in errors:
-        print(f"error: {error}")
-    if errors:
-        raise ConfigError(f"{len(errors)} config error(s)")
-    print("config ok")
-    return []
+    return [("convergence.csv", ["wt", "n", "relative_difference"], rows, {})]
 
 
 EXPERIMENTS = {
@@ -651,7 +587,6 @@ EXPERIMENTS = {
     "error-sweep": run_error_sweep,
     "kernel-norms": run_kernel_norms,
     "convergence": run_convergence,
-    "validate": run_validate,
 }
 
 
@@ -660,7 +595,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="memtensor",
         description="Transfer-tensor / memory-kernel experiment runner",
     )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    # validate runs the config checks of every experiment and writes nothing
+    parser.add_argument("experiment", choices=sorted([*EXPERIMENTS, "validate"]))
     parser.add_argument("--config", help="JSON experiment config", default=None)
     parser.add_argument("--out", help="output directory (default ./out)", default="out")
     parser.add_argument("--substeps", type=int, default=None)
@@ -676,31 +612,45 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    inputs = None
+    validating = args.experiment == "validate"
     try:
         config = merge_flags(load_config(args.config), args)
-        if args.experiment != "validate":
-            # the runners that read memory.t_m warn about it on their own grid
-            errors, _, inputs = validate_config(config)
-            if errors:
-                for error in errors:
-                    print(f"error: {error}", file=sys.stderr)
-                return EXIT_CONFIG
+        errors, warnings, inputs = validate_config(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if errors and not validating:
+        for error in errors:
+            print(f"error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written = EXPERIMENTS[args.experiment](config, inputs, out, args)
+        if validating:
+            # the runners that read memory.t_m warn about it on their own grid
+            for line in [f"warning: {w}" for w in warnings] + [f"error: {e}" for e in errors]:
+                print(line)
+            if errors:
+                raise ConfigError(f"{len(errors)} config error(s)")
+            print("config ok")
+            return EXIT_OK
+        for name, *content in EXPERIMENTS[args.experiment](config, inputs, args):
+            path = out / name
+            if len(content) == 1:
+                save_json(content[0], path)
+            else:
+                columns, rows, extras = content
+                write_csv(path, columns, rows, _echo(config, experiment=args.experiment, **extras))
+            print(path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, KeyError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure in {args.experiment}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for path in written:
-        print(path)
     return EXIT_OK
 
 

@@ -325,14 +325,13 @@ def discrete_kernel_series(
         grid=grid,
         choice=ProjectorChoice(family.policy, derivative_step=grid.dt / 16),
     )
-    eye = np.eye(family.stack.shape[-1])
     for j in range(grid.steps):
-        series.generator[j] = (family.map(j, j + 1) - eye) / grid.dt
-    for (p, l), t in tensors.tensors.items():
+        series.generator[j] = discrete_generator(family, j)
+    for p, l in tensors.tensors:
         if l >= 2:
-            series.kernel[(p + l, p)] = t / grid.dt ** 2
+            series.kernel[(p + l, p)] = discrete_kernel(tensors, (p, p + l))
     for k, residual in tensors.residuals.items():
-        series.inhomogeneity[k] = residual / grid.dt
+        series.inhomogeneity[k] = discrete_inhomogeneity(residual, grid.dt)
     return series
 
 

@@ -472,7 +472,8 @@ def example_initial_state() -> np.ndarray:
 # Complex matrices are nested row-major lists of [re, im] pairs.
 
 
-def _complex_matrix(rows) -> np.ndarray:
+def complex_matrix_from_json(rows) -> np.ndarray:
+    """Complex matrix of nested row-major lists of ``[re, im]`` pairs."""
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -505,7 +506,7 @@ def model_from_config(config: dict) -> LindbladModel:
                 op = _pauli_string(term["pauli"], layout)
             else:
                 # checked here, as a sum of terms would broadcast a wrong shape
-                op = _operator(_complex_matrix(term["matrix"]), f"{key}.matrix", d)
+                op = _operator(complex_matrix_from_json(term["matrix"]), f"{key}.matrix", d)
             op = _finite(term["coefficient"], f"{key}.coefficient") * op
             env = term.get("envelope")
             if env is None:
@@ -516,7 +517,9 @@ def model_from_config(config: dict) -> LindbladModel:
                 drives.append((op, frequency, phase))
             else:
                 raise ValueError(f"unknown envelope type {env['type']!r}")
-        jumps = [(_complex_matrix(j["matrix"]), j["rate"]) for j in config.get("jumps", [])]
+        jumps = [
+            (complex_matrix_from_json(j["matrix"]), j["rate"]) for j in config.get("jumps", [])
+        ]
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc
     # the model checks the jumps and the period under their config names

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .models import TimeGrid
+from .models import TimeGrid, complex_matrix_from_json
 from .tomography import (
     DynamicalMapFamily,
     FixedState,
@@ -34,10 +34,6 @@ CONVENTIONS = {
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def complex_matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def _check_header(doc: dict, fmt: str) -> None:

@@ -54,8 +54,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import _integer, hermitian_basis, hermitize
-from .models import LindbladModel, TimeGrid, _finite
+from .linalg import _integer, hermitize
+from .models import LindbladModel, TimeGrid, _coordinate_basis, _finite
 from .tomography import (
     DynamicalMapFamily,
     FixedState,
@@ -258,7 +258,7 @@ class _Rows:
     def __init__(self, tensors: TransferTensorSet, d: int):
         config = tensors.config
         self.tensors, self.m, self.c = tensors, config.m, config.c
-        self.basis = hermitian_basis(d)
+        self.basis = _coordinate_basis(d * d)
         self.n = d * d
         # a whole number of periods covering the memory window
         self.block_steps = config.c * -(-config.m // config.c)

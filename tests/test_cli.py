@@ -44,11 +44,46 @@ def test_evolve_default_outputs_unit_trace(tmp_path):
     assert "# parameters:" in text
 
 
+# a small config of each experiment
+SMALL = {
+    "evolve": {"substeps": 8},
+    "tomography": {"grid": {"steps": 2}, "substeps": 4},
+    "tensors": {"memory": {"m": 2}, "substeps": 4},
+    "propagate": {"grid": {"steps": 6}, "memory": {"m": 2}, "substeps": 4},
+    "error-sweep": {"sweep": {"c_values": [4], "tm_targets": [2.5], "horizon": 15.0},
+                    "substeps": 4},
+    "kernel-norms": {"grid": {"dt": 0.5, "steps": 2}, "substeps": 8},
+    "convergence": {"convergence": {"t_values": [1.25], "n_values": [4], "kernel_substeps": 64},
+                    "substeps": 8},
+}
+
+
 def test_outputs_are_byte_identical(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        assert run_cli(["evolve", "--out", str(out), "--substeps", "8"]) == 0
-    assert (out_a / "evolve.csv").read_bytes() == (out_b / "evolve.csv").read_bytes()
+    assert sorted(SMALL) == sorted(cli.EXPERIMENTS)
+    cfg_path = tmp_path / "cfg.json"
+    for experiment, config in SMALL.items():
+        cfg_path.write_text(json.dumps(config))
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / experiment / run
+            # --oracle only changes propagate
+            args = [experiment, "--config", str(cfg_path), "--out", str(out), "--oracle"]
+            assert run_cli(args) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] and written[0] == written[1], experiment
+
+
+def test_unusable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    (tmp_path / "taken" / "evolve.csv").mkdir(parents=True)
+    for out, reason in [
+        (blocker, "File exists"),
+        (blocker / "sub", "Not a directory"),
+        (tmp_path / "taken", "Is a directory"),  # the writer fails, not mkdir
+    ]:
+        assert run_cli(["evolve", "--out", str(out), "--substeps", "4"]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"
 
 
 def test_tomography_report_and_family_export(tmp_path):
@@ -225,7 +260,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_3(tmp_path, monkeypatch):
-    def boom(config, inputs, out, args):
+    def boom(config, inputs, args):
         raise ValueError("synthetic numerical failure")
 
     monkeypatch.setitem(cli.EXPERIMENTS, "evolve", boom)
@@ -311,7 +346,7 @@ def test_non_numeric_memory_time_exits_2(tmp_path, capsys):
 
 def test_bad_grid_dt_in_tensors_runner_is_config_error(tmp_path):
     with pytest.raises(cli.ConfigError, match="grid"):
-        cli.run_tensors({"grid": {"dt": "x"}}, cli.build_inputs({}), tmp_path, None)
+        cli.run_tensors({"grid": {"dt": "x"}}, cli.build_inputs({}), None)
 
 
 def _run_config(tmp_path, experiment, config):
@@ -348,7 +383,7 @@ def test_every_malformed_setting_exits_2_naming_it(tmp_path, capsys, name):
         assert name in capsys.readouterr().err
         # the runner refuses it on its own too, not only through validate_config
         with pytest.raises(cli.ConfigError, match=name):
-            cli.EXPERIMENTS[experiment](config, cli.build_inputs(config), tmp_path, None)
+            cli.EXPERIMENTS[experiment](config, cli.build_inputs(config), None)
     assert not (tmp_path / "o").exists()
 
 
