@@ -479,9 +479,9 @@ def run_error_sweep(config: dict, inputs: tuple, args) -> list[tuple]:
     """Cutoff-error landscape. Columns: wt_m, wdt, m, c, error (long-time
     max), bound (second-window envelope), heuristic (max longest-tensor
     norm), unphysical (error > 2), bound_ok. Each cell reuses one period of
-    tensors, so a static model (no ``model.period``) and a policy for which
-    :func:`resolve_memory` allows no periodic reuse are refused as config
-    errors."""
+    tensors, so a static model (no ``model.period``) and a time-dependent
+    reference policy are refused as config errors, even when the config pins
+    ``memory.c`` (each cell sets its own)."""
     model, rho0, policy = inputs
     substeps = setting(config, "substeps", 64)
     c_values = setting(config, "sweep.c_values", [6, 8, 12, 14])
@@ -492,8 +492,9 @@ def run_error_sweep(config: dict, inputs: tuple, args) -> list[tuple]:
             "error-sweep needs a model with a driving period (model.period): "
             "sweep.c_values counts steps per period"
         )
-    # every cell's grid is commensurate, so reuse depends on the policy alone
-    if not resolve_memory(config, model, model.period, policy)[1]:
+    # every cell's grid is commensurate and sets its own c, so reuse depends
+    # on the policy alone, whatever c the config pins for the other runners
+    if not isinstance(policy, FixedState):
         raise ConfigError(
             f"error-sweep needs periodic tensor reuse, which the "
             f"{policy_label(policy)} reference policy does not allow"
@@ -625,7 +626,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         if validating:
             # the runners that read memory.t_m warn about it on their own grid
             for line in [f"warning: {w}" for w in warnings] + [f"error: {e}" for e in errors]:
@@ -634,6 +634,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{len(errors)} config error(s)")
             print("config ok")
             return EXIT_OK
+        out.mkdir(parents=True, exist_ok=True)
         for name, *content in EXPERIMENTS[args.experiment](config, inputs, args):
             path = out / name
             if len(content) == 1:

@@ -127,11 +127,14 @@ class _KernelContext:
         return out - embed_environment_superop(d_tau, self.layout) @ self.trace_e
 
     def q_generators(self, times):
-        """Stack of ``Q_t L_t`` at each of ``times``."""
+        """Stack of ``Q_t L_t`` at each of ``times``: the reference states of
+        a time-dependent policy in one query, their projectors in one
+        contraction."""
         if self.fixed is not None:
             return self.fixed[1] @ generator_stack(self.model, times)
-        qs = np.stack([self.eye - self.projector(t) for t in times])
-        return qs @ generator_stack(self.model, times)
+        taus = hermitize(self.refs.states(times))
+        ps = embed_environment_superop(taus, self.layout) @ self.trace_e
+        return (self.eye - ps) @ generator_stack(self.model, times)
 
     def ordered_q_exponential(self, s, t, substeps):
         """Time-ordered exponential of ``Q L`` over ``[s, t]``."""
@@ -215,8 +218,7 @@ def nz_kernel_slice(
     # warm the reference-state cache in ascending order; the suffix loop
     # below walks backwards (time-dependent reference states depend on the
     # order of queries at the 1e-5 level, so this order is part of the result)
-    for s in s_sorted:
-        ctx.refs.state(s)
+    ctx.refs.states(s_sorted)
     left = ctx.left(t)
     # suffix ordered exponentials, built from the latest segment backwards
     suffix = np.eye(model.layout.dim_joint ** 2, dtype=complex)

@@ -97,7 +97,8 @@ def partial_trace(x: np.ndarray, layout: SpaceLayout, keep: str = "system") -> n
     Parameters
     ----------
     x : ndarray
-        Operator on the joint space, shape ``(d_S*d_E, d_S*d_E)``.
+        Operator on the joint space, shape ``(d_S*d_E, d_S*d_E)``, or a
+        stack ``(..., d_S*d_E, d_S*d_E)`` of them.
     layout : SpaceLayout
         Factor dimensions; system factor first.
     keep : {"system", "environment"}
@@ -105,13 +106,13 @@ def partial_trace(x: np.ndarray, layout: SpaceLayout, keep: str = "system") -> n
     """
     ds, de = layout.dim_system, layout.dim_environment
     x = np.asarray(x)
-    if x.shape != (ds * de, ds * de):
+    if x.shape[-2:] != (ds * de, ds * de):
         raise ValueError(f"operator shape {x.shape} does not match layout {ds}x{de}")
-    x4 = x.reshape(ds, de, ds, de)
+    x4 = x.reshape(*x.shape[:-2], ds, de, ds, de)
     if keep == "system":
-        return np.einsum("aebe->ab", x4)
+        return np.einsum("...aebe->...ab", x4)
     if keep == "environment":
-        return np.einsum("aeaf->ef", x4)
+        return np.einsum("...aeaf->...ef", x4)
     raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
@@ -132,19 +133,23 @@ def trace_out_superop(layout: SpaceLayout, keep: str = "system") -> np.ndarray:
 
 
 def embed_environment_superop(tau: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Matrix of ``X -> X (x) tau`` (system vec -> joint vec)."""
+    """Matrix of ``X -> X (x) tau`` (system vec -> joint vec); a stack of
+    ``tau`` gives the stack of matrices, in one contraction."""
     ds, d = layout.dim_system, layout.dim_joint
     eye_s = np.eye(ds)
-    mat = np.einsum("bB,aA,ef->bfaeBA", eye_s, eye_s, np.asarray(tau, dtype=complex))
-    return mat.reshape(d * d, ds * ds)
+    tau = np.asarray(tau, dtype=complex)
+    mat = np.einsum("bB,aA,...ef->...bfaeBA", eye_s, eye_s, tau)
+    return mat.reshape(*tau.shape[:-2], d * d, ds * ds)
 
 
 def embed_system_superop(sigma: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Matrix of ``Y -> sigma (x) Y`` (environment vec -> joint vec)."""
+    """Matrix of ``Y -> sigma (x) Y`` (environment vec -> joint vec); a stack
+    of ``sigma`` gives the stack of matrices, in one contraction."""
     de, d = layout.dim_environment, layout.dim_joint
     eye_e = np.eye(de)
-    mat = np.einsum("ab,fF,eE->bfaeFE", np.asarray(sigma, dtype=complex), eye_e, eye_e)
-    return mat.reshape(d * d, de * de)
+    sigma = np.asarray(sigma, dtype=complex)
+    mat = np.einsum("...ab,fF,eE->...bfaeFE", sigma, eye_e, eye_e)
+    return mat.reshape(*sigma.shape[:-2], d * d, de * de)
 
 
 def matrix_exponential(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -311,8 +316,8 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
-    """Hermitian part ``(X + X^dag)/2``."""
-    return 0.5 * (x + x.conj().T)
+    """Hermitian part ``(X + X^dag)/2``, of each matrix of a stack."""
+    return 0.5 * (x + np.conj(np.swapaxes(x, -1, -2)))
 
 
 def hermiticity_defect(x: np.ndarray) -> float:

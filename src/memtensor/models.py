@@ -12,18 +12,18 @@ products rather than single exponentials are required because the driving
 makes generators at different times non-commuting.
 
 One primitive, :func:`ordered_exponential`, forms every time-ordered product
-in the package: joint propagators here, reference-state integration in
-``tomography`` and the ``Q L`` exponential of the direct kernel route. It
-asks a callback for the generator stack ``(K, n, n)`` at a chunk of substep
-midpoints; chunks are bounded in bytes. Every such generator preserves
-Hermiticity, so in the orthonormal Hermitian basis of
+in the package: joint propagators here and the ``Q L`` exponential of the
+direct kernel route. It asks a callback for the generator stack ``(K, n, n)``
+at a chunk of substep midpoints; chunks are bounded in bytes. Every such
+generator preserves Hermiticity, so in the orthonormal Hermitian basis of
 :func:`~memtensor.linalg.hermitian_basis` it is a real matrix: each chunk is
 changed to these real coordinates once and exponentiated as one batched
-Taylor series (:func:`~memtensor.linalg.taylor_exponential`), matrix products
-only. A generator that breaks Hermiticity is refused. Alternatively each
-substep is applied to a narrow block as a truncated Taylor action.
-:func:`generator_stack` contracts the superoperators a model builds
-once into such stacks. :class:`PropagatorCache` builds each grid step once
+Taylor series (:func:`hermitian_steps`), matrix products only. A generator
+that breaks Hermiticity is refused. Alternatively each substep is applied to
+a narrow block as a truncated Taylor action. The reference-state integration
+of ``tomography`` takes its substeps from :func:`hermitian_steps` too, for
+many queries at once. :func:`generator_stack` contracts the superoperators a
+model builds once into such stacks. :class:`PropagatorCache` builds each grid step once
 and, for a declared period commensurate with the grid, only the steps of the
 first period; its ``act`` applies a step to a block without building it.
 
@@ -234,11 +234,13 @@ def ordered_exponential(
     once, ``B^dag G B``, and a stack with an imaginary part above 1e-12 of
     its largest entry is refused (``ValueError``). The real stack is
     exponentiated in one batched Taylor series
-    (:func:`~memtensor.linalg.taylor_exponential`), the real steps are
-    multiplied in order, and the product returns to operator space once per
-    call: ``B P (B^dag start)``. A start narrower than half of ``n`` (a
-    single state) is stepped itself instead: each real step acts on its
-    coordinates in turn, which saves one ``n x n`` product per substep.
+    (:func:`~memtensor.linalg.taylor_exponential`; :func:`hermitian_steps`),
+    the ``K`` real steps of a chunk are multiplied pairwise, in a tree of
+    about ``log2 K`` batched products, and the product returns to operator
+    space once per call: ``B P (B^dag start)``. A start narrower than half
+    of ``n`` (a single state) is stepped itself instead: each real step acts
+    on its coordinates in turn, which saves one ``n x n`` product per
+    substep.
 
     With ``action``, each substep is applied to the running block as a
     truncated Taylor action (:func:`~memtensor.linalg.expm_action`) of the
@@ -262,17 +264,43 @@ def ordered_exponential(
     narrow = 2 * width < n
     state = (basis_h @ out.reshape(n, width)).view(np.float64) if narrow else np.eye(n)
     for lo in range(0, len(times), chunk):
-        stack = basis_h @ generators(times[lo : lo + chunk]) @ basis
-        defect = float(np.abs(stack.imag).max())
-        if defect > 1e-12 * float(np.abs(stack).max()):
-            raise ValueError(
-                f"generator stack does not preserve Hermiticity: its imaginary part in "
-                f"Hermitian coordinates reaches {defect:.1e}"
-            )
-        for step in taylor_exponential(stack.real, h):
-            state = step @ state
+        steps = hermitian_steps(basis_h @ generators(times[lo : lo + chunk]) @ basis, h)
+        if narrow:
+            for step in steps:
+                state = step @ state
+        else:
+            state = _ordered_product(steps) @ state
     coords = state.view(complex) if narrow else state @ (basis_h @ out.reshape(n, width))
     return (basis @ coords).reshape(out.shape)
+
+
+def hermitian_steps(stack: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Real exponentials ``exp(scale X)`` of a generator stack ``(K, n, n)``
+    given in Hermitian coordinates, ``X = B^dag G B`` (see
+    :func:`ordered_exponential`), in one batched Taylor series.
+
+    A stack whose imaginary part exceeds 1e-12 of its largest entry does not
+    preserve Hermiticity and is refused (``ValueError``). Callers change
+    coordinates in the expression that builds ``G``, so the operator-space
+    stack is freed before the series allocates its powers.
+    """
+    defect = float(np.abs(stack.imag).max())
+    if defect > 1e-12 * float(np.abs(stack).max()):
+        raise ValueError(
+            f"generator stack does not preserve Hermiticity: its imaginary part in "
+            f"Hermitian coordinates reaches {defect:.1e}"
+        )
+    return taylor_exponential(stack.real, scale)
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """``steps[K-1] @ ... @ steps[0]`` of a stack ``(K, n, n)``, as a tree of
+    pairwise batched products: about ``log2 K`` ``matmul`` calls, each
+    multiplying neighbours in time order (an odd last step waits a level)."""
+    while len(steps) > 1:
+        pairs = steps[1::2] @ steps[:-1:2]
+        steps = np.concatenate([pairs, steps[-1:]]) if len(steps) % 2 else pairs
+    return steps[0]
 
 
 def generator_stack(model: LindbladModel, times) -> np.ndarray:

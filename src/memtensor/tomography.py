@@ -33,6 +33,8 @@ forming an inhomogeneous term.
 from __future__ import annotations
 
 import bisect
+import math
+from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -53,13 +55,15 @@ from .linalg import (
     vectorize,
 )
 from .models import (
+    _STACK_BYTES,
     LindbladModel,
     PropagatorCache,
     TimeGrid,
+    _coordinate_basis,
     cache_for,
     generator_stack,
+    hermitian_steps,
     midpoints,
-    ordered_exponential,
 )
 
 
@@ -114,10 +118,22 @@ def policy_label(policy: ReferencePolicy) -> str:
 class ReferenceStates:
     """Evaluates ``tau(t)`` for a policy at arbitrary times ``t >= t0``.
 
-    Time-dependent policies are integrated with
-    :func:`~memtensor.models.ordered_exponential`, the primitive behind the
-    propagators, caching along the way so that repeated or monotone queries
-    stay cheap. The initial joint state enters through its Hermitian part.
+    A time-dependent policy is integrated by the midpoint rule of
+    :func:`~memtensor.models.ordered_exponential`, in its Hermitian
+    coordinates, from cached states. A query at ``t`` starts from the latest
+    cached time ``<= t``, takes the fewest equal substeps of at most
+    ``substep`` up to ``t``, and caches ``t`` and a waypoint every 32
+    substeps, so repeated or monotone queries stay cheap. The midpoints
+    therefore follow the queries: a true-environment state depends on the
+    order of earlier queries at about 1e-5 relative.
+
+    :meth:`states` serves a whole list of queries with the result of asking
+    them one by one, in order. It plans every substep first (earlier queries
+    of the call count as cached), then takes them in byte-bounded chunks: one
+    generator stack, one change of coordinates and one Taylor series per
+    chunk (:func:`~memtensor.models.hermitian_steps`, each generator scaled
+    by its own substep), through which it walks the states. The initial
+    joint state enters through its Hermitian part.
     """
 
     def __init__(
@@ -146,58 +162,81 @@ class ReferenceStates:
         rho_se0 = hermitize(np.asarray(rho_se0, dtype=complex))
         self._trace_s = trace_out_superop(self._layout, "environment")
         if isinstance(policy, TrueEnvironment):
-            # cache of vectorized joint states, keyed by time
-            self._times = [t0]
-            self._cache = {t0: vectorize(rho_se0)}
+            start = vectorize(rho_se0)
         else:
             validate_density_operator(policy.sigma(t0))
-            env0 = partial_trace(rho_se0, self._layout, "environment")
-            self._times = [t0]
-            self._cache = {t0: vectorize(env0)}
+            start = vectorize(partial_trace(rho_se0, self._layout, "environment"))
+        self._basis = _coordinate_basis(start.size)
+        # cached states by time, as their (real) Hermitian coordinates
+        self._times = [t0]
+        self._cache = {t0: (self._basis.conj().T @ start).real}
 
     def state(self, t: float) -> np.ndarray:
         """Reference environment state at time ``t``."""
-        if isinstance(self.policy, FixedState):
-            return self.policy.tau
-        if t < self.t0 - 1e-12:
-            raise ValueError(f"reference state requested at t={t} before t0={self.t0}")
-        t = max(t, self.t0)
-        vec = self._advance(t)
-        de = self._layout.dim_environment
-        if isinstance(self.policy, TrueEnvironment):
-            joint = devectorize(vec, self._layout.dim_joint)
-            return partial_trace(joint, self._layout, "environment")
-        return devectorize(vec, de)
+        return self.states([t])[0]
 
-    def _advance(self, t: float) -> np.ndarray:
-        pos = bisect.bisect_right(self._times, t) - 1
-        t_start = self._times[pos]
-        vec = self._cache[t_start]
-        if t - t_start < 1e-13:
-            return vec
-        n = max(1, int(np.ceil((t - t_start) / self.substep - 1e-9)))
-        times, h = midpoints(t_start, t, n)
-        # cache a waypoint every 32 substeps so later queries below t stay
-        # cheap regardless of the access pattern
-        for lo in range(0, n, 32):
-            vec = ordered_exponential(self._generators, times[lo : lo + 32], h, vec)
-            waypoint = t_start + (lo + 32) * h
-            if lo + 32 < n and waypoint not in self._cache:
-                bisect.insort(self._times, waypoint)
-                self._cache[waypoint] = vec
-        if t not in self._cache:
-            bisect.insort(self._times, t)
-            self._cache[t] = vec
-        return vec
+    def states(self, times) -> np.ndarray:
+        """Stack ``(len(times), d_E, d_E)`` of the reference states at each
+        of ``times``, as :meth:`state` queried at each in order would give.
+        A time before ``t0 - 1e-12`` is a ``ValueError``."""
+        times = [float(t) for t in times]
+        if isinstance(self.policy, FixedState):
+            return np.repeat(np.asarray(self.policy.tau)[None], len(times), axis=0)
+        for t in times:
+            if t < self.t0 - 1e-12:
+                raise ValueError(f"reference state requested at t={t} before t0={self.t0}")
+        known = list(self._times)
+        keys = []  # the cached time that answers each query
+        starts, stores = {}, {}  # substep index -> time it starts from / is cached at
+        midpoint_runs, sizes = [], []
+        offset = 0  # substeps planned so far
+        for t in times:
+            t = max(t, self.t0)
+            t_start = known[bisect.bisect_right(known, t) - 1]
+            if t - t_start < 1e-13:
+                keys.append(t_start)
+                continue
+            n = max(1, int(np.ceil((t - t_start) / self.substep - 1e-9)))
+            mids, h = midpoints(t_start, t, n)
+            starts[offset] = t_start
+            for k in [*range(32, n, 32), n]:  # waypoints, then t itself
+                cached = t if k == n else t_start + k * h
+                bisect.insort(known, cached)
+                stores[offset + k - 1] = cached
+            midpoint_runs.append(mids)
+            sizes.append(np.full(n, h))
+            keys.append(t)
+            offset += n
+        values = ChainMap({}, self._cache)  # new states go to the first map
+        if midpoint_runs:
+            mids, hs = np.concatenate(midpoint_runs), np.concatenate(sizes)
+            # a chunk's joint generators, not its exponentials, are the largest stack
+            chunk = max(1, _STACK_BYTES // (16 * self._layout.dim_joint ** 4))
+            basis_h = self._basis.conj().T
+            for lo in range(0, len(mids), chunk):
+                stack = basis_h @ self._generators(mids[lo : lo + chunk]) @ self._basis
+                stack *= hs[lo : lo + chunk, None, None]
+                steps = hermitian_steps(stack)
+                for k, step in enumerate(steps, lo):
+                    state = step @ (values[starts[k]] if k in starts else state)
+                    if k in stores:
+                        values[stores[k]] = state
+        # committed only once every state is built
+        self._cache.update(values.maps[0])
+        self._times = known
+        n = len(self._basis)
+        vecs = np.reshape([values[key] for key in keys], (-1, n)) @ self._basis.T
+        ops = vecs.reshape(-1, math.isqrt(n), math.isqrt(n)).swapaxes(1, 2)  # column-stacked
+        if isinstance(self.policy, TrueEnvironment):
+            return partial_trace(ops, self._layout, "environment")
+        return ops
 
     def _generators(self, times: np.ndarray) -> np.ndarray:
         joint = generator_stack(self.model, times)
         if isinstance(self.policy, TrueEnvironment):
             return joint
-        embeds = np.stack(
-            [embed_system_superop(hermitize(self.policy.sigma(t)), self._layout) for t in times]
-        )
-        return self._trace_s @ joint @ embeds
+        sigmas = hermitize(np.stack([self.policy.sigma(t) for t in times]))
+        return self._trace_s @ joint @ embed_system_superop(sigmas, self._layout)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +342,8 @@ def reconstruct_family(
     trace_e = trace_out_superop(layout, "system")
     # every reference state first, in ascending time: a time-dependent policy
     # integrates its state forward through the queries
-    references = {i: refs.state(grid.time(i)) for i in range(grid.steps + 1)}
+    taus = refs.states([grid.time(i) for i in range(grid.steps + 1)])
+    references = dict(enumerate(taus))
     band = grid.steps if band is None else min(band, grid.steps)
     ends = [min(grid.steps, i + band) for i in range(grid.steps)]
     ds2 = layout.dim_system ** 2

@@ -180,6 +180,20 @@ def test_error_sweep_refuses_policy_without_tensor_reuse(tmp_path, capsys):
     assert not (out / "error_sweep.csv").exists()
 
 
+def test_error_sweep_refuses_a_time_dependent_policy_despite_a_pinned_c(tmp_path, capsys):
+    # each cell sets its own c, so a pinned memory.c cannot make a true-env
+    # reference state periodic
+    config = {"memory": {"c": 3}, "sweep": {"c_values": [4], "tm_targets": [2.5], "horizon": 15.0},
+              "substeps": 8}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    args = ["error-sweep", "--config", str(cfg_path), "--out", str(out), "--policy", "true-env"]
+    assert run_cli(args) == 2
+    assert "true-env" in capsys.readouterr().err
+    assert not (out / "error_sweep.csv").exists()
+
+
 def test_kernel_norms_three_policies(tmp_path):
     out = tmp_path / "out"
     config = {"grid": {"dt": 0.5, "steps": 2}, "substeps": 8}
@@ -216,6 +230,13 @@ def test_validate_ok_and_warning(tmp_path, capsys):
     assert run_cli(["validate", "--config", str(cfg_path)]) == 0
     captured = capsys.readouterr().out
     assert "warning" in captured and "t_m" in captured
+
+
+def test_validate_creates_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert run_cli(["validate", "--out", str(out)]) == 0
+    assert "config ok" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_validate_rejects_negative_rate(tmp_path, capsys):

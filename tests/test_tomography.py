@@ -1,5 +1,6 @@
 """Map reconstruction, reference-state policies, CPTP checks, decomposition."""
 
+import bisect
 import sys
 from pathlib import Path
 from unittest import mock
@@ -12,6 +13,8 @@ from memtensor.linalg import (
     apply_superop,
     devectorize,
     embed_environment_superop,
+    embed_system_superop,
+    hermitize,
     operator_norm,
     partial_trace,
     sandwich_superop,
@@ -28,7 +31,11 @@ from memtensor.models import (
     evolve_state,
     example_initial_state,
     example_model,
+    generator_stack,
+    liouvillian,
+    midpoints,
     model_from_config,
+    ordered_exponential,
     propagator,
 )
 from memtensor.tomography import (
@@ -153,6 +160,79 @@ def test_frozen_system_preserves_trace_and_positivity():
         tau = provider.state(t)
         assert abs(np.trace(tau) - 1) < 1e-9
         assert np.linalg.eigvalsh(tau).min() > -1e-9
+
+
+class PerQueryStates:
+    """Oracle for :meth:`ReferenceStates.states`: the loop that served one
+    query at a time. Each query integrates from the latest cached time
+    ``<= t`` with its own ordered exponentials of at most 32 substeps,
+    caching the state after each of them and at ``t``; the frozen-system
+    generators are built one time at a time."""
+
+    def __init__(self, policy, model, rho0, t0, substep):
+        self.policy, self.model, self.t0, self.substep = policy, model, t0, substep
+        layout = model.layout
+        if isinstance(policy, TrueEnvironment):
+            self.generators = lambda ts: generator_stack(model, ts)
+            vec = vectorize(rho0)
+        else:
+            trace_s = trace_out_superop(layout, "environment")
+            self.generators = lambda ts: np.stack([
+                trace_s @ liouvillian(model, t)
+                @ embed_system_superop(hermitize(policy.sigma(t)), layout)
+                for t in ts
+            ])
+            vec = vectorize(partial_trace(rho0, layout, "environment"))
+        self.times, self.cache = [t0], {t0: vec}
+
+    def state(self, t):
+        t = max(t, self.t0)
+        t_start = self.times[bisect.bisect_right(self.times, t) - 1]
+        vec = self.cache[t_start]
+        if t - t_start >= 1e-13:
+            n = max(1, int(np.ceil((t - t_start) / self.substep - 1e-9)))
+            mids, h = midpoints(t_start, t, n)
+            for lo in range(0, n, 32):
+                vec = ordered_exponential(self.generators, mids[lo : lo + 32], h, vec)
+                if lo + 32 < n:
+                    waypoint = t_start + (lo + 32) * h
+                    bisect.insort(self.times, waypoint)
+                    self.cache[waypoint] = vec
+            bisect.insort(self.times, t)
+            self.cache[t] = vec
+        if isinstance(self.policy, TrueEnvironment):
+            return partial_trace(devectorize(vec, 4), LAYOUT, "environment")
+        return devectorize(vec, 2)
+
+
+def rotating_state(t):
+    ket = np.array([np.cos(t / 2), np.exp(0.3j * t) * np.sin(t / 2)])
+    return np.outer(ket, ket.conj())
+
+
+@pytest.mark.parametrize("policy", [TrueEnvironment(), FrozenSystem(rotating_state)])
+def test_states_match_one_query_at_a_time(policy):
+    model, rho0, t0, substep = example_model(), example_initial_state(), 0.25, 1 / 32
+    refs = ReferenceStates(policy, model, rho0, t0=t0, substep=substep)
+    oracle = PerQueryStates(policy, model, rho0, t0, substep)
+    calls = [
+        # a repeat, a jump of 56 substeps (a waypoint at 1.6), queries below
+        # the latest cached time from the waypoint and from 0.6, one just
+        # before t0 and a cached time
+        [0.6, 0.6, 2.35, 1.9, 1.4, t0 - 1e-13, 0.6, 0.61, 1.4],
+        # times cached by the earlier call, then past and between them
+        [2.35, t0, 3.9, 1.0, 6.5, 6.5],
+    ]
+    for times in calls:
+        got = refs.states(times)
+        assert got.shape == (len(times), 2, 2)
+        want = [oracle.state(t) for t in times]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert len(refs._times) == len(oracle.times)
+    np.testing.assert_allclose(refs._times, oracle.times, rtol=0, atol=0)
+    with pytest.raises(ValueError, match="before t0"):
+        refs.states([1.0, t0 - 2e-12])
+    assert refs.states([]).shape == (0, 2, 2)
 
 
 # --- dynamical maps ---------------------------------------------------------
