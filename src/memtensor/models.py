@@ -16,16 +16,16 @@ in the package: joint propagators here and the ``Q L`` exponential of the
 direct kernel route. It asks a callback for the generator stack ``(K, n, n)``
 at a chunk of substep midpoints; chunks are bounded in bytes. Every such
 generator preserves Hermiticity, so in the orthonormal Hermitian basis of
-:func:`~memtensor.linalg.hermitian_basis` it is a real matrix: each chunk is
-changed to these real coordinates once and exponentiated as one batched
-Taylor series (:func:`hermitian_steps`), matrix products only. A generator
-that breaks Hermiticity is refused. Alternatively each substep is applied to
-a narrow block as a truncated Taylor action. The reference-state integration
-of ``tomography`` takes its substeps from :func:`hermitian_steps` too, for
-many queries at once. :func:`generator_stack` contracts the superoperators a
-model builds once into such stacks. :class:`PropagatorCache` builds each grid step once
-and, for a declared period commensurate with the grid, only the steps of the
-first period; its ``act`` applies a step to a block without building it.
+:func:`coordinate_basis` it is a real matrix: :func:`hermitian_step_chunks`
+changes each chunk to these real coordinates once and exponentiates it as one
+batched Taylor series, matrix products only. A generator that breaks
+Hermiticity is refused. Alternatively each substep is applied to a narrow
+block as a truncated Taylor action. The reference-state integration of
+``tomography`` walks its states through the same chunks of steps, for many
+queries at once. :func:`generator_stack` contracts the superoperators a model
+builds once into such stacks. :class:`PropagatorCache` builds each grid step
+once and, for a declared period commensurate with the grid, only the steps of
+the first period; its ``act`` applies a step to a block without building it.
 
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
@@ -204,14 +204,52 @@ def midpoints(s: float, t: float, substeps: int) -> tuple[np.ndarray, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _coordinate_basis(n: int) -> np.ndarray:
-    """``hermitian_basis(sqrt(n))``, read-only and built once per ``n``."""
+def coordinate_basis(n: int) -> np.ndarray:
+    """``hermitian_basis(sqrt(n))``, read-only and built once per ``n``: the
+    columns ``B`` of the real coordinates ``B^dag v`` of a vectorized
+    Hermitian operator ``v`` and ``B^dag G B`` of a generator ``G`` that
+    preserves Hermiticity."""
     d = math.isqrt(n)
     if d * d != n:
         raise ValueError(f"Liouville dimension {n} is not a square")
     basis = hermitian_basis(d)
     basis.flags.writeable = False
     return basis
+
+
+def hermitian_step_chunks(generators, times: np.ndarray, h, n: int, stack_dim: int | None = None):
+    """Yield the real steps ``exp(h_k B^dag G(t_k) B)`` of the midpoints
+    ``times``, one stack ``(K, n, n)`` per chunk of consecutive midpoints.
+
+    ``generators(times)`` returns the generator stack ``(K, n, n)`` at a
+    chunk of midpoints; ``h`` is one substep size or one per midpoint. A
+    chunk holds as many midpoints as fit a stack of ``stack_dim x stack_dim``
+    complex matrices (default ``n``; larger when the callback builds bigger
+    matrices than it returns) in the byte cap. Each chunk is changed to the
+    coordinates of :func:`coordinate_basis` once, in the expression that
+    builds it, so the operator-space stack is freed before the series
+    allocates its powers. A chunk whose imaginary part exceeds 1e-12 of its
+    largest entry does not preserve Hermiticity and is refused
+    (``ValueError``). The real stack is exponentiated in one batched Taylor
+    series (:func:`~memtensor.linalg.taylor_exponential`).
+    """
+    basis = coordinate_basis(n)
+    basis_h = basis.conj().T
+    sizes = np.broadcast_to(np.asarray(h, dtype=float), len(times))
+    chunk = max(1, _STACK_BYTES // (16 * (stack_dim or n) ** 2))
+    for lo in range(0, len(times), chunk):
+        stack = basis_h @ generators(times[lo : lo + chunk]) @ basis
+        defect = float(np.abs(stack.imag).max())
+        if defect > 1e-12 * float(np.abs(stack).max()):
+            raise ValueError(
+                f"generator stack does not preserve Hermiticity: its imaginary part in "
+                f"Hermitian coordinates reaches {defect:.1e}"
+            )
+        real = stack.real
+        real *= sizes[lo : lo + chunk, None, None]
+        steps = taylor_exponential(real)
+        del stack, real  # not held while the caller builds the next chunk
+        yield steps
 
 
 def ordered_exponential(
@@ -228,19 +266,10 @@ def ordered_exponential(
 
     Every generator must preserve Hermiticity, as the Lindbladian, ``Q L``
     for a Hermitian reference state and the frozen-system generator do: in
-    the orthonormal Hermitian basis ``B`` of
-    :func:`~memtensor.linalg.hermitian_basis` (``n = d^2``) such a
-    generator is a real matrix. Each chunk is changed to these coordinates
-    once, ``B^dag G B``, and a stack with an imaginary part above 1e-12 of
-    its largest entry is refused (``ValueError``). The real stack is
-    exponentiated in one batched Taylor series
-    (:func:`~memtensor.linalg.taylor_exponential`; :func:`hermitian_steps`),
-    the ``K`` real steps of a chunk are multiplied pairwise, in a tree of
-    about ``log2 K`` batched products, and the product returns to operator
-    space once per call: ``B P (B^dag start)``. A start narrower than half
-    of ``n`` (a single state) is stepped itself instead: each real step acts
-    on its coordinates in turn, which saves one ``n x n`` product per
-    substep.
+    the orthonormal Hermitian basis ``B`` of :func:`coordinate_basis`
+    (``n = d^2``) such a generator is a real matrix. The real steps of
+    :func:`hermitian_step_chunks` are multiplied in order, and the product
+    returns to operator space once per call: ``B P (B^dag start)``.
 
     With ``action``, each substep is applied to the running block as a
     truncated Taylor action (:func:`~memtensor.linalg.expm_action`) of the
@@ -250,57 +279,19 @@ def ordered_exponential(
     """
     out = np.asarray(start, dtype=complex)
     n = out.shape[0]
-    chunk = max(1, _STACK_BYTES // (16 * n * n))
     if action:
+        chunk = max(1, _STACK_BYTES // (16 * n * n))
         for lo in range(0, len(times), chunk):
             for generator in generators(times[lo : lo + chunk]):
                 out = expm_action(generator, out, h)
         return out
-    basis = _coordinate_basis(n)
-    basis_h = basis.conj().T
-    width = out.size // n
-    # a narrow start is stepped itself, as the real (n, 2 width) view of its
-    # coordinates; a wide one (the identity) waits for the product of the steps
-    narrow = 2 * width < n
-    state = (basis_h @ out.reshape(n, width)).view(np.float64) if narrow else np.eye(n)
-    for lo in range(0, len(times), chunk):
-        steps = hermitian_steps(basis_h @ generators(times[lo : lo + chunk]) @ basis, h)
-        if narrow:
-            for step in steps:
-                state = step @ state
-        else:
-            state = _ordered_product(steps) @ state
-    coords = state.view(complex) if narrow else state @ (basis_h @ out.reshape(n, width))
+    product = np.eye(n)
+    for steps in hermitian_step_chunks(generators, times, h, n):
+        for step in steps:
+            product = step @ product
+    basis = coordinate_basis(n)
+    coords = product @ (basis.conj().T @ out.reshape(n, -1))
     return (basis @ coords).reshape(out.shape)
-
-
-def hermitian_steps(stack: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Real exponentials ``exp(scale X)`` of a generator stack ``(K, n, n)``
-    given in Hermitian coordinates, ``X = B^dag G B`` (see
-    :func:`ordered_exponential`), in one batched Taylor series.
-
-    A stack whose imaginary part exceeds 1e-12 of its largest entry does not
-    preserve Hermiticity and is refused (``ValueError``). Callers change
-    coordinates in the expression that builds ``G``, so the operator-space
-    stack is freed before the series allocates its powers.
-    """
-    defect = float(np.abs(stack.imag).max())
-    if defect > 1e-12 * float(np.abs(stack).max()):
-        raise ValueError(
-            f"generator stack does not preserve Hermiticity: its imaginary part in "
-            f"Hermitian coordinates reaches {defect:.1e}"
-        )
-    return taylor_exponential(stack.real, scale)
-
-
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """``steps[K-1] @ ... @ steps[0]`` of a stack ``(K, n, n)``, as a tree of
-    pairwise batched products: about ``log2 K`` ``matmul`` calls, each
-    multiplying neighbours in time order (an odd last step waits a level)."""
-    while len(steps) > 1:
-        pairs = steps[1::2] @ steps[:-1:2]
-        steps = np.concatenate([pairs, steps[-1:]]) if len(steps) % 2 else pairs
-    return steps[0]
 
 
 def generator_stack(model: LindbladModel, times) -> np.ndarray:

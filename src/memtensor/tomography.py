@@ -55,14 +55,13 @@ from .linalg import (
     vectorize,
 )
 from .models import (
-    _STACK_BYTES,
     LindbladModel,
     PropagatorCache,
     TimeGrid,
-    _coordinate_basis,
     cache_for,
+    coordinate_basis,
     generator_stack,
-    hermitian_steps,
+    hermitian_step_chunks,
     midpoints,
 )
 
@@ -129,11 +128,11 @@ class ReferenceStates:
 
     :meth:`states` serves a whole list of queries with the result of asking
     them one by one, in order. It plans every substep first (earlier queries
-    of the call count as cached), then takes them in byte-bounded chunks: one
-    generator stack, one change of coordinates and one Taylor series per
-    chunk (:func:`~memtensor.models.hermitian_steps`, each generator scaled
-    by its own substep), through which it walks the states. The initial
-    joint state enters through its Hermitian part.
+    of the call count as cached), then walks the states through the chunks
+    of :func:`~memtensor.models.hermitian_step_chunks`: one generator stack,
+    one change of coordinates and one Taylor series per chunk, each
+    generator scaled by its own substep. The initial joint state enters
+    through its Hermitian part.
     """
 
     def __init__(
@@ -166,7 +165,7 @@ class ReferenceStates:
         else:
             validate_density_operator(policy.sigma(t0))
             start = vectorize(partial_trace(rho_se0, self._layout, "environment"))
-        self._basis = _coordinate_basis(start.size)
+        self._basis = coordinate_basis(start.size)
         # cached states by time, as their (real) Hermitian coordinates
         self._times = [t0]
         self._cache = {t0: (self._basis.conj().T @ start).real}
@@ -209,18 +208,15 @@ class ReferenceStates:
             offset += n
         values = ChainMap({}, self._cache)  # new states go to the first map
         if midpoint_runs:
-            mids, hs = np.concatenate(midpoint_runs), np.concatenate(sizes)
             # a chunk's joint generators, not its exponentials, are the largest stack
-            chunk = max(1, _STACK_BYTES // (16 * self._layout.dim_joint ** 4))
-            basis_h = self._basis.conj().T
-            for lo in range(0, len(mids), chunk):
-                stack = basis_h @ self._generators(mids[lo : lo + chunk]) @ self._basis
-                stack *= hs[lo : lo + chunk, None, None]
-                steps = hermitian_steps(stack)
-                for k, step in enumerate(steps, lo):
-                    state = step @ (values[starts[k]] if k in starts else state)
-                    if k in stores:
-                        values[stores[k]] = state
+            chunks = hermitian_step_chunks(
+                self._generators, np.concatenate(midpoint_runs), np.concatenate(sizes),
+                len(self._basis), stack_dim=self._layout.dim_joint ** 2,
+            )
+            for k, step in enumerate(step for steps in chunks for step in steps):
+                state = step @ (values[starts[k]] if k in starts else state)
+                if k in stores:
+                    values[stores[k]] = state
         # committed only once every state is built
         self._cache.update(values.maps[0])
         self._times = known

@@ -55,7 +55,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .linalg import _integer, hermitize
-from .models import LindbladModel, TimeGrid, _coordinate_basis, _finite
+from .models import LindbladModel, TimeGrid, _finite, coordinate_basis
 from .tomography import (
     DynamicalMapFamily,
     FixedState,
@@ -258,7 +258,7 @@ class _Rows:
     def __init__(self, tensors: TransferTensorSet, d: int):
         config = tensors.config
         self.tensors, self.m, self.c = tensors, config.m, config.c
-        self.basis = _coordinate_basis(d * d)
+        self.basis = coordinate_basis(d * d)
         self.n = d * d
         # a whole number of periods covering the memory window
         self.block_steps = config.c * -(-config.m // config.c)

@@ -13,7 +13,6 @@ from memtensor.linalg import (
     hermiticity_defect,
     matrix_exponential,
     partial_trace,
-    taylor_exponential,
     trace_distance,
     vectorize,
 )
@@ -200,23 +199,6 @@ def test_ordered_exponential_matches_one_exponential_per_substep(k, vector_start
         want = matrix_exponential(g, h) @ want
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
     assert sum(calls) == k and max(calls) == min(k, 64)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 63, 64, 65, 130])
-def test_ordered_exponential_pairwise_product_matches_the_sequential_one(k):
-    # odd tails at every level of the pairwise tree, and more than one chunk
-    # of 64 generators at n = 16; each chunk's steps come from one Taylor series
-    n, h = 16, 0.1
-    gens = hermiticity_preserving(k, n)
-    basis = hermitian_basis(4)
-    coords = (basis.conj().T @ gens @ basis).real
-    want = np.eye(n)
-    for lo in range(0, k, 64):
-        for step in taylor_exponential(coords[lo : lo + 64], h):
-            want = step @ want
-    want = basis @ want @ basis.conj().T
-    got = ordered_exponential(lambda ts: gens[ts.astype(int)], np.arange(k) + 0.5, h, np.eye(n))
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_ordered_exponential_refuses_generators_that_break_hermiticity():
