@@ -37,8 +37,11 @@ from .linalg import (
     apply_superop,
     devectorize,
     embed_environment_superop,
-    hermitize,
+    from_coordinates,
     operator_norm,
+    superop_from_coordinates,
+    superop_to_coordinates,
+    to_coordinates,
     trace_out_superop,
     vectorize,
 )
@@ -46,13 +49,11 @@ from .models import (
     LindbladModel,
     TimeGrid,
     generator_stack,
-    liouvillian,
     midpoints,
     ordered_exponential,
 )
 from .tomography import (
     DynamicalMapFamily,
-    FixedState,
     ReferencePolicy,
     ReferenceStates,
     extend_to_joint,
@@ -80,43 +81,46 @@ def projector_superop(tau: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _KernelContext:
-    """Shared machinery for direct projection-operator evaluations."""
+    """Shared machinery for direct projection-operator evaluations, in real
+    Hermitian coordinates: ``P_t`` weights the embeddings ``X -> X (x) e_k``
+    of the environment's basis elements by the coordinates of ``tau(t)``."""
 
     def __init__(self, model, choice, rho_se0, t0, integration_substep=None, x_env=None):
         self.model = model
         self.choice = choice
-        self.layout = model.layout
+        layout = model.layout
         self.t0 = t0
         if integration_substep is None:
             integration_substep = choice.derivative_step
         self.refs = ReferenceStates(
             choice.policy, model, rho_se0, t0=t0, substep=integration_substep
         )
-        self.trace_e = trace_out_superop(self.layout, "system")
-        self.eye = np.eye(self.layout.dim_joint ** 2)
-        de = self.layout.dim_environment
+        de = layout.dim_environment
+        elements = devectorize(from_coordinates(np.eye(de * de)), de)
+        self.trace_e = superop_to_coordinates(trace_out_superop(layout, "system")).real
+        self.embeds = superop_to_coordinates(embed_environment_superop(elements, layout)).real
+        self.eye = np.eye(layout.dim_joint ** 2)
         x = np.eye(de) / de if x_env is None else x_env
-        self.embed_x = embed_environment_superop(x, self.layout)
-        # under a fixed reference state P and Q = 1 - P are constant: built once
-        fixed = isinstance(choice.policy, FixedState)
-        self.fixed = projector_superop(hermitize(choice.policy.tau), self.layout) if fixed else None
+        self.embed_x = superop_to_coordinates(embed_environment_superop(x, layout))
 
-    def projector(self, t):
-        """``P_t`` from the Hermitian part of ``tau(t)``, so that ``Q L``
-        preserves Hermiticity however close to the validation tolerance
-        ``tau`` is."""
-        if self.fixed is not None:
-            return self.fixed[0]
-        return embed_environment_superop(hermitize(self.refs.state(t)), self.layout) @ self.trace_e
+    def embed(self, taus):
+        """``X -> X (x) tau`` for ``tau`` or each of a stack, from the
+        Hermitian part, so that ``Q L`` preserves Hermiticity however close
+        to the validation tolerance ``tau`` is: one contraction."""
+        return np.tensordot(to_coordinates(vectorize(taus)).real, self.embeds, axes=1)
+
+    def projectors(self, times):
+        """Stack of ``P_t`` at each of ``times``, from one reference-state query."""
+        return self.embed(self.refs.states(times)) @ self.trace_e
 
     def left(self, t):
         """``tr_E P_t L_t``: the end of every kernel-route object."""
-        return self.trace_e @ self.projector(t) @ liouvillian(self.model, t)
+        return self.trace_e @ self.projectors([t])[0] @ generator_stack(self.model, [t])[0]
 
     def inject(self, s, derivative_term=True):
         """``Q_s L_s P_s - dP_s/ds``; ``derivative_term=False`` drops ``dP/ds``."""
-        p_s = self.projector(s)
-        out = (self.eye - p_s) @ liouvillian(self.model, s) @ p_s
+        p_s = self.projectors([s])[0]
+        out = (self.eye - p_s) @ generator_stack(self.model, [s])[0] @ p_s
         if not derivative_term:
             return out
         h, tau = self.choice.derivative_step, self.refs.state
@@ -124,25 +128,18 @@ class _KernelContext:
             d_tau = (tau(s + h) - tau(s - h)) / (2 * h)
         else:  # second-order one-sided difference at the start of the window
             d_tau = (-3 * tau(s) + 4 * tau(s + h) - tau(s + 2 * h)) / (2 * h)
-        return out - embed_environment_superop(d_tau, self.layout) @ self.trace_e
+        return out - self.embed(d_tau) @ self.trace_e
 
     def q_generators(self, times):
-        """Stack of ``Q_t L_t`` at each of ``times``: the reference states of
-        a time-dependent policy in one query, their projectors in one
-        contraction."""
-        if self.fixed is not None:
-            return self.fixed[1] @ generator_stack(self.model, times)
-        taus = hermitize(self.refs.states(times))
-        ps = embed_environment_superop(taus, self.layout) @ self.trace_e
-        return (self.eye - ps) @ generator_stack(self.model, times)
+        """Stack of ``Q_t L_t`` at each of ``times``."""
+        return (self.eye - self.projectors(times)) @ generator_stack(self.model, times)
 
-    def ordered_q_exponential(self, s, t, substeps):
-        """Time-ordered exponential of ``Q L`` over ``[s, t]``."""
-        g = np.eye(self.layout.dim_joint ** 2, dtype=complex)
+    def ordered_q_exponential(self, s, t, substeps, start):
+        """Time-ordered exponential of ``Q L`` over ``[s, t]`` applied to ``start``."""
         if t == s:
-            return g
+            return start
         times, h = midpoints(s, t, substeps)
-        return ordered_exponential(self.q_generators, times, h, g)
+        return ordered_exponential(self.q_generators, times, h, start)
 
 
 def nz_generator_direct(
@@ -155,7 +152,7 @@ def nz_generator_direct(
 ) -> np.ndarray:
     """Time-local generator ``tr_E{P_t L_t P_t (. (x) x)}`` on the system."""
     ctx = _KernelContext(model, choice, rho_se0, t0, x_env=x_env)
-    return ctx.left(t) @ ctx.projector(t) @ ctx.embed_x
+    return superop_from_coordinates(ctx.left(t) @ ctx.projectors([t])[0] @ ctx.embed_x)
 
 
 def nz_kernel_direct(
@@ -221,14 +218,14 @@ def nz_kernel_slice(
     ctx.refs.states(s_sorted)
     left = ctx.left(t)
     # suffix ordered exponentials, built from the latest segment backwards
-    suffix = np.eye(model.layout.dim_joint ** 2, dtype=complex)
+    suffix = ctx.eye
     kernels = {}
     upper = t
     for s in reversed(s_sorted):
-        suffix = suffix @ ctx.ordered_q_exponential(s, upper, substeps)
+        suffix = suffix @ ctx.ordered_q_exponential(s, upper, substeps, ctx.eye)
         upper = s
         kernels[s] = left @ suffix @ ctx.inject(s, derivative_term) @ ctx.embed_x
-    return [(s, kernels[s]) for s in s_sorted]
+    return [(s, superop_from_coordinates(kernels[s])) for s in s_sorted]
 
 
 def nz_inhomogeneity(
@@ -249,10 +246,10 @@ def nz_inhomogeneity(
     ctx = _KernelContext(
         model, choice, rho_se0, t0, integration_substep=(t - t0) / substeps if t > t0 else None
     )
-    prepared = extend_to_joint(preparation, model.layout) @ vectorize(rho_se0)
-    vec = (ctx.eye - ctx.projector(t0)) @ prepared
-    vec = ctx.ordered_q_exponential(t0, t, substeps) @ vec
-    return devectorize(ctx.left(t) @ vec, model.layout.dim_system)
+    prepared = to_coordinates(extend_to_joint(preparation, model.layout) @ vectorize(rho_se0))
+    vec = (ctx.eye - ctx.projectors([t0])[0]) @ prepared
+    vec = ctx.ordered_q_exponential(t0, t, substeps, vec)
+    return devectorize(from_coordinates(ctx.left(t) @ vec), model.layout.dim_system)
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +376,21 @@ def kernel_norm_curve(
     """Norm of ``K(t, t0)`` along the grid for each projector choice.
 
     Returns rows ``(policy label, t, operator norm)``; the ordered
-    exponential is accumulated incrementally over the grid, so a full curve
-    costs the same as a single kernel evaluation at the final time.
+    exponential is applied to the injection step by step over the grid, so a
+    full curve costs no more than one kernel at the final time. The basis of
+    the coordinates is orthonormal, so they give the operator norms.
     """
     rows = []
     for choice in choices:
         ctx = _KernelContext(
             model, choice, rho_se0, grid.t0, integration_substep=grid.dt / substeps, x_env=x_env
         )
-        inject = ctx.inject(grid.t0) @ ctx.embed_x
-        g = np.eye(model.layout.dim_joint ** 2, dtype=complex)
+        block = ctx.inject(grid.t0) @ ctx.embed_x  # stepped on as G(t, t0) grows
         label = policy_label(choice.policy)
         for j in range(1, grid.steps + 1):
-            g = ctx.ordered_q_exponential(grid.time(j - 1), grid.time(j), substeps) @ g
+            block = ctx.ordered_q_exponential(grid.time(j - 1), grid.time(j), substeps, block)
             t = grid.time(j)
-            rows.append((label, t, operator_norm(ctx.left(t) @ g @ inject)))
+            rows.append((label, t, operator_norm(ctx.left(t) @ block)))
     return rows
 
 

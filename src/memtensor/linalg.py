@@ -8,12 +8,15 @@ acting on vectorized operators, with a single global convention:
   the map ``X -> A X B`` has matrix ``kron(B.T, A)``.
 * **Tensor ordering.** Joint system-environment operators put the system
   factor first: a joint basis index is ``s * dim_env + e``.
+* **Hermitian coordinates.** Hermitian operators and the maps that preserve
+  Hermiticity are real in the basis of :func:`coordinate_basis`, used here only.
 
 Everything here is a pure function of its inputs; nothing is mutated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -47,21 +50,21 @@ class SpaceLayout:
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
+    """Column-stack a matrix, or each matrix of a stack, into a vector."""
     x = np.asarray(x)
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    return x.reshape(-1, order="F")
+    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], -1)
 
 
 def devectorize(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`; exact round trip."""
+    """Inverse of :func:`vectorize`, along the last axis; exact round trip."""
     v = np.asarray(v)
     if cols is None:
         cols = rows
-    if v.size != rows * cols:
-        raise ValueError(f"vector of length {v.size} is not {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    if v.shape[-1:] != (rows * cols,):
+        raise ValueError(f"vectors of shape {v.shape} are not {rows}x{cols}")
+    return np.swapaxes(v.reshape(*v.shape[:-1], cols, rows), -1, -2)
 
 
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,10 +250,11 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     and each sub-interval's series stops early once two consecutive terms
     fall below the unit roundoff relative to the sum. ``B`` is an
     ``n``-vector or an ``(n, w)`` block; the cost is ``d * s`` products of
-    ``M`` with ``B``, against about ten ``n x n`` products for ``expm``.
+    ``M`` with ``B``, against about ten ``n x n`` products for ``expm``. A
+    real ``M`` and ``B`` stay real.
     """
     m = np.asarray(m)
-    out = np.array(b, dtype=complex)
+    out = np.array(b, dtype=np.result_type(m, b, float))
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[1] != out.shape[0]:
         raise ValueError(f"need a square matrix and a block of its size, got {m.shape}, {out.shape}")
     norm = abs(scale) * float(np.abs(m).sum(axis=0).max())
@@ -306,13 +310,47 @@ def hermitian_basis(d: int) -> np.ndarray:
     basis = np.zeros((d, d, d * d), dtype=complex)  # (row, column, element)
     diag = np.arange(d)
     basis[diag, diag, diag] = 1.0
-    col = d
-    for j in range(d):
-        for k in range(j + 1, d):
-            basis[j, k, col] = basis[k, j, col] = 1 / np.sqrt(2)
-            basis[j, k, col + 1], basis[k, j, col + 1] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-            col += 2
+    j, k = np.triu_indices(d, 1)  # the pairs j < k, in row-major order
+    col = d + 2 * np.arange(len(j))
+    basis[j, k, col] = basis[k, j, col] = 1 / np.sqrt(2)
+    basis[j, k, col + 1], basis[k, j, col + 1] = -1j / np.sqrt(2), 1j / np.sqrt(2)
     return basis.transpose(1, 0, 2).reshape(d * d, d * d)
+
+
+@functools.lru_cache(maxsize=None)
+def coordinate_basis(n: int) -> np.ndarray:
+    """``hermitian_basis(sqrt(n))``, read-only and built once per Liouville
+    dimension ``n``; a dimension that is not a square is a ``ValueError``."""
+    d = math.isqrt(n)
+    if d * d != n:
+        raise ValueError(f"Liouville dimension {n} is not a square")
+    basis = hermitian_basis(d)
+    basis.flags.writeable = False
+    return basis
+
+
+def to_coordinates(vecs: np.ndarray) -> np.ndarray:
+    """``B^dag v`` of operator vectors along the last axis; the real part is
+    that of the Hermitian part."""
+    return vecs @ coordinate_basis(vecs.shape[-1]).conj()
+
+
+def from_coordinates(coords: np.ndarray) -> np.ndarray:
+    """Operator vectors ``B z`` of coordinates along the last axis; real ones
+    give exactly Hermitian operators (``Re B`` and ``Im B`` apply apart)."""
+    basis = coordinate_basis(coords.shape[-1])
+    return coords @ basis.real.T + 1j * (coords @ basis.imag.T)
+
+
+def superop_to_coordinates(s: np.ndarray) -> np.ndarray:
+    """``B_out^dag S B_in`` of each ``(n_out, n_in)`` superoperator (such as
+    ``tr_E``); its real part is ``S`` followed by :func:`hermitize`."""
+    return coordinate_basis(s.shape[-2]).conj().T @ s @ coordinate_basis(s.shape[-1])
+
+
+def superop_from_coordinates(r: np.ndarray) -> np.ndarray:
+    """``B_out R B_in^dag``: the inverse of :func:`superop_to_coordinates`."""
+    return coordinate_basis(r.shape[-2]) @ r @ coordinate_basis(r.shape[-1]).conj().T
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

@@ -11,21 +11,17 @@ midpoint-sampled generators (second order in the substep size). Time-ordered
 products rather than single exponentials are required because the driving
 makes generators at different times non-commuting.
 
-One primitive, :func:`ordered_exponential`, forms every time-ordered product
-in the package: joint propagators here and the ``Q L`` exponential of the
-direct kernel route. It asks a callback for the generator stack ``(K, n, n)``
-at a chunk of substep midpoints; chunks are bounded in bytes. Every such
-generator preserves Hermiticity, so in the orthonormal Hermitian basis of
-:func:`coordinate_basis` it is a real matrix: :func:`hermitian_step_chunks`
-changes each chunk to these real coordinates once and exponentiates it as one
-batched Taylor series, matrix products only. A generator that breaks
-Hermiticity is refused. Alternatively each substep is applied to a narrow
-block as a truncated Taylor action. The reference-state integration of
-``tomography`` walks its states through the same chunks of steps, for many
-queries at once. :func:`generator_stack` contracts the superoperators a model
-builds once into such stacks. :class:`PropagatorCache` builds each grid step
-once and, for a declared period commensurate with the grid, only the steps of
-the first period; its ``act`` applies a step to a block without building it.
+Every generator preserves Hermiticity, so it is real in the Hermitian
+coordinates of :mod:`~memtensor.linalg`; a model stores its superoperators
+there and :func:`generator_stack` contracts them into real stacks. One
+primitive, :func:`ordered_exponential`, forms every time-ordered product in
+coordinates (joint propagators here, ``Q L`` in the direct kernel route):
+:func:`hermitian_step_chunks` exponentiates chunks of generators as batched
+Taylor series, which ``tomography``'s reference states walk through too, or
+each substep acts on a block as a truncated Taylor action.
+:func:`liouvillian`, :func:`propagator` and :class:`PropagatorCache` (each
+grid step built once, and only the first period's for a commensurate
+period; ``act`` steps a block without building the step) keep operator space.
 
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
@@ -45,12 +41,15 @@ from .linalg import (
     SpaceLayout,
     _integer,
     expm_action,
-    hermitian_basis,
+    from_coordinates,
     hermiticity_defect,
     left_mult_superop,
     right_mult_superop,
     sandwich_superop,
+    superop_from_coordinates,
+    superop_to_coordinates,
     taylor_exponential,
+    to_coordinates,
     validate_density_operator,
     vectorize,
     devectorize,
@@ -123,8 +122,10 @@ class LindbladModel:
         ``(w, phi)`` sum to a Hermitian matrix.
 
     All is checked here, once, to 1e-12 (the period relative), else
-    ``ValueError`` naming the parameter; and the superoperators are built:
-    dissipator plus ``-i[H_0, .]``, and ``-i[H_g, .]`` per envelope group.
+    ``ValueError`` naming the parameter; and the superoperators are built in
+    real Hermitian coordinates, refused if an imaginary part there exceeds
+    1e-12 of their largest entry: dissipator plus ``-i[H_0, .]``, and
+    ``-i[H_g, .]`` per envelope group.
     """
 
     layout: SpaceLayout
@@ -170,11 +171,19 @@ class LindbladModel:
             )
         commutators = [-1j * (left_mult_superop(h) - right_mult_superop(h))
                        for h in [static, *groups.values()]]
+        superops = superop_to_coordinates(np.stack([commutators[0] + dissipator, *commutators[1:]]))
+        defect = float(np.abs(superops.imag).max())
+        if defect > 1e-12 * float(np.abs(superops).max()):
+            raise ValueError(
+                f"generator stack does not preserve Hermiticity: its imaginary part in "
+                f"Hermitian coordinates reaches {defect:.1e}"
+            )
+        superops = np.ascontiguousarray(superops.real)
         # the checked terms replace the given ones (the dataclass is frozen)
         self.__dict__.update(
             static=static, jump_terms=tuple(jumps), drives=tuple(drives),
-            _static_superop=commutators[0] + dissipator,
-            _drive_superops=np.reshape(commutators[1:], (-1, d * d, d * d)),
+            _static_superop=superops[0],
+            _drive_superops=superops[1:],
             _envelopes=np.reshape(list(groups), (-1, 2)).T,  # rows w and phi
         )
 
@@ -183,10 +192,10 @@ class LindbladModel:
         return self.static + sum(math.cos(w * t + phi) * op for op, w, phi in self.drives)
 
 
-# Byte cap of one ``(K, n, n)`` generator or exponential stack: whole substep
-# batches for small joint spaces, one matrix at a time for large ones, so the
-# peak memory of a batched product stays that of the unbatched loop.
-_STACK_BYTES = 256 * 1024
+# Byte cap of one real ``(K, n, n)`` generator or exponential stack: whole
+# substep batches for small joint spaces, one matrix at a time for large ones,
+# so the peak memory of a batched product stays that of the unbatched loop.
+_STACK_BYTES = 128 * 1024
 
 
 def steps_per_period(period: float, dt: float) -> int | None:
@@ -203,53 +212,21 @@ def midpoints(s: float, t: float, substeps: int) -> tuple[np.ndarray, float]:
     return s + (np.arange(substeps) + 0.5) * h, h
 
 
-@functools.lru_cache(maxsize=None)
-def coordinate_basis(n: int) -> np.ndarray:
-    """``hermitian_basis(sqrt(n))``, read-only and built once per ``n``: the
-    columns ``B`` of the real coordinates ``B^dag v`` of a vectorized
-    Hermitian operator ``v`` and ``B^dag G B`` of a generator ``G`` that
-    preserves Hermiticity."""
-    d = math.isqrt(n)
-    if d * d != n:
-        raise ValueError(f"Liouville dimension {n} is not a square")
-    basis = hermitian_basis(d)
-    basis.flags.writeable = False
-    return basis
-
-
 def hermitian_step_chunks(generators, times: np.ndarray, h, n: int, stack_dim: int | None = None):
-    """Yield the real steps ``exp(h_k B^dag G(t_k) B)`` of the midpoints
-    ``times``, one stack ``(K, n, n)`` per chunk of consecutive midpoints.
+    """Yield the real steps ``exp(h_k G(t_k))`` of the midpoints ``times``,
+    one stack ``(K, n, n)`` per chunk of consecutive midpoints.
 
-    ``generators(times)`` returns the generator stack ``(K, n, n)`` at a
+    ``generators(times)`` returns the real generators ``(K, n, n)`` at a
     chunk of midpoints; ``h`` is one substep size or one per midpoint. A
-    chunk holds as many midpoints as fit a stack of ``stack_dim x stack_dim``
-    complex matrices (default ``n``; larger when the callback builds bigger
-    matrices than it returns) in the byte cap. Each chunk is changed to the
-    coordinates of :func:`coordinate_basis` once, in the expression that
-    builds it, so the operator-space stack is freed before the series
-    allocates its powers. A chunk whose imaginary part exceeds 1e-12 of its
-    largest entry does not preserve Hermiticity and is refused
-    (``ValueError``). The real stack is exponentiated in one batched Taylor
-    series (:func:`~memtensor.linalg.taylor_exponential`).
+    chunk holds as many midpoints as fit real ``stack_dim x stack_dim``
+    matrices (default ``n``; larger when the callback builds bigger ones) in
+    the byte cap, and is scaled and exponentiated as one batched Taylor series.
     """
-    basis = coordinate_basis(n)
-    basis_h = basis.conj().T
-    sizes = np.broadcast_to(np.asarray(h, dtype=float), len(times))
-    chunk = max(1, _STACK_BYTES // (16 * (stack_dim or n) ** 2))
+    sizes = np.broadcast_to(np.asarray(h, dtype=float), len(times))[:, None, None]
+    chunk = max(1, _STACK_BYTES // (8 * (stack_dim or n) ** 2))
     for lo in range(0, len(times), chunk):
-        stack = basis_h @ generators(times[lo : lo + chunk]) @ basis
-        defect = float(np.abs(stack.imag).max())
-        if defect > 1e-12 * float(np.abs(stack).max()):
-            raise ValueError(
-                f"generator stack does not preserve Hermiticity: its imaginary part in "
-                f"Hermitian coordinates reaches {defect:.1e}"
-            )
-        real = stack.real
-        real *= sizes[lo : lo + chunk, None, None]
-        steps = taylor_exponential(real)
-        del stack, real  # not held while the caller builds the next chunk
-        yield steps
+        # the scaled stack is not held while the caller builds the next chunk
+        yield taylor_exponential(generators(times[lo : lo + chunk]) * sizes[lo : lo + chunk])
 
 
 def ordered_exponential(
@@ -258,56 +235,45 @@ def ordered_exponential(
     """Time-ordered product ``exp(h G(t_K)) ... exp(h G(t_1)) start``.
 
     The midpoint-sampled, piecewise-constant ordered exponential (second
-    order in ``h``) on which every propagator of the package is built.
-    ``generators(times)`` returns the generator stack ``(K, n, n)`` at the
-    given midpoints; it is called on consecutive chunks of ``times``.
-    ``start`` is an ``n``-vector or an ``(n, m)`` matrix (the identity gives
-    the propagator itself).
-
-    Every generator must preserve Hermiticity, as the Lindbladian, ``Q L``
-    for a Hermitian reference state and the frozen-system generator do: in
-    the orthonormal Hermitian basis ``B`` of :func:`coordinate_basis`
-    (``n = d^2``) such a generator is a real matrix. The real steps of
-    :func:`hermitian_step_chunks` are multiplied in order, and the product
-    returns to operator space once per call: ``B P (B^dag start)``.
-
-    With ``action``, each substep is applied to the running block as a
-    truncated Taylor action (:func:`~memtensor.linalg.expm_action`) of the
-    complex generator instead: the same product, to rounding, for ``d``
-    products of ``n x n`` by ``n x w`` per substep (a degree-``d`` series on
-    ``w`` columns) instead of a series of ``n x n`` products.
+    order in ``h``) on which every propagator of the package is built, in
+    Hermitian coordinates: ``generators(times)`` returns the real generators
+    ``(K, n, n)`` at chunks of the midpoints, and ``start`` and the result
+    are coordinates, an ``n``-vector or ``(n, m)`` matrix (the identity gives
+    the propagator itself). The steps of :func:`hermitian_step_chunks` apply
+    in order; with ``action`` each substep is a truncated Taylor action
+    (:func:`~memtensor.linalg.expm_action`) instead, the same product to
+    rounding for ``d`` products of ``n x n`` by ``n x m`` per substep (a
+    degree-``d`` series). A complex block is carried as its interleaved real
+    view, so every product is real.
     """
-    out = np.asarray(start, dtype=complex)
-    n = out.shape[0]
+    out = np.array(start, dtype=np.result_type(start, float), order="C")
+    block = out.reshape(len(out), -1)
+    if np.iscomplexobj(block):
+        block = block.view(np.float64)  # (n, 2m): real and imaginary parts interleaved
     if action:
-        chunk = max(1, _STACK_BYTES // (16 * n * n))
+        chunk = max(1, _STACK_BYTES // (8 * len(out) ** 2))
         for lo in range(0, len(times), chunk):
             for generator in generators(times[lo : lo + chunk]):
-                out = expm_action(generator, out, h)
-        return out
-    product = np.eye(n)
-    for steps in hermitian_step_chunks(generators, times, h, n):
-        for step in steps:
-            product = step @ product
-    basis = coordinate_basis(n)
-    coords = product @ (basis.conj().T @ out.reshape(n, -1))
-    return (basis @ coords).reshape(out.shape)
+                block = expm_action(generator, block, h)
+    else:
+        for steps in hermitian_step_chunks(generators, times, h, len(out)):
+            for step in steps:
+                block = step @ block
+    return block.view(out.dtype).reshape(out.shape)
 
 
 def generator_stack(model: LindbladModel, times) -> np.ndarray:
-    """Generator superoperators ``(K, d^2, d^2)`` at each of ``times``.
-
-    The model's static superoperator plus ``cos(w t + phi)`` times the
-    commutator superoperator of each envelope group: one contraction.
-    """
+    """Real generators ``(K, d^2, d^2)`` at each of ``times``, in Hermitian
+    coordinates: the model's static superoperator plus ``cos(w t + phi)``
+    times the commutator superoperator of each envelope group."""
     frequencies, phases = model._envelopes
     envelopes = np.cos(np.outer(times, frequencies) + phases)
     return model._static_superop + np.tensordot(envelopes, model._drive_superops, axes=1)
 
 
 def liouvillian(model: LindbladModel, t: float) -> np.ndarray:
-    """Generator superoperator at time ``t`` (trace-annihilating)."""
-    return generator_stack(model, [t])[0]
+    """Operator-space generator superoperator at ``t`` (trace-annihilating)."""
+    return superop_from_coordinates(generator_stack(model, [t])[0])
 
 
 def propagator(model: LindbladModel, s: float, t: float, substeps: int = 64) -> np.ndarray:
@@ -319,11 +285,12 @@ def propagator(model: LindbladModel, s: float, t: float, substeps: int = 64) -> 
     if t < s:
         raise ValueError(f"need t >= s, got s={s}, t={t}")
     _integer(substeps, "substeps", 1)
-    u = np.eye(model.layout.dim_joint ** 2, dtype=complex)
+    u = np.eye(model.layout.dim_joint ** 2)
     if t == s:
-        return u
+        return u.astype(complex)
     times, h = midpoints(s, t, substeps)
-    return ordered_exponential(lambda ts: generator_stack(model, ts), times, h, u)
+    steps = ordered_exponential(functools.partial(generator_stack, model), times, h, u)
+    return superop_from_coordinates(steps)
 
 
 class PropagatorCache:
@@ -375,16 +342,16 @@ class PropagatorCache:
         """``adjacent(i) @ block`` without building the step.
 
         The same midpoint product over the same substeps and phase, each
-        substep applied to the ``(d^2, w)`` block as a truncated Taylor
-        action (see :func:`ordered_exponential`); agrees with the dense
-        product to rounding. Nothing is cached: cheaper than ``adjacent``
-        when ``w`` is small beside ``d^2`` and the step is not built yet.
+        substep applied to the ``(d^2, w)`` block, in coordinates, as a
+        truncated Taylor action (see :func:`ordered_exponential`); agrees with
+        the dense product to rounding. Nothing is cached: cheaper than
+        ``adjacent`` when ``w`` is small beside ``d^2`` and the step is unbuilt.
         """
         i = self._phase(i)
         times, h = midpoints(self.grid.time(i), self.grid.time(i + 1), self.substeps)
-        return ordered_exponential(
-            lambda ts: generator_stack(self.model, ts), times, h, block, action=True
-        )
+        generators = functools.partial(generator_stack, self.model)
+        coords = ordered_exponential(generators, times, h, to_coordinates(block.T).T, action=True)
+        return from_coordinates(coords.T).T
 
 
 def cache_for(

@@ -21,6 +21,7 @@ from .tomography import (
     FrozenSystem,
     ReferencePolicy,
     TrueEnvironment,
+    check_cptp,
     policy_label,
 )
 from .transfer import MemoryConfig, TransferTensorSet
@@ -135,6 +136,8 @@ def family_from_json(doc: dict) -> DynamicalMapFamily:
     for i, j in sorted(maps):
         if not 0 <= i < j <= grid.steps:
             raise ValueError(f"maps key '{i},{j}' is not a map of the {grid.steps}-step grid")
+        if check_cptp(maps[i, j]).trace_dev > 1e-8:
+            raise ValueError(f"maps key '{i},{j}' is not trace preserving to 1e-8")
     # a family is the full band of its grid: every map (i, j) with
     # 0 <= i < j <= min(i + band, steps), the band being its longest map
     band = max(j - i for i, j in maps)

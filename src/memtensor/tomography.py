@@ -48,8 +48,10 @@ from .linalg import (
     devectorize,
     embed_environment_superop,
     embed_system_superop,
-    hermitize,
+    from_coordinates,
     partial_trace,
+    superop_to_coordinates,
+    to_coordinates,
     trace_out_superop,
     validate_density_operator,
     vectorize,
@@ -59,7 +61,6 @@ from .models import (
     PropagatorCache,
     TimeGrid,
     cache_for,
-    coordinate_basis,
     generator_stack,
     hermitian_step_chunks,
     midpoints,
@@ -129,10 +130,10 @@ class ReferenceStates:
     :meth:`states` serves a whole list of queries with the result of asking
     them one by one, in order. It plans every substep first (earlier queries
     of the call count as cached), then walks the states through the chunks
-    of :func:`~memtensor.models.hermitian_step_chunks`: one generator stack,
-    one change of coordinates and one Taylor series per chunk, each
-    generator scaled by its own substep. The initial joint state enters
-    through its Hermitian part.
+    of :func:`~memtensor.models.hermitian_step_chunks`, each generator scaled
+    by its own substep. The frozen-system generator ``tr_S L (sigma (x) .)``
+    is assembled from real pieces built once. The initial joint state and
+    ``sigma(t)`` enter through their Hermitian parts.
     """
 
     def __init__(
@@ -147,7 +148,7 @@ class ReferenceStates:
         self.model = model
         self.t0 = t0
         self.substep = substep
-        self._layout = model.layout
+        self._layout = layout = model.layout
         if isinstance(policy, FixedState):
             return
         if isinstance(policy, FrozenSystem) and policy.sigma is None:
@@ -158,17 +159,19 @@ class ReferenceStates:
         if rho_se0 is None:
             raise ValueError(f"{policy_label(policy)} policy needs the initial joint state")
         validate_density_operator(rho_se0)
-        rho_se0 = hermitize(np.asarray(rho_se0, dtype=complex))
-        self._trace_s = trace_out_superop(self._layout, "environment")
         if isinstance(policy, TrueEnvironment):
             start = vectorize(rho_se0)
         else:
             validate_density_operator(policy.sigma(t0))
-            start = vectorize(partial_trace(rho_se0, self._layout, "environment"))
-        self._basis = coordinate_basis(start.size)
-        # cached states by time, as their (real) Hermitian coordinates
+            start = vectorize(partial_trace(rho_se0, layout, "environment"))
+            ds = layout.dim_system
+            elements = devectorize(from_coordinates(np.eye(ds * ds)), ds)
+            self._trace_s = superop_to_coordinates(trace_out_superop(layout, "environment")).real
+            self._embeds = superop_to_coordinates(embed_system_superop(elements, layout)).real
+        self._n = start.size
+        # cached states by time, as the real coordinates of their Hermitian part
         self._times = [t0]
-        self._cache = {t0: (self._basis.conj().T @ start).real}
+        self._cache = {t0: to_coordinates(start).real}
 
     def state(self, t: float) -> np.ndarray:
         """Reference environment state at time ``t``."""
@@ -211,7 +214,7 @@ class ReferenceStates:
             # a chunk's joint generators, not its exponentials, are the largest stack
             chunks = hermitian_step_chunks(
                 self._generators, np.concatenate(midpoint_runs), np.concatenate(sizes),
-                len(self._basis), stack_dim=self._layout.dim_joint ** 2,
+                self._n, stack_dim=self._layout.dim_joint ** 2,
             )
             for k, step in enumerate(step for steps in chunks for step in steps):
                 state = step @ (values[starts[k]] if k in starts else state)
@@ -220,9 +223,8 @@ class ReferenceStates:
         # committed only once every state is built
         self._cache.update(values.maps[0])
         self._times = known
-        n = len(self._basis)
-        vecs = np.reshape([values[key] for key in keys], (-1, n)) @ self._basis.T
-        ops = vecs.reshape(-1, math.isqrt(n), math.isqrt(n)).swapaxes(1, 2)  # column-stacked
+        vecs = from_coordinates(np.reshape([values[key] for key in keys], (-1, self._n)))
+        ops = devectorize(vecs, math.isqrt(self._n))
         if isinstance(self.policy, TrueEnvironment):
             return partial_trace(ops, self._layout, "environment")
         return ops
@@ -231,8 +233,8 @@ class ReferenceStates:
         joint = generator_stack(self.model, times)
         if isinstance(self.policy, TrueEnvironment):
             return joint
-        sigmas = hermitize(np.stack([self.policy.sigma(t) for t in times]))
-        return self._trace_s @ joint @ embed_system_superop(sigmas, self._layout)
+        sigmas = to_coordinates(vectorize(np.stack([self.policy.sigma(t) for t in times]))).real
+        return self._trace_s @ joint @ np.tensordot(sigmas, self._embeds, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +291,13 @@ def steps_by_action(n: int, width: int, unbuilt: int) -> bool:
     """Whether a family call steps its images by Taylor action.
 
     ``n = d^2`` is the Liouville dimension, ``width`` the image columns the
-    call steps (maps times ``d_S^2``) and ``unbuilt`` the distinct step
-    phases its cache has not built. Building a step costs, per substep, a
-    change to Hermitian coordinates (two complex ``n^3`` products) and a
-    real Taylor series of about eight real ``n^3`` products, and then little
-    per column; an action substep costs about 17 complex products of ``n^2``
-    per column (a degree-16 series at ``||h L||_1`` near 0.8). The dense
-    route wins unless ``2 * width < unbuilt * n``; with every phase built it
-    always does. The rule dates from a dense substep of about ten complex
-    ``n^3`` products (a Pade exponential), twice the present cost, so it
-    leans towards the action by up to that factor.
+    call steps (maps times ``d_S^2``) and ``unbuilt`` the step phases its
+    cache has not built. In real coordinates a dense step costs, per
+    substep, a Taylor series of about eight ``n^3`` products; an action
+    substep about 17 products of ``n^2`` per column, twice that for a
+    complex one. The break-even is near ``4 * width = unbuilt * n``; the rule
+    ``2 * width < unbuilt * n`` dates from a Pade exponential and leans
+    towards the action, but stands, as no workload changes route by it.
     """
     return 2 * width < unbuilt * n
 
@@ -340,6 +339,7 @@ def reconstruct_family(
     # integrates its state forward through the queries
     taus = refs.states([grid.time(i) for i in range(grid.steps + 1)])
     references = dict(enumerate(taus))
+    embeds = embed_environment_superop(taus, layout)  # the columns X (x) tau(t_k), all k
     band = grid.steps if band is None else min(band, grid.steps)
     ends = [min(grid.steps, i + band) for i in range(grid.steps)]
     ds2 = layout.dim_system ** 2
@@ -354,8 +354,7 @@ def reconstruct_family(
     for k in range(grid.steps):
         gone = sum(ends[i] <= k for i in range(first, k))  # bands end in order of start
         first += gone
-        embed = embed_environment_superop(references[k], layout)
-        block = np.concatenate([block[:, gone * ds2 :], embed], axis=1)
+        block = np.concatenate([block[:, gone * ds2 :], embeds[k]], axis=1)
         block = cache.act(k, block) if by_action else cache.adjacent(k) @ block
         live = np.arange(first, k + 1)
         images = (trace_e @ block).reshape(ds2, len(live), ds2).transpose(1, 0, 2)

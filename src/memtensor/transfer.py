@@ -31,10 +31,9 @@ and serves every later start from its phase mod ``c``; a dense set (used when
 the grid spacing is incommensurate with the driving period) stores every start
 of a window and never wraps: a start past its window is a ``KeyError``.
 
-Propagation runs in real coordinates over an orthonormal basis of Hermitian
-matrices (:func:`~memtensor.linalg.hermitian_basis`), where a tensor followed
-by taking the Hermitian part is one real matrix: every propagated state is
-Hermitian by construction. Row ``k`` of the recursion,
+Propagation runs in the real Hermitian coordinates of :mod:`~memtensor.linalg`,
+where a tensor followed by taking the Hermitian part is one real matrix:
+every propagated state is Hermitian by construction. Row ``k`` of the recursion,
 ``[T(k-m, m) ... T(k-1, 1)]``, maps the window of the ``m`` previous states
 to state ``k``; ``L = c*ceil(m/c)`` rows compose into a block that maps a
 window straight to the next ``L`` states. Once a row reaches back no further
@@ -54,8 +53,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import _integer, hermitize
-from .models import LindbladModel, TimeGrid, _finite, coordinate_basis
+from .linalg import (
+    _integer,
+    devectorize,
+    from_coordinates,
+    hermitize,
+    superop_to_coordinates,
+    to_coordinates,
+    vectorize,
+)
+from .models import LindbladModel, TimeGrid, _finite
 from .tomography import (
     DynamicalMapFamily,
     FixedState,
@@ -247,35 +254,27 @@ class _Rows:
     """Rows and blocks of the truncated recursion in real Hermitian coordinates.
 
     Row ``k`` is the real ``(n, m*n)`` matrix ``[T(k-m, m) ... T(k-1, 1)]``
-    (zeros where ``k - l < 0``), each tensor as ``Re(B^dag T B)``; it maps the
-    window of the ``m`` states before step ``k`` to state ``k``. Tensors
-    resolve through :meth:`TransferTensorSet._key_of`. From step
-    ``periodic_from = transient_steps + m`` on (never in a dense set) every
-    start in a row is served by its phase, so rows and blocks there depend
-    only on ``k mod c`` and are built once.
+    (zeros where ``k - l < 0``) of tensors in real coordinates, each followed
+    by taking the Hermitian part; it maps the ``m`` states before step ``k``
+    to state ``k``. Tensors resolve through :meth:`TransferTensorSet._key_of`.
+    From step ``periodic_from = transient_steps + m`` on (never in a dense
+    set) every start in a row is served by its phase, so rows and blocks
+    there depend only on ``k mod c`` and are built once.
     """
 
     def __init__(self, tensors: TransferTensorSet, d: int):
         config = tensors.config
         self.tensors, self.m, self.c = tensors, config.m, config.c
-        self.basis = coordinate_basis(d * d)
         self.n = d * d
         # a whole number of periods covering the memory window
         self.block_steps = config.c * -(-config.m // config.c)
         self.periodic_from = None if tensors.dense else config.transient_steps + config.m
-        # stored key -> Re(B^dag T B), for every length a row can use
+        # stored key -> real coordinates, for every length a row can use
         keys = [key for key in tensors.tensors if key[1] <= config.m]
-        stack = np.zeros((0, self.n, self.n))
-        if keys:
-            stack = np.array([tensors.tensors[key] for key in keys])
-        self._real = dict(zip(keys, (self.basis.conj().T @ stack @ self.basis).real))
+        stack = np.reshape([tensors.tensors[key] for key in keys], (-1, self.n, self.n))
+        self._real = dict(zip(keys, superop_to_coordinates(stack).real))
         self._rows: dict = {}  # phase past `periodic_from` -> row
         self._blocks: dict = {}  # phase past `periodic_from` -> block
-
-    def coordinates(self, ops) -> np.ndarray:
-        """``Re(B^dag vec X)`` for each operator of a stack ``(K, d, d)``."""
-        vecs = np.asarray(ops).transpose(0, 2, 1).reshape(len(ops), self.n)
-        return (vecs @ self.basis.conj()).real
 
     def _phase(self, k: int):
         if self.periodic_from is None or k < self.periodic_from:
@@ -329,15 +328,14 @@ def propagate(
     seed must span the full memory window. Outputs are never re-positivized:
     positivity loss diagnoses a too-severe memory cutoff.
 
-    Every step runs in real coordinates over a Hermitian basis, where a
-    tensor followed by :func:`~memtensor.linalg.hermitize` is one real
-    matrix, so each output is Hermitian by construction (the seed states are
-    returned as given). Steps that add a residual, and the last
-    ``< L = c*ceil(m/c)`` steps, run one row at a time; the rest run in
-    blocks that map the ``m``-state window straight to the next ``L``
-    states. Past the transients of a periodic set every block is the same
-    matrix and is built once, so the cost per step does not depend
-    on the horizon; a dense set builds each block from its own rows.
+    Every step runs in real Hermitian coordinates, where a tensor followed by
+    :func:`~memtensor.linalg.hermitize` is one real matrix, so each output is
+    Hermitian by construction (seed states are returned as given). Steps
+    adding a residual, and the last ``< L = c*ceil(m/c)`` steps, run one row
+    at a time; the rest run in blocks mapping the ``m``-state window straight
+    to the next ``L`` states. Past the transients of a periodic set every
+    block is the same matrix, built once, so the cost per step does not
+    depend on the horizon; a dense set builds each block from its own rows.
     """
     _integer(total_steps, "total_steps", 0)
     m = tensors.config.m
@@ -354,14 +352,14 @@ def propagate(
     rows = _Rows(tensors, d)
     n, steps = rows.n, rows.block_steps
     residuals = {
-        k: rows.coordinates([r])[0]
+        k: to_coordinates(vectorize(r)).real
         for k, r in tensors.residuals.items()
         if include_residuals and k <= m
     }
     # flat history: state k at entries (m + k)*n .. (m + k + 1)*n, behind m
     # zero states, so the window before step k starts at k*n
     hist = np.zeros((total_steps + 1 + m) * n)
-    hist[m * n : (m + len(seeds)) * n] = rows.coordinates(seeds).reshape(-1)
+    hist[m * n : (m + len(seeds)) * n] = to_coordinates(vectorize(seeds)).real.reshape(-1)
 
     def single(k):
         state = hist[(m + k) * n : (m + k + 1) * n]
@@ -380,12 +378,9 @@ def propagate(
     while k <= total_steps:
         single(k)
         k += 1
-    # back to d x d once; the real and imaginary parts are formed separately
-    # so that conjugate entries come out exactly conjugate
-    row_vecs = rows.basis.reshape(d, d, n).transpose(1, 0, 2).reshape(n, n)
-    coords = hist[(m + len(seeds)) * n :].reshape(-1, n)
-    states = coords @ row_vecs.real.T + 1j * (coords @ row_vecs.imag.T)
-    return seeds + list(states.reshape(-1, d, d))
+    # back to d x d once, each state exactly Hermitian
+    states = devectorize(from_coordinates(hist[(m + len(seeds)) * n :].reshape(-1, n)), d)
+    return seeds + list(states)
 
 
 def propagate_correlation_free(

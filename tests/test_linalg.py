@@ -9,6 +9,7 @@ from memtensor.linalg import (
     devectorize,
     embed_environment_superop,
     embed_system_superop,
+    coordinate_basis,
     hermitian_basis,
     hermitize,
     is_density_operator,
@@ -224,6 +225,12 @@ def test_hermitian_basis(d):
     real_t = (b.conj().T @ t @ b).real
     expected = (b.conj().T @ vectorize(hermitize(apply_superop(t, x)))).real
     np.testing.assert_allclose(real_t @ coords.real, expected, atol=1e-13)
+    # the cached basis of the coordinate conversions, for Liouville dimension d^2 only
+    cached = coordinate_basis(d * d)
+    np.testing.assert_array_equal(cached, b)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="not a square"):
+        coordinate_basis(d * d + 1)
 
 
 def test_matrix_exponential_of_a_stack():

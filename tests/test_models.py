@@ -43,10 +43,10 @@ def random_state(d):
 
 
 def hermiticity_preserving(k, n):
-    """``k`` random generators ``B R B^dag`` with ``R`` real: in the Hermitian
-    basis ``B`` they are real, as ``ordered_exponential`` requires."""
-    basis = hermitian_basis(math.isqrt(n))
-    return basis @ (0.7 * RNG.standard_normal((k, n, n))) @ basis.conj().T
+    """``k`` random generators that preserve Hermiticity, in Hermitian
+    coordinates, where they are real matrices: what ``ordered_exponential``
+    takes."""
+    return 0.7 * RNG.standard_normal((k, n, n))
 
 
 def lindblad_rhs(model, t, rho):
@@ -201,16 +201,20 @@ def test_ordered_exponential_matches_one_exponential_per_substep(k, vector_start
     assert sum(calls) == k and max(calls) == min(k, 64)
 
 
-def test_ordered_exponential_refuses_generators_that_break_hermiticity():
-    gens = hermiticity_preserving(3, 16)
-    times = np.arange(3) + 0.5
-    ordered_exponential(lambda ts: gens, times, 0.1, np.eye(16))
-    broken = gens.copy()
-    broken[1] += 1e-6j * np.eye(16)  # X -> i X does not keep X Hermitian
+def test_model_refuses_generators_that_break_hermiticity():
+    # 1e-13 times a non-Hermitian matrix passes the 1e-12 check of H_0, but its
+    # commutator is not real in Hermitian coordinates: refused when built
+    layout = SpaceLayout(2, 2)
+    a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
+    assert hermiticity_defect(1e-13 * a) < 1e-12
+    LindbladModel(layout, 1e-13 * (a + a.conj().T))
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-        ordered_exponential(lambda ts: broken, times, 0.1, np.eye(16))
-    with pytest.raises(ValueError, match="not a square"):
-        ordered_exponential(lambda ts: np.zeros((3, 3, 3)), times, 0.1, np.eye(3))
+        LindbladModel(layout, 1e-13 * a)
+    # the bound is relative to the largest entry of the model's superoperators
+    static = example_model().static
+    LindbladModel(layout, static + 1e-13 * a, drives=[(static, 2.0, 0.0)])
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        LindbladModel(layout, 1e-13 * static, drives=[(1e-13 * a, 2.0, 0.0)])
 
 
 def test_propagators_need_no_pade_exponential(monkeypatch):
@@ -224,8 +228,8 @@ def test_propagators_need_no_pade_exponential(monkeypatch):
     monkeypatch.undo()
     times, h = midpoints(0.0, 0.5, 64)
     want = np.eye(16)
-    for generator in generator_stack(example_model(), times):
-        want = matrix_exponential(generator, h) @ want
+    for t in times:
+        want = matrix_exponential(liouvillian(example_model(), t), h) @ want
     np.testing.assert_allclose(u, want, rtol=0, atol=1e-13)
 
 
@@ -263,13 +267,19 @@ def test_propagator_cache_refuses_wrong_declared_period():
     assert cache.adjacent(8) is cache.adjacent(0)
 
 
-@pytest.mark.parametrize("k", [1, 70])
-def test_ordered_exponential_action_matches_the_dense_product(k):
+@pytest.mark.parametrize(
+    "k, complex_start", [(1, False), (70, False), (1, True), (70, True)],
+    ids=["1", "70", "1-complex", "70-complex"],
+)
+def test_ordered_exponential_action_matches_the_dense_product(k, complex_start):
     # the two routes share the chunking (64 generators at n = 16) and differ
-    # only in how a substep is applied
+    # only in how a substep is applied; a complex start is carried as its
+    # interleaved real view
     n, h = 16, 0.1
     gens = hermiticity_preserving(k, n)
     start = RNG.standard_normal((n, 3))
+    if complex_start:
+        start = start + 1j * RNG.standard_normal((n, 3))
     calls = []
 
     def generators(times):

@@ -7,7 +7,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memtensor.linalg import SpaceLayout, partial_trace, vectorize
+from memtensor.linalg import (
+    SpaceLayout,
+    embed_environment_superop,
+    from_coordinates,
+    hermitian_basis,
+    partial_trace,
+    superop_from_coordinates,
+    superop_to_coordinates,
+    to_coordinates,
+    trace_out_superop,
+    vectorize,
+)
 from memtensor.models import LindbladModel, PropagatorCache, TimeGrid, evolve_state, liouvillian
 from memtensor.serialization import (
     family_from_json,
@@ -186,3 +197,36 @@ def test_action_route_matches_the_per_chain_dense_loop(case, band):
     assert family.maps.keys() == want.keys()
     for key, lam in want.items():
         np.testing.assert_allclose(family.maps[key], lam, rtol=0, atol=1e-12, err_msg=f"{key}")
+
+
+@st.composite
+def hermiticity_preserving_maps(draw):
+    """A layout with d_S in {2, 3} and d_E in {1, ..., 4}, and the maps that
+    the package converts there: a random square ``B R B^dag`` with ``R``
+    real, ``tr_E`` and ``X -> X (x) tau`` for a random state ``tau``; plus a
+    random Hermitian joint operator."""
+    layout = SpaceLayout(draw(st.sampled_from([2, 3])), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = layout.dim_joint
+    basis = hermitian_basis(d)  # the test's own basis
+    square = basis @ rng.normal(size=(d * d, d * d)) @ basis.conj().T
+    tau = _random_state(rng, layout.dim_environment)
+    maps = [square, trace_out_superop(layout, "system"), embed_environment_superop(tau, layout)]
+    return maps, _random_hermitian(rng, d)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(hermiticity_preserving_maps())
+def test_coordinate_conversions_round_trip_across_layouts(case):
+    maps, x = case
+    for s in maps:
+        coords = superop_to_coordinates(s)
+        assert coords.shape == s.shape
+        np.testing.assert_allclose(coords.imag, 0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(superop_from_coordinates(coords.real), s, rtol=0, atol=1e-13)
+    coords = to_coordinates(vectorize(x))
+    np.testing.assert_allclose(coords.imag, 0, rtol=0, atol=1e-13)
+    back = from_coordinates(coords.real)
+    np.testing.assert_allclose(back, vectorize(x), rtol=0, atol=1e-13)
+    op = back.reshape(len(x), len(x)).T
+    np.testing.assert_array_equal(op, op.conj().T)  # real coordinates give exact Hermiticity

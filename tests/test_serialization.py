@@ -1,6 +1,7 @@
 """Round trips for the JSON interchange formats."""
 
 import copy
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -240,3 +241,18 @@ def test_format_guards():
         family_from_json({"format": "something-else"})
     with pytest.raises(ValueError):
         tensors_from_json({"format": "memtensor-map-family"})
+
+
+def test_loaded_family_must_be_trace_preserving():
+    doc = json.loads(json.dumps(family_to_json(_small_family())))
+    family_from_json(copy.deepcopy(doc))  # the round-tripped document loads
+    lam = complex_matrix_from_json(doc["maps"]["1,2"])
+    # a change off the diagonal rows, and one inside the tolerance, keep it loadable
+    for row, delta in ((1, 1e-3), (0, 1e-10)):
+        changed = copy.deepcopy(doc)
+        changed["maps"]["1,2"] = complex_matrix_to_json(lam + delta * np.eye(4)[row][:, None])
+        family_from_json(changed)
+    # the trace of the image of |0><0| moves by 1e-6
+    doc["maps"]["1,2"] = complex_matrix_to_json(lam + 1e-6 * np.outer(np.eye(4)[0], np.eye(4)[0]))
+    with pytest.raises(ValueError, match="maps key '1,2' is not trace preserving"):
+        family_from_json(doc)

@@ -1,6 +1,7 @@
 """Map reconstruction, reference-state policies, CPTP checks, decomposition."""
 
 import bisect
+import math
 import sys
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,7 @@ from memtensor.linalg import (
     devectorize,
     embed_environment_superop,
     embed_system_superop,
+    hermitian_basis,
     hermitize,
     operator_norm,
     partial_trace,
@@ -31,7 +33,6 @@ from memtensor.models import (
     evolve_state,
     example_initial_state,
     example_model,
-    generator_stack,
     liouvillian,
     midpoints,
     model_from_config,
@@ -166,24 +167,28 @@ class PerQueryStates:
     """Oracle for :meth:`ReferenceStates.states`: the loop that served one
     query at a time. Each query integrates from the latest cached time
     ``<= t`` with its own ordered exponentials of at most 32 substeps,
-    caching the state after each of them and at ``t``; the frozen-system
-    generators are built one time at a time."""
+    caching the state after each of them and at ``t``; the generators are
+    built one time at a time in operator space, and changed to the oracle's
+    own Hermitian coordinates."""
 
     def __init__(self, policy, model, rho0, t0, substep):
         self.policy, self.model, self.t0, self.substep = policy, model, t0, substep
         layout = model.layout
         if isinstance(policy, TrueEnvironment):
-            self.generators = lambda ts: generator_stack(model, ts)
+            generator = lambda t: liouvillian(model, t)  # noqa: E731
             vec = vectorize(rho0)
         else:
             trace_s = trace_out_superop(layout, "environment")
-            self.generators = lambda ts: np.stack([
+            generator = lambda t: (  # noqa: E731
                 trace_s @ liouvillian(model, t)
                 @ embed_system_superop(hermitize(policy.sigma(t)), layout)
-                for t in ts
-            ])
+            )
             vec = vectorize(partial_trace(rho0, layout, "environment"))
-        self.times, self.cache = [t0], {t0: vec}
+        self.basis = basis = hermitian_basis(math.isqrt(vec.size))
+        self.generators = lambda ts: np.stack(
+            [(basis.conj().T @ generator(t) @ basis).real for t in ts]
+        )
+        self.times, self.cache = [t0], {t0: (basis.conj().T @ vec).real}
 
     def state(self, t):
         t = max(t, self.t0)
@@ -200,6 +205,7 @@ class PerQueryStates:
                     self.cache[waypoint] = vec
             bisect.insort(self.times, t)
             self.cache[t] = vec
+        vec = self.basis @ vec
         if isinstance(self.policy, TrueEnvironment):
             return partial_trace(devectorize(vec, 4), LAYOUT, "environment")
         return devectorize(vec, 2)
