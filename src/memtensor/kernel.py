@@ -100,7 +100,9 @@ class _KernelContext:
         self.trace_e = superop_to_coordinates(trace_out_superop(layout, "system")).real
         self.embeds = superop_to_coordinates(embed_environment_superop(elements, layout)).real
         self.eye = np.eye(layout.dim_joint ** 2)
-        x = np.eye(de) / de if x_env is None else x_env
+        x = np.eye(de) / de if x_env is None else np.asarray(x_env)
+        if x.shape != (de, de) or abs(np.trace(x) - 1) > 1e-12:
+            raise ValueError(f"x_env must be a {de}x{de} operator of unit trace to 1e-12")
         self.embed_x = superop_to_coordinates(embed_environment_superop(x, layout))
 
     def embed(self, taus):
@@ -171,9 +173,9 @@ def nz_kernel_direct(
     Builds the ordered exponential of ``Q L`` over ``[s, t]`` with
     midpoint-sampled projectors and differentiates the projector family by
     central differences (one-sided at the start of the window). The unit
-    trace operator ``x_env`` is arbitrary; ``derivative_term=False`` drops
-    ``dP/ds`` (identically zero for a fixed reference state). This is the
-    one-point case of :func:`nz_kernel_slice`.
+    trace operator ``x_env`` is arbitrary (else ``ValueError``);
+    ``derivative_term=False`` drops ``dP/ds`` (identically zero for a fixed
+    reference state). This is the one-point case of :func:`nz_kernel_slice`.
     """
     return nz_kernel_slice(
         model, choice, t, [s], substeps, rho_se0, x_env, t0, derivative_term

@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, svdvals
+from scipy.linalg import expm
 
 
 def _integer(value, name: str, low: int) -> int:
@@ -281,12 +281,12 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 def operator_norm(s: np.ndarray) -> float:
     """Largest singular value of a (super)operator matrix."""
-    return float(svdvals(np.asarray(s))[0])
+    return float(np.linalg.svd(s, compute_uv=False)[0])
 
 
 def trace_norm(x: np.ndarray) -> float:
     """Sum of singular values, ``tr|X|``."""
-    return float(svdvals(np.asarray(x)).sum())
+    return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

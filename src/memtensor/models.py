@@ -19,9 +19,10 @@ coordinates (joint propagators here, ``Q L`` in the direct kernel route):
 :func:`hermitian_step_chunks` exponentiates chunks of generators as batched
 Taylor series, which ``tomography``'s reference states walk through too, or
 each substep acts on a block as a truncated Taylor action.
-:func:`liouvillian`, :func:`propagator` and :class:`PropagatorCache` (each
-grid step built once, and only the first period's for a commensurate
-period; ``act`` steps a block without building the step) keep operator space.
+:class:`PropagatorCache` stores real grid steps (each built once, only the
+first period's for a commensurate period; ``act`` steps a coordinate block
+without building one); :func:`liouvillian`, :func:`propagator` and its
+``adjacent`` return operator space.
 
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
@@ -294,19 +295,19 @@ def propagator(model: LindbladModel, s: float, t: float, substeps: int = 64) -> 
 
 
 class PropagatorCache:
-    """Single-step propagators on a grid, built once each.
+    """Single-step propagators on a grid as real coordinate matrices, built once each.
 
-    Products of ``adjacent`` steps give the propagator between any two grid
-    points, so divisibility ``U(j,k) @ U(i,j) = U(i,k)`` holds exactly for
-    such products. :meth:`act` applies a step to a block of columns without
-    building it.
+    Products of steps give the propagator between any two grid points, so
+    divisibility ``U(j,k) @ U(i,j) = U(i,k)`` holds exactly for such
+    products. :meth:`act` applies a step to a coordinate block without
+    building it; :meth:`adjacent` is a step in operator space.
 
     Phase reuse: when the model declares a ``period`` that is an integer
-    number ``c`` of grid steps (to within 1e-9), step ``i`` is the step
-    ``i mod c`` of the first period and only ``c`` steps are ever built. The
-    reuse rests on the generator's periodicity alone, whatever reference
-    policy the propagators later serve; the model checked its declared
-    period when it was built.
+    number ``phases`` of grid steps (to within 1e-9), step ``i`` is the step
+    ``i mod phases`` of the first period and only ``phases`` steps are ever
+    built (``phases`` is ``None`` otherwise). The reuse rests on the
+    generator's periodicity alone, whatever reference policy the propagators
+    later serve; the model checked its declared period when it was built.
     """
 
     def __init__(self, model: LindbladModel, grid: TimeGrid, substeps: int = 64):
@@ -314,44 +315,44 @@ class PropagatorCache:
         self.model = model
         self.grid = grid
         self.substeps = substeps
-        self._adjacent: dict[int, np.ndarray] = {}
-        self._phases = None if model.period is None else steps_per_period(model.period, grid.dt)
+        self._steps: dict[int, np.ndarray] = {}
+        self.phases = None if model.period is None else steps_per_period(model.period, grid.dt)
 
     def _phase(self, i: int) -> int:
         """The step whose propagator serves step ``i``: ``i`` or ``i mod c``."""
         if not 0 <= i < self.grid.steps:
             raise ValueError(f"step index {i} outside grid of {self.grid.steps} steps")
-        return i if self._phases is None else i % self._phases
+        return i if self.phases is None else i % self.phases
 
     def unbuilt(self, steps: int) -> int:
         """How many distinct step phases among steps ``0 .. steps - 1`` have
         no propagator built yet."""
-        phases = steps if self._phases is None else min(steps, self._phases)
-        return sum(p not in self._adjacent for p in range(phases))
+        phases = steps if self.phases is None else min(steps, self.phases)
+        return sum(p not in self._steps for p in range(phases))
 
-    def adjacent(self, i: int) -> np.ndarray:
-        """Propagator over the single step ``[t_i, t_{i+1}]``."""
-        i = self._phase(i)
-        if i not in self._adjacent:
-            self._adjacent[i] = propagator(
-                self.model, self.grid.time(i), self.grid.time(i + 1), self.substeps
-            )
-        return self._adjacent[i]
-
-    def act(self, i: int, block: np.ndarray) -> np.ndarray:
-        """``adjacent(i) @ block`` without building the step.
-
-        The same midpoint product over the same substeps and phase, each
-        substep applied to the ``(d^2, w)`` block, in coordinates, as a
-        truncated Taylor action (see :func:`ordered_exponential`); agrees with
-        the dense product to rounding. Nothing is cached: cheaper than
-        ``adjacent`` when ``w`` is small beside ``d^2`` and the step is unbuilt.
-        """
-        i = self._phase(i)
+    def _ordered(self, i: int, start: np.ndarray, action: bool = False) -> np.ndarray:
+        """The midpoint product of step ``i``'s phase applied to ``start``."""
         times, h = midpoints(self.grid.time(i), self.grid.time(i + 1), self.substeps)
         generators = functools.partial(generator_stack, self.model)
-        coords = ordered_exponential(generators, times, h, to_coordinates(block.T).T, action=True)
-        return from_coordinates(coords.T).T
+        return ordered_exponential(generators, times, h, start, action)
+
+    def step(self, i: int) -> np.ndarray:
+        """Real ``(d^2, d^2)`` coordinate matrix of the step ``[t_i, t_{i+1}]``."""
+        p = self._phase(i)
+        if p not in self._steps:
+            self._steps[p] = self._ordered(p, np.eye(self.model.layout.dim_joint ** 2))
+        return self._steps[p]
+
+    def adjacent(self, i: int) -> np.ndarray:
+        """``step(i)`` as an operator-space superoperator, converted per call."""
+        return superop_from_coordinates(self.step(i))
+
+    def act(self, i: int, block: np.ndarray) -> np.ndarray:
+        """``step(i) @ block`` of a ``(d^2, w)`` coordinate block, each substep
+        a truncated Taylor action (see :func:`ordered_exponential`): the same
+        product to rounding. Nothing is built or cached: cheaper than ``step``
+        when ``w`` is small beside ``d^2`` and the step is unbuilt."""
+        return self._ordered(self._phase(i), block, action=True)
 
 
 def cache_for(
@@ -380,18 +381,17 @@ def evolve_state(
     """Joint trajectory ``[rho(t_0), ..., rho(t_N)]`` from initial state ``rho0``.
 
     A passed ``cache`` must serve ``model`` on ``grid`` (see :func:`cache_for`).
+    The state walks its real steps and is converted back once, Hermitian.
     """
     validate_density_operator(rho0)
     d = model.layout.dim_joint
     if rho0.shape != (d, d):
         raise ValueError(f"state shape {rho0.shape} does not match joint dimension {d}")
     cache = cache_for(model, grid, substeps, cache)
-    trajectory = [np.array(rho0, dtype=complex)]
-    vec = vectorize(rho0)
+    coords = [to_coordinates(vectorize(rho0)).real]  # of its Hermitian part
     for j in range(grid.steps):
-        vec = cache.adjacent(j) @ vec
-        trajectory.append(devectorize(vec, d))
-    return trajectory
+        coords.append(cache.step(j) @ coords[-1])
+    return [np.array(rho0, dtype=complex), *devectorize(from_coordinates(np.array(coords[1:])), d)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ The reference state ``tau(t)`` is set by a policy: a fixed operator, the true
 system is frozen in a given state. Different policies give different map
 families (and hence different memory kernels) for the same physical process.
 
-A map needs only the images of the ``d_S**2`` embedded basis operators, so
-:func:`reconstruct_family` steps narrow ``(d**2, w)`` blocks of images, never
-whole propagator products. Each step is applied either as the cached dense
-propagator or, when most steps are still unbuilt and the blocks are narrow
-beside ``d**2``, as a truncated Taylor action of the same midpoint product
+A map needs only the images of the ``d_S**2`` embedded Hermitian basis
+operators, so :func:`reconstruct_family` steps narrow real ``(d**2, w)``
+blocks of their coordinates, never whole propagator products, and only one
+period of starts when a fixed reference state makes the maps periodic. Each
+step is applied either as the cached real step or, when most steps are still
+unbuilt and the blocks are narrow beside ``d**2``, as a truncated Taylor
+action of the same midpoint product
 (:meth:`~memtensor.models.PropagatorCache.act`); :func:`steps_by_action`
 holds the rule.
 
@@ -50,6 +52,7 @@ from .linalg import (
     embed_system_superop,
     from_coordinates,
     partial_trace,
+    superop_from_coordinates,
     superop_to_coordinates,
     to_coordinates,
     trace_out_superop,
@@ -290,14 +293,12 @@ class DynamicalMapFamily:
 def steps_by_action(n: int, width: int, unbuilt: int) -> bool:
     """Whether a family call steps its images by Taylor action.
 
-    ``n = d^2`` is the Liouville dimension, ``width`` the image columns the
-    call steps (maps times ``d_S^2``) and ``unbuilt`` the step phases its
-    cache has not built. In real coordinates a dense step costs, per
-    substep, a Taylor series of about eight ``n^3`` products; an action
-    substep about 17 products of ``n^2`` per column, twice that for a
-    complex one. The break-even is near ``4 * width = unbuilt * n``; the rule
-    ``2 * width < unbuilt * n`` dates from a Pade exponential and leans
-    towards the action, but stands, as no workload changes route by it.
+    ``n = d^2`` is the Liouville dimension, ``width`` the real image columns
+    the call steps (the maps of its stepped starts times ``d_S^2``) and
+    ``unbuilt`` the step phases its cache has not built. In real coordinates
+    a dense step costs, per substep, a Taylor series of about eight ``n^3``
+    products; an action substep about 17 products of ``n^2`` per column. The
+    break-even is near the rule, ``2 * width = unbuilt * n``.
     """
     return 2 * width < unbuilt * n
 
@@ -318,13 +319,15 @@ def reconstruct_family(
     initial joint state ``rho_se0``. A passed ``cache`` must serve ``model``
     on ``grid`` (see :func:`~memtensor.models.cache_for`).
 
-    Only the ``(d^2, d_S^2)`` images of the embedded system basis
-    ``X (x) tau(t_i)`` are propagated, step by step: at step ``k`` the images
-    of every start still inside its band form one block, stepped in one
-    call, either as ``cache.adjacent(k) @ block`` or as ``cache.act(k,
-    block)``, and their traces are written to ``stack[i, k + 1 - i]``. The route is chosen once per call by :func:`steps_by_action`
-    from the Liouville dimension, the image columns and the step phases the
-    cache has not built; both give the same maps to rounding.
+    Only the real ``(d^2, d_S^2)`` coordinate images of ``X_a (x) tau(t_i)``,
+    ``X_a`` the system's Hermitian basis, are propagated: at step ``k`` those
+    of every start still inside its band form one block, stepped in one call
+    as ``cache.step(k) @ block`` or ``cache.act(k, block)``, and ``tr_E`` of
+    it gives the maps ending at ``k + 1``, converted to operator space there.
+    The route is chosen once per call by :func:`steps_by_action` from the
+    Liouville dimension, the image columns and the step phases the cache has
+    not built; both give the same maps to rounding. Under a fixed policy with
+    phase reuse only the starts ``0 .. c - 1`` are stepped; later ones copy.
     """
     _integer(substeps, "substeps", 1)
     if band is not None:
@@ -334,32 +337,34 @@ def reconstruct_family(
         policy, model, rho_se0, t0=grid.t0, substep=grid.dt / substeps
     )
     layout = model.layout
-    trace_e = trace_out_superop(layout, "system")
+    trace_e = superop_to_coordinates(trace_out_superop(layout, "system")).real
     # every reference state first, in ascending time: a time-dependent policy
     # integrates its state forward through the queries
     taus = refs.states([grid.time(i) for i in range(grid.steps + 1)])
-    references = dict(enumerate(taus))
-    embeds = embed_environment_superop(taus, layout)  # the columns X (x) tau(t_k), all k
+    fixed = isinstance(policy, FixedState) and cache.phases is not None
+    starts = min(cache.phases, grid.steps) if fixed else grid.steps
+    embeds = superop_to_coordinates(embed_environment_superop(taus[:starts], layout)).real
     band = grid.steps if band is None else min(band, grid.steps)
-    ends = [min(grid.steps, i + band) for i in range(grid.steps)]
+    ends = [min(grid.steps, i + band) for i in range(starts)]
     ds2 = layout.dim_system ** 2
-    by_action = steps_by_action(
-        layout.dim_joint ** 2,
-        ds2 * sum(end - i for i, end in enumerate(ends)),
-        cache.unbuilt(grid.steps),
-    )
+    width = ds2 * sum(end - i for i, end in enumerate(ends))  # the image columns stepped
+    by_action = steps_by_action(layout.dim_joint ** 2, width, cache.unbuilt(grid.steps))
     stack = np.zeros((grid.steps, band + 1, ds2, ds2), dtype=complex)
-    block = np.empty((layout.dim_joint ** 2, 0), dtype=complex)
-    first = 0  # the block holds the images of starts first .. k - 1, ds2 columns each
-    for k in range(grid.steps):
-        gone = sum(ends[i] <= k for i in range(first, k))  # bands end in order of start
+    block = np.empty((layout.dim_joint ** 2, 0))
+    first = 0  # the block holds the images of starts first .. min(k, starts) - 1, ds2 each
+    for k in range(ends[-1]):
+        gone = sum(ends[i] <= k for i in range(first, min(k, starts)))  # bands end in order
         first += gone
-        block = np.concatenate([block[:, gone * ds2 :], embeds[k]], axis=1)
-        block = cache.act(k, block) if by_action else cache.adjacent(k) @ block
-        live = np.arange(first, k + 1)
+        # start k joins while it is a stepped start: embeds[k : k + 1] is empty past them
+        block = np.concatenate([block[:, gone * ds2 :], *embeds[k : k + 1]], axis=1)
+        block = cache.act(k, block) if by_action else cache.step(k) @ block
+        live = np.arange(first, min(k + 1, starts))
         images = (trace_e @ block).reshape(ds2, len(live), ds2).transpose(1, 0, 2)
-        stack[live, k + 1 - live] = images
-    return DynamicalMapFamily(grid, policy, stack, references)
+        stack[live, k + 1 - live] = superop_from_coordinates(images)
+    for i in range(starts, grid.steps):  # a fixed policy's later starts
+        reach = min(band, grid.steps - i) + 1
+        stack[i, :reach] = stack[i % starts, :reach]
+    return DynamicalMapFamily(grid, policy, stack, dict(enumerate(taus)))
 
 
 # ---------------------------------------------------------------------------

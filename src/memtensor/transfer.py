@@ -150,6 +150,10 @@ class TransferTensorSet:
         norms = np.linalg.norm(np.array(list(self.tensors.values())), 2, axis=(-2, -1))
         return dict(zip(self.tensors, norms.tolist()))
 
+    @cached_property
+    def _bounds(self) -> dict:  # error_bound's sums by (m, phase of k - 2m), filled on use
+        return {}
+
 
 def build_tensors(
     family: DynamicalMapFamily,
@@ -437,21 +441,21 @@ def error_bound(tensors: TransferTensorSet, config: MemoryConfig, k: int) -> flo
     ``sum_{l=1}^{m} ||T(start = phase(k - 2m) + l, length = 2m - l)||``,
     which bounds the distance between the propagated and exact states up to
     contributions from later memory windows. Needs tensors out to length
-    ``2m - 1``.
+    ``2m - 1``. The sum is memoized on the set by ``m`` and the phase.
     """
     m = config.m
     if k < 2 * m:
         raise ValueError(f"bound needs k >= 2m = {2 * m}, got {k}")
     base = tensors.phase_of(k - 2 * m)
-    total = 0.0
-    for l in range(1, m + 1):
-        try:
-            total += tensors._norm_table[tensors._key_of(base + l, 2 * m - l)]
-        except KeyError as exc:
-            raise KeyError(
-                f"error bound needs tensors to length {2 * m - 1}: {exc}"
-            ) from exc
-    return total
+    if (m, base) not in tensors._bounds:
+        total = 0.0
+        for l in range(1, m + 1):
+            try:
+                total += tensors._norm_table[tensors._key_of(base + l, 2 * m - l)]
+            except KeyError as exc:
+                raise KeyError(f"error bound needs tensors to length {2 * m - 1}: {exc}") from exc
+        tensors._bounds[m, base] = total
+    return tensors._bounds[m, base]
 
 
 def memory_cutoff_heuristic(tensors: TransferTensorSet, config: MemoryConfig) -> float:

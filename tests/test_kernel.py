@@ -142,6 +142,14 @@ def test_kernel_x_independence():
         assert operator_norm(k_a - k_b) < 1e-10
 
 
+@pytest.mark.parametrize("x_env", [np.eye(2), np.eye(3) / 3, np.ones(2) / 2],
+                         ids=["trace-2", "3x3", "vector"])
+def test_kernel_refuses_x_env_without_unit_trace_or_shape(x_env):
+    choice = ProjectorChoice(FixedState(TAU0))
+    with pytest.raises(ValueError, match="x_env"):
+        nz_kernel_direct(example_model(), choice, 0.5, 1.5, 32, x_env=x_env)
+
+
 def test_derivative_term_vanishes_for_fixed_state():
     model = example_model()
     choice = ProjectorChoice(FixedState(TAU0))

@@ -9,10 +9,13 @@ from memtensor.linalg import (
     SpaceLayout,
     apply_superop,
     devectorize,
+    from_coordinates,
     hermitian_basis,
     hermiticity_defect,
     matrix_exponential,
     partial_trace,
+    superop_from_coordinates,
+    to_coordinates,
     trace_distance,
     vectorize,
 )
@@ -238,11 +241,14 @@ def test_propagator_cache_builds_one_period_and_reuses_it():
     c, substeps = 4, 16
     grid = TimeGrid(0.0, model.period / c, 11)
     cache = PropagatorCache(model, grid, substeps)
-    steps = [cache.adjacent(i) for i in range(grid.steps)]
+    steps = [cache.step(i) for i in range(grid.steps)]
     assert len({id(u) for u in steps}) == c
     for i in range(grid.steps - c):
         literal = propagator(model, grid.time(i + c), grid.time(i + c + 1), substeps)
         np.testing.assert_allclose(cache.adjacent(i + c), literal, rtol=0, atol=1e-12)
+        # the operator-space view is the stored real step, converted
+        np.testing.assert_array_equal(cache.adjacent(i), superop_from_coordinates(steps[i]))
+    assert steps[0].dtype == float and cache.adjacent(0) is not cache.adjacent(0)
 
 
 def test_propagator_cache_no_reuse_without_commensurate_period():
@@ -253,7 +259,7 @@ def test_propagator_cache_no_reuse_without_commensurate_period():
     ]
     for model, grid in models_grids:
         cache = PropagatorCache(model, grid, substeps=4)
-        assert len({id(cache.adjacent(i)) for i in range(grid.steps)}) == grid.steps
+        assert len({id(cache.step(i)) for i in range(grid.steps)}) == grid.steps
 
 
 def test_propagator_cache_refuses_wrong_declared_period():
@@ -264,7 +270,7 @@ def test_propagator_cache_refuses_wrong_declared_period():
         LindbladModel(SpaceLayout(2, 2), 0 * h, period=math.pi, drives=[(h, 1.0, 0.0)])
     model = LindbladModel(SpaceLayout(2, 2), 0 * h, period=2 * math.pi, drives=[(h, 1.0, 0.0)])
     cache = PropagatorCache(model, TimeGrid(0.0, math.pi / 4, 9), substeps=4)
-    assert cache.adjacent(8) is cache.adjacent(0)
+    assert cache.step(8) is cache.step(0)
 
 
 @pytest.mark.parametrize(
@@ -297,14 +303,21 @@ def test_propagator_cache_act_is_the_step_on_a_block():
     model = example_model()
     c, substeps = 4, 16
     grid = TimeGrid(0.0, model.period / c, 7)
-    block = RNG.standard_normal((16, 8)) + 1j * RNG.standard_normal((16, 8))
+    block = RNG.standard_normal((16, 8))  # coordinates of 8 Hermitian operators
+    vecs = from_coordinates(block.T).T
     cache = PropagatorCache(model, grid, substeps)
     assert cache.unbuilt(grid.steps) == c
     # act builds nothing; past the first period it serves the step's phase
     acted = [cache.act(i, block) for i in range(grid.steps)]
     assert cache.unbuilt(grid.steps) == c and cache.unbuilt(2) == 2
     for i, got in enumerate(acted):
-        np.testing.assert_allclose(got, cache.adjacent(i) @ block, rtol=0, atol=1e-13)
+        assert got.dtype == float and got.shape == block.shape
+        np.testing.assert_allclose(got, cache.step(i) @ block, rtol=0, atol=1e-13)
+        # through the conversions, the operator-space step on the vecs
+        np.testing.assert_allclose(from_coordinates(got.T).T, cache.adjacent(i) @ vecs,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, to_coordinates((cache.adjacent(i) @ vecs).T).T.real,
+                                   rtol=0, atol=1e-13)
     assert cache.unbuilt(grid.steps) == 0
     # without a commensurate period every step is its own phase
     cache = PropagatorCache(model, TimeGrid(0.0, 0.625, 5), substeps)
@@ -318,7 +331,7 @@ def test_propagator_cache_act_checks_the_declared_period():
         LindbladModel(SpaceLayout(2, 2), 0 * h, period=math.pi, drives=[(h, 1.0, 0.0)])
     model = LindbladModel(SpaceLayout(2, 2), 0 * h, period=math.pi, drives=[(h, 2.0, 0.0)])
     cache = PropagatorCache(model, TimeGrid(0.0, math.pi / 4, 8), substeps=4)
-    block = np.eye(16)[:, :4]
+    block = np.eye(16)[:, :4]  # coordinates of four basis operators
     np.testing.assert_array_equal(cache.act(4, block), cache.act(0, block))
     with pytest.raises(ValueError, match="outside grid"):
         cache.act(8, block)

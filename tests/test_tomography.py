@@ -416,38 +416,51 @@ def by_route(action):
     return mock.patch("memtensor.tomography.steps_by_action", lambda *shape: action)
 
 
-@pytest.mark.parametrize("action", [False, True], ids=["dense", "action"])
-@pytest.mark.parametrize("band", [None, 2])
-def test_both_routes_match_the_per_chain_loop(action, band):
+@pytest.mark.parametrize("fixed, band, action", [
+    # ids: the true-env cases as "<band>-<route>", the fixed ones prefixed "fixed-"
+    pytest.param(fixed, band, action, id=f"{'fixed-' * fixed}{band}-{('dense', 'action')[action]}")
+    for fixed in (False, True) for band in (None, 2) for action in (False, True)
+])
+def test_both_routes_match_the_per_chain_loop(fixed, band, action):
     model = example_model()
     rho0 = example_initial_state()
-    grid = TimeGrid(0.0, model.period / 4, 7)  # phase reuse from step 4 on
-    policy = TrueEnvironment()
+    c = 4
+    grid = TimeGrid(0.0, model.period / c, 7)  # phase reuse from step 4 on
+    tau = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    policy = FixedState(tau) if fixed else TrueEnvironment()
     want = reference_reconstruct_family(model, grid, policy, 8, rho0, band)
     with by_route(action):
         family = reconstruct_family(model, grid, policy, 8, rho0, band=band)
     assert list(family.maps) == sorted(want)
     for key, lam in want.items():
         np.testing.assert_allclose(family.map(*key), lam, rtol=0, atol=1e-13, err_msg=f"{key}")
+    if fixed:  # one period of starts is stepped; later starts are copies of their phase
+        for i, j in family.maps:
+            if i >= c:
+                np.testing.assert_array_equal(family.map(i, j), family.map(i % c, j - i + i % c))
 
 
 def test_route_rule_on_the_benchmark_shapes():
-    # n = d^2; width = maps * d_S^2; unbuilt step phases of the call's cache
-    def width(steps, band):
-        return 4 * sum(min(steps, i + band) - i for i in range(steps))
+    # n = d^2; width = stepped maps * d_S^2; unbuilt step phases of the
+    # call's cache. Under a fixed policy on a grid of c step phases only the
+    # starts 0 .. c - 1 are stepped; later starts copy their phase's maps.
+    def width(steps, band, starts=None):
+        return 4 * sum(min(steps, i + band) - i for i in range(starts or steps))
 
-    # error-sweep cells: evolve_state has built every step of the cache
+    # error-sweep cells (fixed): evolve_state has built every step of the cache
     for c, m in [(6, 2), (14, 45)]:
-        assert not steps_by_action(16, width(c + 2 * m - 1, 2 * m - 1), 0)
-    # one tensor set over c = 5, m = 8: 20 steps, band 15, 5 phases
-    assert width(20, 15) == 780 and not steps_by_action(16, 780, 5)
+        assert not steps_by_action(16, width(c + 2 * m - 1, 2 * m - 1, c), 0)
+    # one fixed tensor set over c = 5, m = 8: 20 steps, band 15, 5 phases
+    assert width(20, 15, 5) == 300 and not steps_by_action(16, 300, 5)
     # convergence_study: N steps incommensurate with the period, full band
     for n_steps in (8, 16, 32, 64):
         assert not steps_by_action(16, width(n_steps, n_steps), n_steps)
-    # d_E = 8 spin bath: 10 steps, band 4, 5 phases, n = 256
+    # d_E = 8 spin bath: 10 steps, band 4, 5 phases, n = 256; its fixed
+    # policy steps 20 of the 34 maps
     assert width(10, 4) == 136 and steps_by_action(256, 136, 5)
-    # the golden spin-bath case: d_E = 4, 6 steps, full band, 5 phases
-    assert width(6, 6) == 84 and steps_by_action(64, 84, 5)
+    assert width(10, 4, 5) == 80 and steps_by_action(256, 80, 5)
+    # the golden spin-bath case (fixed): d_E = 4, 6 steps, full band, 5 phases
+    assert width(6, 6, 5) == 80 and steps_by_action(64, 80, 5)
 
 
 def test_family_of_a_16_level_bath_steps_by_action():
@@ -457,7 +470,7 @@ def test_family_of_a_16_level_bath_steps_by_action():
     assert model.layout.dim_environment == 16
     grid = TimeGrid(0.0, model.period / 5, 2)
     tau = np.diag(np.arange(16, 0, -1) / 136).astype(complex)
-    with mock.patch.object(PropagatorCache, "adjacent", side_effect=AssertionError("dense")):
+    with mock.patch.object(PropagatorCache, "step", side_effect=AssertionError("dense")):
         family = reconstruct_family(model, grid, FixedState(tau), substeps=4, band=2)
     assert sorted(family.maps) == [(0, 1), (0, 2), (1, 2)]
     for key, lam in family.maps.items():

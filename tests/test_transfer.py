@@ -398,6 +398,9 @@ def test_error_bound_requirements(example_setup):
     short = build_tensors(family, config)  # only lengths <= m stored
     with pytest.raises(KeyError, match="length"):
         error_bound(short, config, 20)
+    # a failed sum is not memoized: the same phase one period later fails alike
+    with pytest.raises(KeyError, match="error bound needs tensors to length 7"):
+        error_bound(short, config, 25)
     with pytest.raises(ValueError):
         error_bound(short, config, 3)
     full = build_tensors(family, config, max_length=7)
@@ -565,8 +568,9 @@ def test_norm_table_serves_phases_and_the_set_is_read_only(example_setup):
         for l in range(1, 5)
     )
     assert error_bound(tensors, config, 20) == direct
-    # one period later the same stored tensors serve, from the same entries
+    # one period later the same stored tensors serve, from the memoized sum
     assert error_bound(tensors, config, 25) == direct
+    assert tensors._bounds == {(4, tensors.phase_of(12)): direct}
     profile = tensor_norm_profile(tensors)
     assert all(profile[(l, p)] == operator_norm(t) for (p, l), t in tensors.tensors.items())
     with pytest.raises(TypeError):
