@@ -381,7 +381,7 @@ def evolve_state(
     """Joint trajectory ``[rho(t_0), ..., rho(t_N)]`` from initial state ``rho0``.
 
     A passed ``cache`` must serve ``model`` on ``grid`` (see :func:`cache_for`).
-    The state walks its real steps and is converted back once, Hermitian.
+    The state walks the cache's real steps; the later states are exactly Hermitian.
     """
     validate_density_operator(rho0)
     d = model.layout.dim_joint
