@@ -22,8 +22,9 @@ Config file schema (all keys optional; flags override file values)::
                  "tau": <matrix>,              # fixed; default: environment
                                                # marginal of the initial state
                  "sigma": <matrix>},           # frozen; default |0><0|
-      "memory": {"m": 8, "c": <int>,           # c defaults to period/dt when
-                 "transient_steps": 0,         # that is an integer
+      "memory": {"m": 8, "c": <int>,           # default: steps per period of
+                 "transient_steps": 0,         # the generator; a pinned c
+                                               # must be a multiple of them
                  "t_m": <float>},              # declared memory time (checked)
       "substeps": 64,
       "sweep": {"c_values": [6, 8, 12, 14],
@@ -41,7 +42,9 @@ are > 0; ``memory.transient_steps`` is >= 0, the ``convergence.n_values`` are
 >= 2 and the other integers >= 1; ``grid.t0`` and ``memory.t_m`` are free.
 Lists are non-empty. A malformed value or section exits 2 naming its key.
 ``sweep.c_values`` counts grid steps per driving period, so ``error-sweep``
-needs a model with a ``period`` and exits 2 on a static one.
+needs a model with a ``period`` and exits 2 on one without. ``tensors`` and
+``propagate`` exit 2 on a pinned ``memory.c`` that is not a multiple of the
+grid steps per period.
 
 Exit codes: 0 success, 2 config error or an ``--out`` that cannot be created
 or written, 3 numerical failure.
@@ -291,21 +294,22 @@ def build_grid(config: dict, default_dt: float, default_steps: int) -> tuple[Tim
 def resolve_memory(config: dict, model: LindbladModel, dt: float, policy=None):
     """Memory config plus whether periodic tensor reuse is available.
 
-    Reuse needs the generator period to be an integer number of grid steps
-    and a reference state with the same periodicity; time-dependent policies
-    fall back to dense tensor storage unless the config pins ``c`` itself.
+    Under a fixed (or no) policy ``c`` is :func:`~memtensor.models.steps_per_period`;
+    ``None`` there, or a time-dependent policy, stores densely unless the
+    config pins ``c``, which must be a multiple of the steps per period, else
+    :class:`ConfigError`. :func:`validate_config` cannot check it: each
+    runner sets its own grid.
     """
+    period = steps_per_period(model, dt)
     c = setting(config, "memory.c", None)
     if c is None:
-        if policy is not None and not isinstance(policy, FixedState):
-            c = -1
-        elif model.period is not None:
-            # -1: grid incommensurate with the driving period
-            c = steps_per_period(model.period, dt) or -1
-        else:
-            c = 1  # static generator: maps are invariant under any step shift
+        c = period if policy is None or isinstance(policy, FixedState) else None
+    elif period is None or c % period:
+        repeats = f"repeats every {period} steps" if period else "never repeats"
+        raise ConfigError(f"memory.c={c} must be a multiple of the steps per period, "
+                          f"but at dt={dt!r} the generator {repeats}")
     m, transient = setting(config, "memory.m", 8), setting(config, "memory.transient_steps", 0)
-    return MemoryConfig(dt=dt, m=m, c=max(c, 1), transient_steps=transient), c > 0
+    return MemoryConfig(dt=dt, m=m, c=c or 1, transient_steps=transient), c is not None
 
 
 def memory_time_warnings(config: dict, m: int, dt: float) -> list[str]:
@@ -479,7 +483,7 @@ def run_error_sweep(config: dict, inputs: tuple, args) -> list[tuple]:
     """Cutoff-error landscape. Columns: wt_m, wdt, m, c, error (long-time
     max), bound (second-window envelope), heuristic (max longest-tensor
     norm), unphysical (error > 2), bound_ok. Each cell reuses one period of
-    tensors, so a static model (no ``model.period``) and a time-dependent
+    tensors, so a model without ``model.period`` and a time-dependent
     reference policy are refused as config errors, even when the config pins
     ``memory.c`` (each cell sets its own)."""
     model, rho0, policy = inputs

@@ -58,6 +58,7 @@ from .tomography import (
     ReferenceStates,
     extend_to_joint,
     policy_label,
+    reconstruct_family,
 )
 from .transfer import MemoryConfig, TransferTensorSet, build_tensors
 
@@ -261,11 +262,8 @@ def nz_inhomogeneity(
 
 def discrete_generator(family: DynamicalMapFamily, j: int) -> np.ndarray:
     """First-order generator estimate ``(map(j -> j+1) - 1)/dt`` at ``t_j``."""
-    dt = family.grid.dt
-    if dt <= 0:
-        raise ValueError("grid spacing must be positive")
     lam = family.map(j, j + 1)
-    return (lam - np.eye(lam.shape[0])) / dt
+    return (lam - np.eye(lam.shape[0])) / family.grid.dt
 
 
 def discrete_kernel(tensors: TransferTensorSet, j_pair: tuple[int, int]) -> np.ndarray:
@@ -412,8 +410,6 @@ def convergence_study(
     returns ``(t, N, ||dt^2 K - T(N)|| / ||T(N)||)``. The tensor route and
     the projection-operator route agree in the ``N -> infinity`` limit.
     """
-    from .tomography import reconstruct_family
-
     rows = []
     for t in t_values:
         kernel = nz_kernel_direct(

@@ -389,12 +389,3 @@ def validate_density_operator(
     min_eig = float(np.linalg.eigvalsh(hermitize(rho)).min())
     if min_eig < eig_floor:
         raise ValueError(f"negative eigenvalue {min_eig:.3e} below floor {eig_floor:.1e}")
-
-
-def is_density_operator(rho: np.ndarray, **tols) -> bool:
-    """Boolean variant of :func:`validate_density_operator`."""
-    try:
-        validate_density_operator(rho, **tols)
-    except ValueError:
-        return False
-    return True

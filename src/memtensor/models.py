@@ -19,10 +19,12 @@ coordinates (joint propagators here, ``Q L`` in the direct kernel route):
 :func:`hermitian_step_chunks` exponentiates chunks of generators as batched
 Taylor series, which ``tomography``'s reference states walk through too, or
 each substep acts on a block as a truncated Taylor action.
-:class:`PropagatorCache` stores real grid steps (each built once, only the
-first period's for a commensurate period; ``act`` steps a coordinate block
-without building one); :func:`liouvillian`, :func:`propagator` and its
-``adjacent`` return operator space.
+:class:`PropagatorCache` stores real grid steps, each built once, and only
+one period of them when the generator repeats on the grid, which
+:func:`steps_per_period` alone decides: after 1 step without drives, after
+``period / dt`` on a grid commensurate with a declared period, else never.
+``act`` steps a coordinate block without building one; :func:`liouvillian`,
+:func:`propagator` and ``adjacent`` return operator space.
 
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
@@ -199,10 +201,16 @@ class LindbladModel:
 _STACK_BYTES = 128 * 1024
 
 
-def steps_per_period(period: float, dt: float) -> int | None:
-    """Grid steps in one driving period, or ``None`` when ``period / dt`` is
-    not a positive integer to within 1e-9 (grid incommensurate with the drive)."""
-    ratio = period / dt
+def steps_per_period(model: LindbladModel, dt: float) -> int | None:
+    """Grid steps after which the generator of ``model`` repeats on a grid of
+    spacing ``dt``: 1 for a model without drives, ``period / dt`` when that is
+    a positive integer to within 1e-9, else ``None`` (no declared period, or a
+    grid incommensurate with it). The one rule of phase reuse."""
+    if not model.drives:
+        return 1
+    if model.period is None:
+        return None
+    ratio = model.period / dt
     c = round(ratio)
     return c if c >= 1 and abs(ratio - c) <= 1e-9 else None
 
@@ -302,12 +310,12 @@ class PropagatorCache:
     products. :meth:`act` applies a step to a coordinate block without
     building it; :meth:`adjacent` is a step in operator space.
 
-    Phase reuse: when the model declares a ``period`` that is an integer
-    number ``phases`` of grid steps (to within 1e-9), step ``i`` is the step
-    ``i mod phases`` of the first period and only ``phases`` steps are ever
-    built (``phases`` is ``None`` otherwise). The reuse rests on the
-    generator's periodicity alone, whatever reference policy the propagators
-    later serve; the model checked its declared period when it was built.
+    Phase reuse: ``phases`` is :func:`steps_per_period` of the model on the
+    grid (1 without drives). Unless it is ``None``, step ``i`` is the step
+    ``i mod phases`` and only ``phases`` steps are ever built. The reuse
+    rests on the generator's periodicity alone, whatever reference policy
+    the propagators later serve; the model checked its declared period when
+    it was built.
     """
 
     def __init__(self, model: LindbladModel, grid: TimeGrid, substeps: int = 64):
@@ -316,7 +324,7 @@ class PropagatorCache:
         self.grid = grid
         self.substeps = substeps
         self._steps: dict[int, np.ndarray] = {}
-        self.phases = None if model.period is None else steps_per_period(model.period, grid.dt)
+        self.phases = steps_per_period(model, grid.dt)
 
     def _phase(self, i: int) -> int:
         """The step whose propagator serves step ``i``: ``i`` or ``i mod c``."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from memtensor import cli
-from memtensor.models import LindbladModel, model_from_config
+from memtensor.models import LindbladModel, example_initial_state, model_from_config
 from memtensor.serialization import complex_matrix_to_json
 
 
@@ -502,3 +502,73 @@ def test_jump_of_another_shape_exits_2_naming_it(tmp_path, capsys, d):
 def test_error_sweep_asks_a_static_model_for_a_period(tmp_path, capsys):
     assert _run_config(tmp_path, "error-sweep", _custom_config()) == 2
     assert "model.period" in capsys.readouterr().err
+
+
+# the built-in example model as a custom config: its cosine drive, no period
+EXAMPLE_WITHOUT_PERIOD = {
+    "dim_system": 2,
+    "dim_environment": 2,
+    "hamiltonian": [
+        {"pauli": "ZI", "coefficient": 0.5},
+        {"pauli": "IZ", "coefficient": 8.0},
+        {"pauli": "XX", "coefficient": 2.0},
+        {"pauli": "YY", "coefficient": 2.0, "envelope": {"type": "cosine", "frequency": 2.0}},
+    ],
+    "jumps": [{"matrix": complex_matrix_to_json(np.kron(np.eye(2), [[0, 1], [0, 0]])),
+               "rate": 1.0}],
+}
+
+
+def _oracle_rows(tmp_path, name, config):
+    """``propagate --oracle`` data rows of ``config`` as floats."""
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / name
+    assert run_cli(["propagate", "--oracle", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return np.array(read_rows(out / "propagate.csv")[1], dtype=float)
+
+
+def test_a_driven_model_without_period_is_stored_densely(tmp_path):
+    # its generator never repeats on the grid as far as the model says, so no
+    # start may borrow start 0's tensors; declaring the period changes only cost
+    run = {"initial_state": complex_matrix_to_json(example_initial_state()),
+           "grid": {"dt": math.pi / 5, "steps": 40}, "memory": {"m": 4}, "substeps": 16}
+    dense = _oracle_rows(tmp_path, "no-period", {"model": EXAMPLE_WITHOUT_PERIOD, **run})
+    periodic = _oracle_rows(
+        tmp_path, "period", {"model": dict(EXAMPLE_WITHOUT_PERIOD, period=math.pi), **run})
+    np.testing.assert_allclose(dense, periodic, rtol=0, atol=1e-12)
+    doc = json.loads(_tensor_doc(tmp_path, "tensors", {"model": EXAMPLE_WITHOUT_PERIOD, **run}))
+    assert doc["dense"] is True
+
+
+@pytest.mark.parametrize(
+    "model, dt, c, repeats",
+    [
+        ("builtin-example", math.pi / 5, 4, "repeats every 5 steps"),
+        ("builtin-example", 0.625, 5, "never repeats"),
+        (EXAMPLE_WITHOUT_PERIOD, math.pi / 5, 5, "never repeats"),
+    ],
+    ids=["not-a-multiple", "incommensurate", "no-period"],
+)
+def test_pinned_c_against_the_period_rule_exits_2(tmp_path, capsys, model, dt, c, repeats):
+    config = {"model": model, "initial_state": complex_matrix_to_json(example_initial_state()),
+              "grid": {"dt": dt, "steps": 12}, "memory": {"m": 2, "c": c}, "substeps": 4}
+    for experiment in ("propagate", "tensors"):
+        assert _run_config(tmp_path, experiment, config) == 2
+        err = capsys.readouterr().err
+        assert f"memory.c={c}" in err and repeats in err
+    assert not (tmp_path / "o" / "propagate.csv").exists()
+
+
+def test_pinned_multiple_of_the_period_runs(tmp_path):
+    run = {"grid": {"dt": math.pi / 5, "steps": 30}, "substeps": 16}
+    unpinned = _oracle_rows(tmp_path, "unpinned", {**run, "memory": {"m": 4}})
+    pinned = _oracle_rows(tmp_path, "pinned", {**run, "memory": {"m": 4, "c": 10}})
+    np.testing.assert_allclose(pinned, unpinned, rtol=0, atol=1e-12)  # the block size differs
+    # under a time-dependent policy a pinned multiple with transients still
+    # stores one period, as before
+    true_env = {**run, "policy": {"kind": "true-env"}}
+    dense = _oracle_rows(tmp_path, "dense", {**true_env, "memory": {"m": 4}})
+    periodic = _oracle_rows(
+        tmp_path, "periodic", {**true_env, "memory": {"m": 4, "c": 5, "transient_steps": 10}})
+    assert abs(periodic[:, -1].max() - dense[:, -1].max()) < 1e-2

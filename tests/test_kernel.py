@@ -247,6 +247,8 @@ def test_kernel_slice_matches_direct_evaluation(policy):
         assert operator_norm(kernel - direct) < cross_route_tolerance(policy, direct)
     with pytest.raises(ValueError):
         nz_kernel_slice(model, choice, t, [t], substeps=8)
+    # no lower arguments, no kernels
+    assert nz_kernel_slice(model, choice, t, [], substeps=8, rho_se0=rho0) == []
 
 
 def test_master_equation_closure_every_policy():

@@ -15,6 +15,7 @@ from memtensor.linalg import (
     matrix_exponential,
     partial_trace,
     superop_from_coordinates,
+    superop_to_coordinates,
     to_coordinates,
     trace_distance,
     vectorize,
@@ -34,6 +35,7 @@ from memtensor.models import (
     model_from_config,
     ordered_exponential,
     propagator,
+    steps_per_period,
 )
 
 RNG = np.random.default_rng(8451)
@@ -255,11 +257,55 @@ def test_propagator_cache_no_reuse_without_commensurate_period():
     static_h = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["X"], PAULI["X"])
     models_grids = [
         (example_model(), TimeGrid(0.0, 0.625, 7)),  # period pi, incommensurate
-        (LindbladModel(SpaceLayout(2, 2), static_h), TimeGrid(0.0, 0.5, 7)),
+        (without_period(example_model()), TimeGrid(0.0, math.pi / 4, 7)),
     ]
     for model, grid in models_grids:
         cache = PropagatorCache(model, grid, substeps=4)
         assert len({id(cache.step(i)) for i in range(grid.steps)}) == grid.steps
+    # a model without drives repeats after every step: one step is built
+    cache = PropagatorCache(LindbladModel(SpaceLayout(2, 2), static_h), TimeGrid(0.0, 0.5, 7), 4)
+    assert len({id(cache.step(i)) for i in range(7)}) == 1
+
+
+def without_period(model):
+    """``model`` with the same terms and no declared period."""
+    return LindbladModel(model.layout, model.static, model.jump_terms, None, model.drives)
+
+
+# without drives; driven with its period declared; the same without it
+RULE_MODELS = {
+    "static": lambda: LindbladModel(SpaceLayout(2, 2), example_model().static,
+                                    example_model().jump_terms),
+    "driven": example_model,
+    "driven-no-period": lambda: without_period(example_model()),
+}
+RULE_GRIDS = {"commensurate": math.pi / 4, "incommensurate": 0.625}
+RULE = {  # (model, grid) -> steps per period
+    ("static", "commensurate"): 1, ("static", "incommensurate"): 1,
+    ("driven", "commensurate"): 4, ("driven", "incommensurate"): None,
+    ("driven-no-period", "commensurate"): None, ("driven-no-period", "incommensurate"): None,
+}
+
+
+@pytest.mark.parametrize("model_name, grid_name", sorted(RULE))
+def test_one_period_rule_serves_the_cache_and_the_command_line(model_name, grid_name):
+    from memtensor.cli import resolve_memory
+    from memtensor.tomography import FixedState
+
+    model, dt = RULE_MODELS[model_name](), RULE_GRIDS[grid_name]
+    phases = RULE[model_name, grid_name]
+    assert steps_per_period(model, dt) == phases
+    grid, substeps = TimeGrid(0.0, dt, 6), 8
+    cache = PropagatorCache(model, grid, substeps)
+    assert cache.phases == phases
+    for i in range(grid.steps):
+        literal = propagator(model, grid.time(i), grid.time(i + 1), substeps)
+        np.testing.assert_allclose(cache.step(i), superop_to_coordinates(literal).real,
+                                   rtol=0, atol=1e-12)
+    assert len({id(cache.step(i)) for i in range(grid.steps)}) == (phases or grid.steps)
+    for policy in (None, FixedState(np.eye(2) / 2)):
+        memory, reuse = resolve_memory({}, model, dt, policy)
+        assert reuse == (phases is not None) and memory.c == (phases or 1)
 
 
 def test_propagator_cache_refuses_wrong_declared_period():
@@ -406,6 +452,9 @@ def test_evolve_state_preserves_hermiticity_and_trace():
 def test_evolve_state_rejects_invalid_state():
     with pytest.raises(ValueError):
         evolve_state(np.eye(4), example_model(), TimeGrid(0.0, 0.5, 2), substeps=4)
+    # a valid density operator of the wrong dimension
+    with pytest.raises(ValueError, match="does not match joint dimension 4"):
+        evolve_state(np.eye(2) / 2, example_model(), TimeGrid(0.0, 0.5, 2), substeps=4)
 
 
 def test_example_parameter_ratios():

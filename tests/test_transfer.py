@@ -475,6 +475,53 @@ def test_correlation_free_tracks_exact_and_preserves_trace():
         assert trace_distance(combined[k], sys_traj[k]) < 2e-2
 
 
+def test_correlation_free_skips_a_branch_of_zero_weight(monkeypatch):
+    # rho_S antipodal to the first tetrahedral frame direction: tr(M_0 rho_S)
+    # is exactly 0, so that branch gets the maximally mixed placeholder tau
+    # and no family is reconstructed for it
+    from memtensor import transfer
+    from memtensor.tomography import decompose_initial_state, tomography_frame
+
+    model = example_model()
+    rho_s = np.eye(2) - 2 * tomography_frame(2)[0]  # (1 - n_0 . sigma) / 2
+    tau = np.eye(2) / 2
+    rho0 = np.kron(rho_s, tau)
+    decomp = decompose_initial_state(rho0, LAYOUT)
+    coefficients = [c for c, _, _ in decomp.terms]
+    assert coefficients[0] == 0 and all(abs(c) > 0.1 for c in coefficients[1:])
+    np.testing.assert_array_equal(decomp.terms[0][2], np.eye(2) / 2)
+    assert np.max(np.abs(decomp.reassemble() - rho0)) < 1e-12
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return reconstruct_family(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "reconstruct_family", counting)
+    dt, total = math.pi / 4, 38
+    config = MemoryConfig(dt=dt, m=8, c=4)
+    window = TimeGrid(0.0, dt, 13)
+    combined = propagate_correlation_free(model, decomp, window, None, config, total, substeps=48)
+    assert len(calls) == 3
+    # every branch shares tau, so the skipped branch loses nothing against
+    # plain propagation of rho_S
+    family = reconstruct_family(model, window, FixedState(tau), substeps=48, band=config.m)
+    direct = propagate(build_tensors(family, config), [rho_s], total, include_residuals=True)
+    joint = evolve_state(rho0, model, TimeGrid(0.0, dt, total), substeps=48)
+    for k, rho in enumerate(joint):
+        assert trace_distance(combined[k], direct[k]) < 1e-9
+        assert trace_distance(combined[k], partial_trace(rho, LAYOUT, "system")) < 2e-2
+
+
+def test_empty_sets_refuse_the_radius_and_the_heuristic():
+    config = MemoryConfig(dt=0.1, m=2, c=2)
+    with pytest.raises(ValueError, match="empty tensor set"):
+        stability_radius(TransferTensorSet(config))
+    # tensors of length 1 only: none of the memory length m = 2
+    with pytest.raises(KeyError, match="no stored tensors of length m=2"):
+        memory_cutoff_heuristic(TransferTensorSet(config, {(0, 1): np.eye(4)}), config)
+
+
 def reference_propagate(tensors, seed_states, total_steps, include_residuals=False):
     """The per-step loop: a dict lookup per tensor, re-Hermitized each step."""
     m = tensors.config.m
