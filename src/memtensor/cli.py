@@ -44,7 +44,9 @@ Lists are non-empty. A malformed value or section exits 2 naming its key.
 ``sweep.c_values`` counts grid steps per driving period, so ``error-sweep``
 needs a model with a ``period`` and exits 2 on one without. ``tensors`` and
 ``propagate`` exit 2 on a pinned ``memory.c`` that is not a multiple of the
-grid steps per period.
+grid steps per period; so does every experiment, ``validate`` included, when
+the config (or ``--dt``) sets ``grid.dt``, the step both of them then use.
+Without ``grid.dt`` each runner picks its own grid and only it can check.
 
 Exit codes: 0 success, 2 config error or an ``--out`` that cannot be created
 or written, 3 numerical failure.
@@ -297,8 +299,9 @@ def resolve_memory(config: dict, model: LindbladModel, dt: float, policy=None):
     Under a fixed (or no) policy ``c`` is :func:`~memtensor.models.steps_per_period`;
     ``None`` there, or a time-dependent policy, stores densely unless the
     config pins ``c``, which must be a multiple of the steps per period, else
-    :class:`ConfigError`. :func:`validate_config` cannot check it: each
-    runner sets its own grid.
+    :class:`ConfigError`. :func:`validate_config` checks it when the config
+    sets ``grid.dt``, which both tensor runners then use; without it each
+    runner picks its own grid, and only the runner can check.
     """
     period = steps_per_period(model, dt)
     c = setting(config, "memory.c", None)
@@ -330,7 +333,9 @@ def validate_config(config: dict) -> tuple[list[str], list[str], tuple | None]:
     """Returns (errors, warnings, inputs) for a merged experiment config. The
     warnings compare ``memory.t_m`` with ``m * dt`` on the default grid;
     ``inputs`` is :func:`build_inputs` of the config, ``None`` on errors, so
-    a run builds its model once."""
+    a run builds its model once. A config that sets ``grid.dt`` fixes the
+    grid step of ``tensors`` and ``propagate``, so :func:`resolve_memory`
+    checks its pinned ``memory.c`` here too."""
     errors = []
     inputs = None
     try:
@@ -346,8 +351,14 @@ def validate_config(config: dict) -> tuple[list[str], list[str], tuple | None]:
             errors.append(str(exc))
     if errors:  # a section that is not an object fails each of its rows alike
         return list(dict.fromkeys(errors)), [], None
-    m, dt = setting(config, "memory.m", 8), setting(config, "grid.dt", 0.625)
-    return errors, memory_time_warnings(config, m, dt), inputs
+    m, dt = setting(config, "memory.m", 8), setting(config, "grid.dt", None)
+    if dt is not None:  # the grid step of both tensor runners
+        model, _, policy = inputs
+        try:
+            resolve_memory(config, model, dt, policy)
+        except ConfigError as exc:
+            return [str(exc)], [], None
+    return errors, memory_time_warnings(config, m, dt or 0.625), inputs
 
 
 def _echo(config: dict, **extra) -> dict:

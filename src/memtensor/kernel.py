@@ -106,15 +106,9 @@ class _KernelContext:
             raise ValueError(f"x_env must be a {de}x{de} operator of unit trace to 1e-12")
         self.embed_x = superop_to_coordinates(embed_environment_superop(x, layout))
 
-    def embed(self, taus):
-        """``X -> X (x) tau`` for ``tau`` or each of a stack, from the
-        Hermitian part, so that ``Q L`` preserves Hermiticity however close
-        to the validation tolerance ``tau`` is: one contraction."""
-        return np.tensordot(to_coordinates(vectorize(taus)).real, self.embeds, axes=1)
-
     def projectors(self, times):
         """Stack of ``P_t`` at each of ``times``, from one reference-state query."""
-        return self.embed(self.refs.states(times)) @ self.trace_e
+        return np.tensordot(self.refs.coordinates(times), self.embeds, axes=1) @ self.trace_e
 
     def left(self, t):
         """``tr_E P_t L_t``: the end of every kernel-route object."""
@@ -126,12 +120,12 @@ class _KernelContext:
         out = (self.eye - p_s) @ generator_stack(self.model, [s])[0] @ p_s
         if not derivative_term:
             return out
-        h, tau = self.choice.derivative_step, self.refs.state
+        h, tau = self.choice.derivative_step, lambda t: self.refs.coordinates([t])[0]
         if s - h >= self.t0 - 1e-12:
             d_tau = (tau(s + h) - tau(s - h)) / (2 * h)
         else:  # second-order one-sided difference at the start of the window
             d_tau = (-3 * tau(s) + 4 * tau(s + h) - tau(s + 2 * h)) / (2 * h)
-        return out - self.embed(d_tau) @ self.trace_e
+        return out - np.tensordot(d_tau, self.embeds, axes=1) @ self.trace_e
 
     def q_generators(self, times):
         """Stack of ``Q_t L_t`` at each of ``times``."""
@@ -218,7 +212,7 @@ def nz_kernel_slice(
     # warm the reference-state cache in ascending order; the suffix loop
     # below walks backwards (time-dependent reference states depend on the
     # order of queries at the 1e-5 level, so this order is part of the result)
-    ctx.refs.states(s_sorted)
+    ctx.refs.coordinates(s_sorted)
     left = ctx.left(t)
     # suffix ordered exponentials, built from the latest segment backwards
     suffix = ctx.eye

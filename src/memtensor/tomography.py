@@ -35,7 +35,6 @@ forming an inhomogeneous term.
 from __future__ import annotations
 
 import bisect
-import math
 from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -51,7 +50,6 @@ from .linalg import (
     embed_environment_superop,
     embed_system_superop,
     from_coordinates,
-    partial_trace,
     superop_from_coordinates,
     superop_to_coordinates,
     to_coordinates,
@@ -137,6 +135,11 @@ class ReferenceStates:
     by its own substep. The frozen-system generator ``tr_S L (sigma (x) .)``
     is assembled from real pieces built once. The initial joint state and
     ``sigma(t)`` enter through their Hermitian parts.
+
+    :meth:`coordinates` returns the cached real coordinates of ``tau`` (the
+    true-environment marginal and the frozen start through one real ``tr_S``
+    matrix); the kernel route reads them, and :meth:`states` is their
+    operator-space view (a fixed policy's own ``tau``).
     """
 
     def __init__(
@@ -162,19 +165,19 @@ class ReferenceStates:
         if rho_se0 is None:
             raise ValueError(f"{policy_label(policy)} policy needs the initial joint state")
         validate_density_operator(rho_se0)
-        if isinstance(policy, TrueEnvironment):
-            start = vectorize(rho_se0)
-        else:
+        # tr_S in coordinates: the true-environment marginal and the frozen start
+        self._trace_s = superop_to_coordinates(trace_out_superop(layout, "environment")).real
+        start = to_coordinates(vectorize(rho_se0)).real  # of its Hermitian part
+        if isinstance(policy, FrozenSystem):
             validate_density_operator(policy.sigma(t0))
-            start = vectorize(partial_trace(rho_se0, layout, "environment"))
+            start = self._trace_s @ start
             ds = layout.dim_system
             elements = devectorize(from_coordinates(np.eye(ds * ds)), ds)
-            self._trace_s = superop_to_coordinates(trace_out_superop(layout, "environment")).real
             self._embeds = superop_to_coordinates(embed_system_superop(elements, layout)).real
         self._n = start.size
         # cached states by time, as the real coordinates of their Hermitian part
         self._times = [t0]
-        self._cache = {t0: to_coordinates(start).real}
+        self._cache = {t0: start}
 
     def state(self, t: float) -> np.ndarray:
         """Reference environment state at time ``t``."""
@@ -182,11 +185,19 @@ class ReferenceStates:
 
     def states(self, times) -> np.ndarray:
         """Stack ``(len(times), d_E, d_E)`` of the reference states at each
-        of ``times``, as :meth:`state` queried at each in order would give.
-        A time before ``t0 - 1e-12`` is a ``ValueError``."""
+        of ``times``: a fixed policy's ``tau`` itself, else the exactly
+        Hermitian operator-space view of :meth:`coordinates`."""
+        if isinstance(self.policy, FixedState):
+            return np.repeat(np.asarray(self.policy.tau)[None], len(list(times)), axis=0)
+        return devectorize(from_coordinates(self.coordinates(times)), self._layout.dim_environment)
+
+    def coordinates(self, times) -> np.ndarray:
+        """Real ``(len(times), d_E**2)`` Hermitian coordinates of the reference
+        states at each of ``times``, as :meth:`state` queried at each in order
+        would give. A time before ``t0 - 1e-12`` is a ``ValueError``."""
         times = [float(t) for t in times]
         if isinstance(self.policy, FixedState):
-            return np.repeat(np.asarray(self.policy.tau)[None], len(times), axis=0)
+            return to_coordinates(vectorize(self.states(times))).real
         for t in times:
             if t < self.t0 - 1e-12:
                 raise ValueError(f"reference state requested at t={t} before t0={self.t0}")
@@ -226,11 +237,8 @@ class ReferenceStates:
         # committed only once every state is built
         self._cache.update(values.maps[0])
         self._times = known
-        vecs = from_coordinates(np.reshape([values[key] for key in keys], (-1, self._n)))
-        ops = devectorize(vecs, math.isqrt(self._n))
-        if isinstance(self.policy, TrueEnvironment):
-            return partial_trace(ops, self._layout, "environment")
-        return ops
+        coords = np.reshape([values[key] for key in keys], (-1, self._n))
+        return coords @ self._trace_s.T if isinstance(self.policy, TrueEnvironment) else coords
 
     def _generators(self, times: np.ndarray) -> np.ndarray:
         joint = generator_stack(self.model, times)
@@ -317,7 +325,9 @@ def reconstruct_family(
     ``band`` restricts to pairs with ``j - i <= band`` (enough for transfer
     tensors up to that memory length). Time-dependent policies require the
     initial joint state ``rho_se0``. A passed ``cache`` must serve ``model``
-    on ``grid`` (see :func:`~memtensor.models.cache_for`).
+    on ``grid`` (see :func:`~memtensor.models.cache_for`); its own substeps
+    then serve both the propagators and the reference states, whatever
+    ``substeps`` says.
 
     Only the real ``(d^2, d_S^2)`` coordinate images of ``X_a (x) tau(t_i)``,
     ``X_a`` the system's Hermitian basis, are propagated: at step ``k`` those
@@ -334,7 +344,7 @@ def reconstruct_family(
         _integer(band, "band", 1)
     cache = cache_for(model, grid, substeps, cache)
     refs = ReferenceStates(
-        policy, model, rho_se0, t0=grid.t0, substep=grid.dt / substeps
+        policy, model, rho_se0, t0=grid.t0, substep=grid.dt / cache.substeps
     )
     layout = model.layout
     trace_e = superop_to_coordinates(trace_out_superop(layout, "system")).real

@@ -62,7 +62,7 @@ from .linalg import (
     to_coordinates,
     vectorize,
 )
-from .models import LindbladModel, TimeGrid, _finite
+from .models import LindbladModel, PropagatorCache, TimeGrid, _finite
 from .tomography import (
     DynamicalMapFamily,
     FixedState,
@@ -408,8 +408,11 @@ def propagate_correlation_free(
 
     ``grid`` must cover the tensor-construction window (period + memory);
     propagation continues to ``total_steps`` regardless of the grid length.
+    The joint steps do not depend on the branch, so every branch reads one
+    :class:`~memtensor.models.PropagatorCache`.
     """
     combined = None
+    cache = PropagatorCache(model, grid, substeps)
     for coeff, sys_op, tau in decomposition.terms:
         if coeff == 0:
             continue
@@ -422,6 +425,7 @@ def propagate_correlation_free(
             substeps=substeps,
             rho_se0=None if policy is None else rho_branch0,
             band=max_length or config.m,
+            cache=cache,
         )
         tensors = build_tensors(family, config, max_length=max_length)
         branch = propagate(tensors, [sys_op], total_steps, include_residuals=True)

@@ -560,6 +560,19 @@ def test_pinned_c_against_the_period_rule_exits_2(tmp_path, capsys, model, dt, c
     assert not (tmp_path / "o" / "propagate.csv").exists()
 
 
+def test_validate_refuses_a_pinned_c_that_the_runners_refuse(tmp_path, capsys):
+    # grid.dt fixes the step of both tensor runners, so validate checks c there
+    dt = math.pi / 5
+    assert _run_config(tmp_path, "validate", {"grid": {"dt": dt}, "memory": {"c": 4}}) == 2
+    out = capsys.readouterr().out
+    assert "memory.c=4" in out and "repeats every 5 steps" in out and "config ok" not in out
+    assert _run_config(tmp_path, "validate", {"grid": {"dt": dt}, "memory": {"c": 10}}) == 0
+    assert "config ok" in capsys.readouterr().out
+    # without grid.dt each runner picks its own grid, and only it can check
+    assert _run_config(tmp_path, "validate", {"memory": {"c": 4}}) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
 def test_pinned_multiple_of_the_period_runs(tmp_path):
     run = {"grid": {"dt": math.pi / 5, "steps": 30}, "substeps": 16}
     unpinned = _oracle_rows(tmp_path, "unpinned", {**run, "memory": {"m": 4}})

@@ -15,11 +15,13 @@ from memtensor.linalg import (
     devectorize,
     embed_environment_superop,
     embed_system_superop,
+    from_coordinates,
     hermitian_basis,
     hermitize,
     operator_norm,
     partial_trace,
     sandwich_superop,
+    to_coordinates,
     trace_distance,
     trace_out_superop,
     vectorize,
@@ -241,6 +243,30 @@ def test_states_match_one_query_at_a_time(policy):
     assert refs.states([]).shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [FixedState(0.6 * projector(KET0) + 0.4 * projector(PLUS)), TrueEnvironment(),
+     FrozenSystem(rotating_state)],
+    ids=["fixed", "true-env", "frozen"],
+)
+def test_coordinates_are_the_real_view_of_the_states(policy):
+    model, rho0 = example_model(), example_initial_state()
+    times = [0.6, 0.6, 2.35, 1.4, 0.0, 3.1]
+    refs = ReferenceStates(policy, model, rho0, substep=1 / 32)
+    coords = refs.coordinates(times)
+    assert coords.dtype == np.float64 and coords.shape == (len(times), 4)
+    if isinstance(policy, FixedState):
+        for tau in refs.states(times):
+            np.testing.assert_array_equal(tau, policy.tau)
+    else:  # served from the cache: the operator-space view of the same coordinates
+        np.testing.assert_array_equal(refs.states(times), devectorize(from_coordinates(coords), 2))
+    # a second provider, asked the same queries through states
+    other = ReferenceStates(policy, model, rho0, substep=1 / 32)
+    np.testing.assert_allclose(
+        to_coordinates(vectorize(other.states(times))).real, coords, rtol=0, atol=1e-15
+    )
+
+
 # --- dynamical maps ---------------------------------------------------------
 
 
@@ -394,6 +420,20 @@ def test_mismatched_propagator_cache_is_refused():
     np.testing.assert_array_equal(
         family.map(0, 4), reconstruct_family(model, grid, policy, 4).map(0, 4)
     )
+
+
+def test_reference_states_use_the_substeps_of_a_passed_cache():
+    # the cache's own substeps serve the propagators and the reference states alike
+    model, rho0, grid = example_model(), example_initial_state(), TimeGrid(0.0, 0.625, 4)
+
+    def family(substeps):
+        cache = PropagatorCache(model, grid, 16)
+        return reconstruct_family(model, grid, TrueEnvironment(), substeps, rho0, cache=cache)
+
+    coarse, fine = family(4), family(16)
+    np.testing.assert_array_equal(coarse.stack, fine.stack)
+    for j in range(grid.steps + 1):
+        np.testing.assert_array_equal(coarse.reference_states[j], fine.reference_states[j])
 
 
 def reference_reconstruct_family(model, grid, policy, substeps, rho_se0=None, band=None):

@@ -475,6 +475,33 @@ def test_correlation_free_tracks_exact_and_preserves_trace():
         assert trace_distance(combined[k], sys_traj[k]) < 2e-2
 
 
+def test_correlation_free_builds_one_cache_for_all_branches(monkeypatch):
+    from memtensor.tomography import decompose_initial_state
+
+    model, dt, total = example_model(), math.pi / 4, 60
+    decomp = decompose_initial_state(example_initial_state(), LAYOUT)
+    config = MemoryConfig(dt=dt, m=8, c=4)
+    window = TimeGrid(0.0, dt, 13)
+    # the branches one by one, each on a cache of its own
+    want = sum(
+        coeff * np.array(propagate(build_tensors(reconstruct_family(
+            model, window, FixedState(tau), substeps=48, band=config.m), config),
+            [sys_op], total, include_residuals=True))
+        for coeff, sys_op, tau in decomp.terms if coeff != 0
+    )
+    built = []
+    init = PropagatorCache.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PropagatorCache, "__init__", counting)
+    combined = propagate_correlation_free(model, decomp, window, None, config, total, substeps=48)
+    assert len(built) == 1 and sum(c != 0 for c, _, _ in decomp.terms) == 4
+    np.testing.assert_array_equal(combined, hermitize(want))
+
+
 def test_correlation_free_skips_a_branch_of_zero_weight(monkeypatch):
     # rho_S antipodal to the first tetrahedral frame direction: tr(M_0 rho_S)
     # is exactly 0, so that branch gets the maximally mixed placeholder tau
