@@ -46,9 +46,7 @@ total = int(round(100.0 / dt))
 window = TimeGrid(0.0, dt, 13)
 
 print(f"propagating {len(decomp.terms)} branches to wt = {total * dt:.0f} (m = {config.m})...")
-combined = propagate_correlation_free(
-    model, decomp, window, None, config, total, substeps=48
-)
+combined = propagate_correlation_free(model, decomp, window, config, total, substeps=48)
 
 joint = evolve_state(rho0, model, TimeGrid(0.0, dt, total), substeps=48)
 exact = [partial_trace(r, LAYOUT, "system") for r in joint]

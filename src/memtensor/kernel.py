@@ -114,12 +114,11 @@ class _KernelContext:
         """``tr_E P_t L_t``: the end of every kernel-route object."""
         return self.trace_e @ self.projectors([t])[0] @ generator_stack(self.model, [t])[0]
 
-    def inject(self, s, derivative_term=True):
-        """``Q_s L_s P_s - dP_s/ds``; ``derivative_term=False`` drops ``dP/ds``."""
+    def inject(self, s):
+        """``Q_s L_s P_s - dP_s/ds``, ``dP/ds`` by central differences
+        (second-order one-sided at ``t0``)."""
         p_s = self.projectors([s])[0]
         out = (self.eye - p_s) @ generator_stack(self.model, [s])[0] @ p_s
-        if not derivative_term:
-            return out
         h, tau = self.choice.derivative_step, lambda t: self.refs.coordinates([t])[0]
         if s - h >= self.t0 - 1e-12:
             d_tau = (tau(s + h) - tau(s - h)) / (2 * h)
@@ -145,10 +144,10 @@ def nz_generator_direct(
     t: float,
     rho_se0: np.ndarray | None = None,
     x_env: np.ndarray | None = None,
-    t0: float = 0.0,
 ) -> np.ndarray:
-    """Time-local generator ``tr_E{P_t L_t P_t (. (x) x)}`` on the system."""
-    ctx = _KernelContext(model, choice, rho_se0, t0, x_env=x_env)
+    """Time-local generator ``tr_E{P_t L_t P_t (. (x) x)}`` on the system,
+    with reference states started from ``rho_se0`` at time 0."""
+    ctx = _KernelContext(model, choice, rho_se0, 0.0, x_env=x_env)
     return superop_from_coordinates(ctx.left(t) @ ctx.projectors([t])[0] @ ctx.embed_x)
 
 
@@ -160,21 +159,16 @@ def nz_kernel_direct(
     substeps: int = 64,
     rho_se0: np.ndarray | None = None,
     x_env: np.ndarray | None = None,
-    t0: float = 0.0,
-    derivative_term: bool = True,
 ) -> np.ndarray:
     """Memory kernel ``K(t, s)`` on the system from the joint dynamics.
 
     Builds the ordered exponential of ``Q L`` over ``[s, t]`` with
     midpoint-sampled projectors and differentiates the projector family by
-    central differences (one-sided at the start of the window). The unit
-    trace operator ``x_env`` is arbitrary (else ``ValueError``);
-    ``derivative_term=False`` drops ``dP/ds`` (identically zero for a fixed
-    reference state). This is the one-point case of :func:`nz_kernel_slice`.
+    central differences (one-sided at time 0, where ``rho_se0`` starts the
+    reference states). The unit trace operator ``x_env`` is arbitrary (else
+    ``ValueError``). This is the one-point case of :func:`nz_kernel_slice`.
     """
-    return nz_kernel_slice(
-        model, choice, t, [s], substeps, rho_se0, x_env, t0, derivative_term
-    )[0][1]
+    return nz_kernel_slice(model, choice, t, [s], substeps, rho_se0, x_env)[0][1]
 
 
 def nz_kernel_slice(
@@ -185,8 +179,6 @@ def nz_kernel_slice(
     substeps: int = 16,
     rho_se0: np.ndarray | None = None,
     x_env: np.ndarray | None = None,
-    t0: float = 0.0,
-    derivative_term: bool = True,
 ) -> list[tuple[float, np.ndarray]]:
     """Kernels ``K(t, s)`` for many lower arguments ``s`` in a single sweep.
 
@@ -196,7 +188,7 @@ def nz_kernel_slice(
     is the natural building block for quadratures of the memory integral.
     Reference states are integrated at the resolution of the ordered
     exponential (longest segment over ``substeps``), so both carry
-    consistent second-order errors.
+    consistent second-order errors; they start from ``rho_se0`` at time 0.
     """
     s_sorted = sorted(float(s) for s in s_values)
     if not s_sorted:
@@ -207,7 +199,7 @@ def nz_kernel_slice(
         b - a for a, b in zip(s_sorted, s_sorted[1:] + [t])
     )
     ctx = _KernelContext(
-        model, choice, rho_se0, t0, integration_substep=segment / substeps, x_env=x_env
+        model, choice, rho_se0, 0.0, integration_substep=segment / substeps, x_env=x_env
     )
     # warm the reference-state cache in ascending order; the suffix loop
     # below walks backwards (time-dependent reference states depend on the
@@ -221,7 +213,7 @@ def nz_kernel_slice(
     for s in reversed(s_sorted):
         suffix = suffix @ ctx.ordered_q_exponential(s, upper, substeps, ctx.eye)
         upper = s
-        kernels[s] = left @ suffix @ ctx.inject(s, derivative_term) @ ctx.embed_x
+        kernels[s] = left @ suffix @ ctx.inject(s) @ ctx.embed_x
     return [(s, superop_from_coordinates(kernels[s])) for s in s_sorted]
 
 
@@ -232,20 +224,20 @@ def nz_inhomogeneity(
     rho_se0: np.ndarray,
     t: float,
     substeps: int = 64,
-    t0: float = 0.0,
 ) -> np.ndarray:
-    """Inhomogeneity ``J(t, t0)`` for a preparation applied at ``t0``.
+    """Inhomogeneity ``J(t, 0)`` for a preparation applied to ``rho_se0`` at
+    time 0.
 
     Vanishes when the post-preparation joint state is a product whose
     environment factor matches the reference state (the complement projector
     annihilates it).
     """
     ctx = _KernelContext(
-        model, choice, rho_se0, t0, integration_substep=(t - t0) / substeps if t > t0 else None
+        model, choice, rho_se0, 0.0, integration_substep=t / substeps if t > 0 else None
     )
     prepared = to_coordinates(extend_to_joint(preparation, model.layout) @ vectorize(rho_se0))
-    vec = (ctx.eye - ctx.projectors([t0])[0]) @ prepared
-    vec = ctx.ordered_q_exponential(t0, t, substeps, vec)
+    vec = (ctx.eye - ctx.projectors([0.0])[0]) @ prepared
+    vec = ctx.ordered_q_exponential(0.0, t, substeps, vec)
     return devectorize(from_coordinates(ctx.left(t) @ vec), model.layout.dim_system)
 
 
@@ -286,7 +278,6 @@ class KernelSeries:
     """
 
     grid: TimeGrid
-    choice: ProjectorChoice
     generator: dict = field(default_factory=dict)
     kernel: dict = field(default_factory=dict)
     inhomogeneity: dict = field(default_factory=dict)
@@ -314,10 +305,7 @@ def discrete_kernel_series(
     tensors = build_tensors(
         family, config, dense_window=j_max, exact_states=exact_states
     )
-    series = KernelSeries(
-        grid=grid,
-        choice=ProjectorChoice(family.policy, derivative_step=grid.dt / 16),
-    )
+    series = KernelSeries(grid=grid)
     for j in range(grid.steps):
         series.generator[j] = discrete_generator(family, j)
     for p, l in tensors.tensors:
@@ -396,23 +384,23 @@ def convergence_study(
     rho_se0: np.ndarray | None = None,
     map_substeps: int = 64,
     kernel_substeps: int = 512,
-    t0: float = 0.0,
 ) -> list[tuple[float, int, float]]:
-    """Relative difference between ``dt**2 K(t, t0)`` and the full-length tensor.
+    """Relative difference between ``dt**2 K(t, 0)`` and the full-length tensor.
 
     For each evolution time ``t`` and grid refinement ``N`` (``dt = t/N``),
-    returns ``(t, N, ||dt^2 K - T(N)|| / ||T(N)||)``. The tensor route and
-    the projection-operator route agree in the ``N -> infinity`` limit.
+    returns ``(t, N, ||dt^2 K - T(N)|| / ||T(N)||)``; the joint state
+    ``rho_se0`` is taken at time 0. The tensor route and the
+    projection-operator route agree in the ``N -> infinity`` limit.
     """
     rows = []
     for t in t_values:
         kernel = nz_kernel_direct(
-            model, choice, t0, t, substeps=kernel_substeps, rho_se0=rho_se0, t0=t0
+            model, choice, 0.0, t, substeps=kernel_substeps, rho_se0=rho_se0
         )
         for n in n_values:
             if n < 2:
                 raise ValueError(f"tensor recursion needs at least 2 grid points, got N={n}")
-            grid = TimeGrid(t0, (t - t0) / n, n)
+            grid = TimeGrid(0.0, t / n, n)
             family = reconstruct_family(
                 model, grid, choice.policy, substeps=map_substeps, rho_se0=rho_se0
             )

@@ -363,13 +363,9 @@ def hermiticity_defect(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - x.conj().T)))
 
 
-def validate_density_operator(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> None:
-    """Check Hermiticity, unit trace and (slack) positivity; raise on failure.
+def validate_density_operator(rho: np.ndarray) -> None:
+    """Check Hermiticity and unit trace to 1e-12 and positivity down to an
+    eigenvalue of -1e-10; raise ``ValueError`` on failure.
 
     Validation is deliberately explicit rather than baked into construction:
     cutoff-propagated states can legitimately leave the physical set and must
@@ -381,11 +377,11 @@ def validate_density_operator(
     if not np.all(np.isfinite(rho)):
         raise ValueError("density operator has non-finite entries")
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
+    if defect > 1e-12:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {defect:.3e}")
     tr_err = abs(np.trace(rho) - 1.0)
-    if tr_err > trace_tol:
+    if tr_err > 1e-12:
         raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
     min_eig = float(np.linalg.eigvalsh(hermitize(rho)).min())
-    if min_eig < eig_floor:
-        raise ValueError(f"negative eigenvalue {min_eig:.3e} below floor {eig_floor:.1e}")
+    if min_eig < -1e-10:
+        raise ValueError(f"negative eigenvalue {min_eig:.3e} below floor -1.0e-10")

@@ -194,19 +194,18 @@ def tensors_to_json(tensor_set: TransferTensorSet) -> dict:
 
 
 def tensors_from_json(doc: dict) -> TransferTensorSet:
-    """Tensor set from its JSON document. One without a ``dense`` flag (the
-    older format) loads as dense when it stores a start past the phases
-    ``0 .. transient_steps + c - 1``, which only a dense set can, and as
-    periodic otherwise."""
+    """Tensor set from its JSON document: dense when its ``dense`` flag is
+    ``true``, periodic when the flag is ``false`` or absent. A flag that is
+    not a JSON boolean is a ``ValueError``, and so is a periodic document
+    that stores a start past its phases ``0 .. transient_steps + c - 1``."""
     _check_header(doc, "memtensor-transfer-tensors")
+    dense = doc.get("dense", False)
+    if not isinstance(dense, bool):
+        raise ValueError(f"document 'dense' must be a JSON boolean, got {dense!r}")
     config = _fields(doc, "config", MemoryConfig)
     tensors, shape = _matrices(doc, "tensors", 2, superop=True)
     ds = None if shape is None else math.isqrt(shape[0])
     residuals, _ = _matrices(doc, "residuals", 1, None if ds is None else (ds, ds))
-    if "dense" in doc:
-        dense = doc["dense"] is True
-    else:
-        dense = any(p >= config.transient_steps + config.c for p, _ in tensors)
     return TransferTensorSet(config=config, tensors=tensors, residuals=residuals, dense=dense)
 
 

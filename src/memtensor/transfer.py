@@ -62,11 +62,10 @@ from .linalg import (
     to_coordinates,
     vectorize,
 )
-from .models import LindbladModel, PropagatorCache, TimeGrid, _finite
+from .models import LindbladModel, PropagatorCache, TimeGrid, _finite, steps_per_period
 from .tomography import (
     DynamicalMapFamily,
     FixedState,
-    ReferencePolicy,
     StateDecomposition,
     reconstruct_family,
 )
@@ -391,43 +390,44 @@ def propagate_correlation_free(
     model: LindbladModel,
     decomposition: StateDecomposition,
     grid: TimeGrid,
-    policy: ReferencePolicy | None,
     config: MemoryConfig,
     total_steps: int,
     substeps: int = 64,
-    max_length: int | None = None,
 ) -> list[np.ndarray]:
     """Tensor-propagate a correlated initial state without residual terms.
 
-    Each decomposition branch starts uncorrelated, so with the branch's own
-    environment state as reference (``policy=None``, the default) its
-    residuals vanish identically and plain tensor propagation applies; the
-    branches are then recombined with the decomposition coefficients. An
-    explicit ``policy`` is used verbatim for every branch instead (not
-    residual-free in general).
+    Each decomposition branch ``X_a (x) tau_a`` starts uncorrelated, and its
+    tensors are built against the fixed reference state ``tau_a``
+    (:class:`~memtensor.tomography.FixedState`), so its residuals vanish
+    identically and plain tensor propagation applies; the branches are then
+    recombined with the decomposition coefficients. Only this fixed
+    reference keeps a branch residual-free.
 
-    ``grid`` must cover the tensor-construction window (period + memory);
-    propagation continues to ``total_steps`` regardless of the grid length.
-    The joint steps do not depend on the branch, so every branch reads one
+    The tensors reuse one period of starts, so ``config.c`` must be a
+    multiple of :func:`~memtensor.models.steps_per_period` on ``grid.dt``
+    and ``config.dt`` must equal ``grid.dt`` to 1e-12 relative, else
+    ``ValueError`` naming the field. ``grid`` must cover the
+    tensor-construction window (period + memory); propagation continues to
+    ``total_steps`` regardless of the grid length. The joint steps do not
+    depend on the branch, so every branch reads one
     :class:`~memtensor.models.PropagatorCache`.
     """
+    if abs(config.dt - grid.dt) > 1e-12 * grid.dt:
+        raise ValueError(f"config.dt={config.dt!r} differs from the grid's dt={grid.dt!r}")
+    period = steps_per_period(model, grid.dt)
+    if period is None or config.c % period:
+        repeats = f"repeats every {period} steps" if period else "never repeats"
+        raise ValueError(f"config.c={config.c} must be a multiple of the steps per period, "
+                         f"but at dt={grid.dt!r} the generator {repeats}")
     combined = None
     cache = PropagatorCache(model, grid, substeps)
     for coeff, sys_op, tau in decomposition.terms:
         if coeff == 0:
             continue
-        branch_policy = FixedState(tau) if policy is None else policy
-        rho_branch0 = np.kron(sys_op, tau)
         family = reconstruct_family(
-            model,
-            grid,
-            branch_policy,
-            substeps=substeps,
-            rho_se0=None if policy is None else rho_branch0,
-            band=max_length or config.m,
-            cache=cache,
+            model, grid, FixedState(tau), substeps=substeps, band=config.m, cache=cache
         )
-        tensors = build_tensors(family, config, max_length=max_length)
+        tensors = build_tensors(family, config)
         branch = propagate(tensors, [sys_op], total_steps, include_residuals=True)
         if combined is None:
             combined = [coeff * rho for rho in branch]

@@ -373,7 +373,7 @@ def test_criterion_9_correlated_state_decomposition(paper_grid):
         total = int(round(100.0 / dt))
         window = TimeGrid(0.0, dt, 13)
         combined = propagate_correlation_free(
-            model, decomp, window, None, config, total, substeps=SUBSTEPS
+            model, decomp, window, config, total, substeps=SUBSTEPS
         )
         grid_long = TimeGrid(0.0, dt, total)
         joint = evolve_state(rho0, model, grid_long, substeps=SUBSTEPS)

@@ -150,14 +150,6 @@ def test_kernel_refuses_x_env_without_unit_trace_or_shape(x_env):
         nz_kernel_direct(example_model(), choice, 0.5, 1.5, 32, x_env=x_env)
 
 
-def test_derivative_term_vanishes_for_fixed_state():
-    model = example_model()
-    choice = ProjectorChoice(FixedState(TAU0))
-    with_term = nz_kernel_direct(model, choice, 0.0, 1.0, 32, derivative_term=True)
-    without = nz_kernel_direct(model, choice, 0.0, 1.0, 32, derivative_term=False)
-    assert operator_norm(with_term - without) < 1e-12
-
-
 def test_kernel_vanishes_for_decoupled_model():
     model = decoupled_model()
     choice = ProjectorChoice(FixedState(TAU0))
@@ -565,7 +557,7 @@ def test_array_holding_classes_compare_and_hash_by_identity():
             reconstruct_family(example_model(), grid, FixedState(tau), substeps=4), config
         ),
         lambda: decompose_initial_state(example_initial_state(), LAYOUT),
-        lambda: KernelSeries(grid, ProjectorChoice(FixedState(tau)), generator={0: np.eye(4)}),
+        lambda: KernelSeries(grid, generator={0: np.eye(4)}),
     ]
     for make in factories:
         a, b = make(), make()

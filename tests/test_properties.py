@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,9 +161,10 @@ def test_paper_identities_hold_for_random_models(case):
     _assert_same_matrices(loaded.residuals, tensors.residuals)
     reloaded = propagate(loaded, exact[:1], GRID.steps, include_residuals=True)
     np.testing.assert_array_equal(np.array(reloaded), np.array(trajectory))
-    # a dense document written before the flag existed still loads as dense
+    # without its flag the document is periodic, and its later starts refused
     del doc["dense"]
-    assert tensors_from_json(doc).dense
+    with pytest.raises(ValueError, match="periodic"):
+        tensors_from_json(doc)
 
     # a trivial environment leaves a divisible family: no memory at all
     if model.layout.dim_environment == 1:

@@ -83,8 +83,8 @@ def test_tensor_set_round_trip(tmp_path):
     for key in tensors.tensors:
         assert np.max(np.abs(loaded.tensors[key] - tensors.tensors[key])) < 1e-15
     assert np.max(np.abs(loaded.residuals[1] - tensors.residuals[1])) < 1e-15
-    # the dense flag survives; a document without it (the older format)
-    # loads as periodic when every start is a phase (here c = 3 > 2)
+    # the dense flag survives; a document without it loads as periodic,
+    # which holds every start here (c = 3 > 2)
     assert loaded.dense
     doc = tensors_to_json(tensors)
     del doc["dense"]
@@ -94,19 +94,25 @@ def test_tensor_set_round_trip(tmp_path):
     assert not tensors_from_json(tensors_to_json(periodic)).dense
 
 
-def test_flagless_document_loads_as_dense_when_a_start_is_past_the_phases():
+def test_flagless_document_past_its_phases_is_refused():
+    # without the flag a document is periodic, which cannot store start 2
     family = _small_family()
     tensors = build_tensors(family, MemoryConfig(dt=0.625, m=2, c=1), dense_window=3)
     assert max(p for p, _ in tensors.tensors) == 2  # past the single phase 0
     doc = tensors_to_json(tensors)
+    assert tensors_from_json(doc).dense
     del doc["dense"]
-    loaded = tensors_from_json(doc)
-    assert loaded.dense
-    assert set(loaded.tensors) == set(tensors.tensors)
-    with pytest.raises(KeyError, match="dense"):
-        loaded.tensor(3, 1)
-    doc["dense"] = False
-    with pytest.raises(ValueError, match="periodic"):
+    for periodic in (doc, {**doc, "dense": False}):
+        with pytest.raises(ValueError, match="periodic"):
+            tensors_from_json(periodic)
+
+
+@pytest.mark.parametrize("flag", [1, 0, "true", None, [True]], ids=repr)
+def test_dense_flag_that_is_not_a_json_boolean_is_refused(flag):
+    family = _small_family()
+    doc = tensors_to_json(build_tensors(family, MemoryConfig(dt=0.625, m=2, c=3), max_length=1))
+    doc["dense"] = flag
+    with pytest.raises(ValueError, match="'dense' must be a JSON boolean"):
         tensors_from_json(doc)
 
 

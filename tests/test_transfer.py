@@ -443,9 +443,7 @@ def test_correlation_free_product_state_reduces_to_plain_propagation(example_set
     decomp = decompose_initial_state(np.kron(rho_s, tau), LAYOUT)
     config = MemoryConfig(dt=grid.dt, m=6, c=5)
     total = 14
-    combined = propagate_correlation_free(
-        model, decomp, grid, None, config, total, substeps=48
-    )
+    combined = propagate_correlation_free(model, decomp, grid, config, total, substeps=48)
     family = reconstruct_family(model, grid, FixedState(tau), substeps=48, cache=cache)
     tensors = build_tensors(family, config)
     direct = propagate(tensors, [rho_s], total, include_residuals=True)
@@ -464,9 +462,7 @@ def test_correlation_free_tracks_exact_and_preserves_trace():
     config = MemoryConfig(dt=dt, m=8, c=4)
     total = 38  # out to wt ~ 30; the full-horizon run lives in acceptance
     window = TimeGrid(0.0, dt, 13)
-    combined = propagate_correlation_free(
-        model, decomp, window, None, config, total, substeps=48
-    )
+    combined = propagate_correlation_free(model, decomp, window, config, total, substeps=48)
     grid_long = TimeGrid(0.0, dt, total)
     joint = evolve_state(rho0, model, grid_long, substeps=48)
     sys_traj = [partial_trace(r, LAYOUT, "system") for r in joint]
@@ -497,7 +493,7 @@ def test_correlation_free_builds_one_cache_for_all_branches(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PropagatorCache, "__init__", counting)
-    combined = propagate_correlation_free(model, decomp, window, None, config, total, substeps=48)
+    combined = propagate_correlation_free(model, decomp, window, config, total, substeps=48)
     assert len(built) == 1 and sum(c != 0 for c, _, _ in decomp.terms) == 4
     np.testing.assert_array_equal(combined, hermitize(want))
 
@@ -528,7 +524,7 @@ def test_correlation_free_skips_a_branch_of_zero_weight(monkeypatch):
     dt, total = math.pi / 4, 38
     config = MemoryConfig(dt=dt, m=8, c=4)
     window = TimeGrid(0.0, dt, 13)
-    combined = propagate_correlation_free(model, decomp, window, None, config, total, substeps=48)
+    combined = propagate_correlation_free(model, decomp, window, config, total, substeps=48)
     assert len(calls) == 3
     # every branch shares tau, so the skipped branch loses nothing against
     # plain propagation of rho_S
@@ -538,6 +534,31 @@ def test_correlation_free_skips_a_branch_of_zero_weight(monkeypatch):
     for k, rho in enumerate(joint):
         assert trace_distance(combined[k], direct[k]) < 1e-9
         assert trace_distance(combined[k], partial_trace(rho, LAYOUT, "system")) < 2e-2
+
+
+@pytest.mark.parametrize(
+    "model, dt, config, match",
+    [
+        # 4 steps per period: c = 3 would miss the exact states by a trace distance of 0.356
+        (example_model(), math.pi / 4, MemoryConfig(dt=math.pi / 4, m=8, c=3), "config.c=3"),
+        (example_model(), math.pi / 4, MemoryConfig(dt=math.pi / 4, m=8, c=6), "every 4 steps"),
+        (example_model(), 0.625, MemoryConfig(dt=0.625, m=8, c=5), "never repeats"),
+        (
+            LindbladModel(LAYOUT, example_model().static, example_model().jump_terms,
+                          None, example_model().drives),
+            math.pi / 4, MemoryConfig(dt=math.pi / 4, m=8, c=4), "never repeats",
+        ),
+        (example_model(), math.pi / 4, MemoryConfig(dt=1.1 * math.pi / 4, m=8, c=4), "config.dt"),
+    ],
+    ids=["c-not-a-multiple", "c-above-the-period", "incommensurate-grid",
+         "no-declared-period", "dt-off-the-grid"],
+)
+def test_correlation_free_refuses_a_config_it_cannot_honour(model, dt, config, match):
+    from memtensor.tomography import decompose_initial_state
+
+    decomp = decompose_initial_state(example_initial_state(), LAYOUT)
+    with pytest.raises(ValueError, match=match):
+        propagate_correlation_free(model, decomp, TimeGrid(0.0, dt, 13), config, 38, substeps=48)
 
 
 def test_empty_sets_refuse_the_radius_and_the_heuristic():
