@@ -55,7 +55,6 @@ from .transfer import (
     TransferTensorSet,
     build_tensors,
     error_bound,
-    inhomogeneous_residual,
     memory_cutoff_heuristic,
     propagate,
     propagate_correlation_free,

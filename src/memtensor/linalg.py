@@ -54,7 +54,7 @@ def vectorize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim < 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], -1)
+    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
 
 
 def devectorize(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
@@ -279,9 +279,15 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return out
 
 
-def operator_norm(s: np.ndarray) -> float:
-    """Largest singular value of a (super)operator matrix."""
-    return float(np.linalg.svd(s, compute_uv=False)[0])
+def operator_norm(s: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a (super)operator matrix, or their array for a
+    stack: ``sqrt(max(eigvalsh(S^dag S)[-1], 0))``, one batched Hermitian
+    eigensolve (cheaper than SVDs), the same computation for a matrix as for
+    each matrix of a stack."""
+    s = np.asarray(s)
+    gram = np.swapaxes(s.conj(), -1, -2) @ s
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return float(norms) if s.ndim == 2 else norms
 
 
 def trace_norm(x: np.ndarray) -> float:

@@ -7,12 +7,14 @@ recursion
     T(l, end k)  =  map(k-l -> k) - sum_{l' < l} T(l', end k) map(k-l -> k-l')
 
 (Cerrillo and Cao, PRL 112, 110401 (2014)). For a fixed end ``k`` it is a
-unit upper-triangular system in the tensors ``T(1 .. L, end k)``, which
-:func:`build_tensors` solves by blocked forward substitution: it reads the
-family's array ``stack[i, g] = map(i -> i + g)`` as it stands and keeps the
-tensors of the current end as one row, so each tensor costs one matrix
-product of the row's filled part with the stacked maps from its start. After that the
-state at any step decomposes over its own history,
+unit upper-triangular system in the tensors ``T(1 .. L, end k)``, and the
+systems of different ends are independent. :func:`build_tensors` solves them
+all at once by forward substitution, one length per step: it keeps the row
+``[T(L, k) ... T(1, k)]`` of every end in one array and reads the family's
+array ``stack[i, g] = map(i -> i + g)`` as it stands, so the tensors of one
+length, for every end, cost one batched product of the rows' filled parts
+with the stacked maps from their starts. The same rows give the residuals.
+After that the state at any step decomposes over its own history,
 
     rho_k  =  sum_{l=1..k} T(l, end k) rho_{k-l}  +  residual_k,
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -58,6 +60,7 @@ from .linalg import (
     devectorize,
     from_coordinates,
     hermitize,
+    operator_norm,
     superop_to_coordinates,
     to_coordinates,
     vectorize,
@@ -146,7 +149,7 @@ class TransferTensorSet:
         """Operator norm of every stored tensor, by key, built on first use."""
         if not self.tensors:
             return {}
-        norms = np.linalg.norm(np.array(list(self.tensors.values())), 2, axis=(-2, -1))
+        norms = operator_norm(np.array(list(self.tensors.values())))
         return dict(zip(self.tensors, norms.tolist()))
 
     @cached_property
@@ -174,8 +177,9 @@ def build_tensors(
         Longest tensor to store (default ``config.m``; the error bound needs
         ``2*m - 1``).
     exact_states : list of ndarray, optional
-        Exact system states at steps ``0..k``; stores the correlation
-        residuals for steps ``1..min(m, k)``.
+        Exact ``d_S x d_S`` system states at steps ``0..k``; stores the
+        residuals ``rho_j - sum_l T(l, end j) rho_{j-l}``, ``j = 1..min(m, k)``
+        (tensors at their own starts; traceless if the maps preserve trace).
     dense_window : int, optional
         Store every tensor with ``start + length <= dense_window``; for
         propagation without periodic reuse (incommensurate grids) and for
@@ -184,73 +188,64 @@ def build_tensors(
         stores the starts ``0 .. transient_steps + c - 1`` and serves every
         later start from its phase.
 
-    Tensors are computed end by end. At end ``k`` the row
-    ``[T(top, k) ... T(1, k)]`` fills from the right, and ``T(l, k)`` is
-    ``map(k-l -> k)`` minus one product of the ``l - 1`` entries already in
-    the row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``, one slice
-    of ``family.stack``: one matrix product per tensor, never the whole
-    triangular system. ``max_length`` and ``dense_window`` must be integers
-    of at least 1 (``ValueError``); a tensor longer than the family's band
-    or ending past its grid is a ``KeyError`` naming the first such tensor.
+    The rows ``[T(L, k) ... T(1, k)]`` of every end ``k`` are one array and
+    fill from the right, one length at a time: ``T(l, k)`` for all ends is
+    ``map(k-l -> k)`` minus one batched product of the ``l - 1`` entries
+    already in each row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``,
+    a slice of ``family.stack``. The stored tensors are views of the rows, and
+    the residuals are one product of each row with the exact states before
+    it. ``max_length`` and ``dense_window`` must be integers of at least
+    ``config.m``, and each exact state ``d_S x d_S`` (``ValueError`` naming
+    the argument); a tensor longer than the family's band or ending past its
+    grid is a ``KeyError`` naming the first such tensor, end by end.
     """
     if max_length is None:
         max_length = config.m
     for name, value in (("max_length", max_length), ("dense_window", dense_window)):
         if value is not None:
-            _integer(value, name, 1)
+            _integer(value, name, config.m)  # the memory window must be covered
+    stack = family.stack
+    steps, band, n = len(stack), stack.shape[1] - 1, stack.shape[-1]
+    d = math.isqrt(n)
+    for k, rho in enumerate(() if exact_states is None else exact_states):
+        if np.shape(rho) != (d, d):
+            raise ValueError(f"exact_states must be {d}x{d}, got {np.shape(rho)} at step {k}")
     phases = config.transient_steps + config.c
     dense = dense_window is not None
     last_end = dense_window if dense else phases - 1 + max_length
-    max_length = min(max_length, last_end)
-    stack = family.stack
-    band, n = stack.shape[1] - 1, stack.shape[-1]
-    tensors = {}
-    for k in range(1, last_end + 1):
-        # row = [T(top, k) ... T(1, k)], filled from the right
-        top = min(k, max_length)
-        row = np.empty((n, top * n), dtype=complex)
-        for l in range(1, top + 1):
-            i = k - l
-            if l > band or k > len(stack):
-                raise KeyError(
-                    f"map family does not cover tensor (start={i}, length={l}): "
-                    f"its grid has {len(stack)} steps and its band is {band}"
-                )
-            t_l = stack[i, l] - row[:, (top - l + 1) * n :] @ stack[i, 1:l].reshape(-1, n)
-            row[:, (top - l) * n : (top - l + 1) * n] = t_l
-            if dense or i < phases:
-                tensors[(i, l)] = t_l
-    tensor_set = TransferTensorSet(config=config, tensors=tensors, dense=dense)
-
-    if exact_states is None:
-        return tensor_set
-    k_max = min(config.m, len(exact_states) - 1)
-    residuals = {
-        k: inhomogeneous_residual(exact_states, tensor_set, k) for k in range(1, k_max + 1)
-    }
-    return replace(tensor_set, residuals=residuals)
-
-
-def inhomogeneous_residual(
-    exact_states: list[np.ndarray], tensors: TransferTensorSet, k: int
-) -> np.ndarray:
-    """Correlation residual ``rho_k - sum_l T(l, end k) rho_{k-l}``.
-
-    Traceless whenever the maps behind the tensors are trace preserving.
-    """
-    if k < 1:
-        raise ValueError(f"residual is undefined for k={k}")
-    if k >= len(exact_states):
-        raise ValueError(
-            f"residual at k={k} needs exact states up to step {k}, "
-            f"got {len(exact_states)}"
+    top = min(max_length, last_end)
+    past_grid, past_band = last_end > steps, top > band
+    if past_grid or past_band:
+        # the first in end-by-end order: length 1 past the grid, or band + 1
+        i, l = (steps, 1) if past_grid and (not past_band or steps <= band) else (0, band + 1)
+        raise KeyError(
+            f"map family does not cover tensor (start={i}, length={l}): "
+            f"its grid has {steps} steps and its band is {band}"
         )
-    acc = np.array(exact_states[k], dtype=complex)
-    for l in range(1, k + 1):
-        t = tensors.tensor(k - l, l)
-        rho = exact_states[k - l]
-        acc -= (t @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
-    return acc
+    # rows[k] = [T(top, k) ... T(1, k)]; length l fills columns (top-l)*n ..
+    # for the ends l .. last_end, whose starts are 0 .. last_end - l
+    rows = np.empty((last_end + 1, n, top * n), dtype=complex)
+    for l in range(1, top + 1):
+        count = last_end - l + 1
+        t_l = stack[:count, l]
+        if l > 1:  # minus the filled part of each row times map(k-l -> k-l+g)
+            maps = stack[:count, 1:l].reshape(count, (l - 1) * n, n)
+            t_l = t_l - rows[l:, :, (top - l + 1) * n :] @ maps
+        rows[l:, :, (top - l) * n : (top - l + 1) * n] = t_l
+    tensors = {
+        (k - l, l): rows[k, :, (top - l) * n : (top - l + 1) * n]
+        for k in range(1, last_end + 1)
+        for l in range(1 if dense else max(1, k - phases + 1), min(k, top) + 1)
+    }
+    if exact_states is None:
+        return TransferTensorSet(config=config, tensors=tensors, dense=dense)
+    states = np.array(exact_states[: config.m + 1], dtype=complex).reshape(-1, d, d)
+    history = vectorize(states)
+    residuals = {
+        k: states[k] - devectorize(rows[k, :, (top - k) * n :] @ history[:k].reshape(-1), d)
+        for k in range(1, len(states))
+    }
+    return TransferTensorSet(config=config, tensors=tensors, residuals=residuals, dense=dense)
 
 
 class _Rows:

@@ -89,7 +89,7 @@ def test_tensor_set_round_trip(tmp_path):
     doc = tensors_to_json(tensors)
     del doc["dense"]
     assert not tensors_from_json(doc).dense
-    periodic = build_tensors(family, config, max_length=1)
+    periodic = build_tensors(family, replace(config, m=1))
     assert "dense" not in tensors_to_json(periodic)
     assert not tensors_from_json(tensors_to_json(periodic)).dense
 
@@ -110,7 +110,7 @@ def test_flagless_document_past_its_phases_is_refused():
 @pytest.mark.parametrize("flag", [1, 0, "true", None, [True]], ids=repr)
 def test_dense_flag_that_is_not_a_json_boolean_is_refused(flag):
     family = _small_family()
-    doc = tensors_to_json(build_tensors(family, MemoryConfig(dt=0.625, m=2, c=3), max_length=1))
+    doc = tensors_to_json(build_tensors(family, MemoryConfig(dt=0.625, m=1, c=3)))
     doc["dense"] = flag
     with pytest.raises(ValueError, match="'dense' must be a JSON boolean"):
         tensors_from_json(doc)

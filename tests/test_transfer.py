@@ -1,6 +1,7 @@
 """Transfer tensor construction, propagation, residuals, error bound."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from memtensor.transfer import (
     TransferTensorSet,
     build_tensors,
     error_bound,
-    inhomogeneous_residual,
     memory_cutoff_heuristic,
     propagate,
     propagate_correlation_free,
@@ -145,43 +145,137 @@ def test_missing_map_raises_coverage_error(example_setup):
 
 
 def reference_build_tensors(family, config, max_length=None, dense_window=None):
-    """The double loop of the recursion: one 4x4 product per shorter tensor."""
+    """The double loop of the recursion: one small product per shorter tensor.
+
+    Returns the stored tensors and every tensor at its own start. A map the
+    family lacks is a ``KeyError`` naming the first tensor it stops at.
+    """
     if max_length is None:
         max_length = config.m
     phases = config.transient_steps + config.c
     dense = dense_window is not None
     last_end = dense_window if dense else phases - 1 + max_length
-    tensors = {}
+    tensors, every = {}, {}
     for k in range(1, last_end + 1):
         at_end = []
         for l in range(1, min(k, max_length) + 1):
-            t_l = np.array(family.map(k - l, k))
+            try:
+                t_l = np.array(family.map(k - l, k))
+            except KeyError:
+                raise KeyError(f"(start={k - l}, length={l})") from None
             for lp in range(1, l):
                 t_l -= at_end[lp - 1] @ family.map(k - l, k - lp)
             at_end.append(t_l)
+            every[(k - l, l)] = t_l
             if dense or k - l < phases:
                 tensors[(k - l, l)] = t_l
-    return tensors
+    return tensors, every
+
+
+def reference_residuals(every, states, m):
+    """``rho_k - sum_l T(l, end k) rho_{k-l}``, term by term, for k = 1 .. m."""
+    return {
+        k: states[k] - sum(apply_superop(every[(k - l, l)], states[k - l]) for l in range(1, k + 1))
+        for k in range(1, min(m, len(states) - 1) + 1)
+    }
+
+
+@pytest.fixture(scope="module")
+def families(example_setup):
+    """Families by name, each with exact-state stand-ins for the residuals:
+    the example family (band 18), a banded one (band 8) and a d_S = 3 one."""
+    model, _, grid, _, family, sys_traj = example_setup
+    banded = reconstruct_family(model, grid, FixedState(TAU0), substeps=8, band=8)
+    rng = np.random.default_rng(3)
+    qutrit = LindbladModel(
+        SpaceLayout(3, 2), _random_hermitian(rng, 6), [(_random_hermitian(rng, 6) / 3, 0.4)]
+    )
+    qutrit_family = reconstruct_family(
+        qutrit, TimeGrid(0.0, 0.3, 10), FixedState(np.eye(2, dtype=complex) / 2), substeps=8
+    )
+    states = [_random_hermitian(rng, 3) for _ in range(11)]
+    return {
+        "example": (family, sys_traj),
+        "banded": (banded, sys_traj),
+        "qutrit": (qutrit_family, states),
+    }
 
 
 @pytest.mark.parametrize(
-    "memory, kwargs",
+    "name, memory, kwargs",
     [
-        ((4, 5, 1), {"max_length": 7}),  # periodic, transients, max_length > c
-        ((4, 5, 0), {"max_length": 7, "dense_window": 18}),
-        ((18, 18, 0), {"dense_window": 18}),  # full length, as convergence_study
+        ("example", (4, 5, 1), {"max_length": 7}),  # periodic, transients, max_length > c
+        ("example", (4, 5, 0), {"max_length": 7, "dense_window": 18}),
+        ("example", (18, 18, 0), {"dense_window": 18}),  # full length, as convergence_study
+        ("example", (4, 5, 2), {"max_length": 6, "dense_window": 12}),
+        ("example", (4, 5, 0), {"max_length": 9, "dense_window": 6}),  # max_length clamped to 6
+        ("qutrit", (3, 2, 1), {"max_length": 5}),  # n = 9
+        ("banded", (3, 4, 0), {"max_length": 4}),  # max_length < band = 8
     ],
-    ids=["periodic", "dense", "full-length"],
+    ids=["periodic", "dense", "full-length", "dense-transients", "clamped", "qutrit", "banded"],
 )
-def test_recursion_matches_reference_loop(example_setup, memory, kwargs):
-    _, _, grid, _, family, _ = example_setup
+def test_recursion_matches_reference_loop(families, name, memory, kwargs):
+    family, states = families[name]
     m, c, transient = memory
-    config = MemoryConfig(dt=grid.dt, m=m, c=c, transient_steps=transient)
-    expected = reference_build_tensors(family, config, **kwargs)
-    tensors = build_tensors(family, config, **kwargs).tensors
-    assert tensors.keys() == expected.keys()
+    config = MemoryConfig(dt=family.grid.dt, m=m, c=c, transient_steps=transient)
+    expected, every = reference_build_tensors(family, config, **kwargs)
+    built = build_tensors(family, config, exact_states=states, **kwargs)
+    assert built.tensors.keys() == expected.keys()
     for key, t in expected.items():
-        np.testing.assert_allclose(tensors[key], t, rtol=0, atol=1e-12, err_msg=f"{key}")
+        np.testing.assert_allclose(built.tensors[key], t, rtol=0, atol=1e-12, err_msg=f"{key}")
+    residuals = reference_residuals(every, states, m)
+    assert built.residuals.keys() == residuals.keys() == set(range(1, m + 1))
+    for k, r in residuals.items():
+        np.testing.assert_allclose(built.residuals[k], r, rtol=0, atol=1e-14, err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize(
+    "steps, band, max_length, dense_window, c, transient",
+    [
+        (6, None, 3, None, 5, 0),  # an end past the grid
+        (10, 2, 3, None, 2, 0),  # a length past the band
+        (5, 3, 4, 7, 1, 0),  # both; the band is reached first
+        (6, 2, 4, None, 3, 1),  # both, with transients; the band first
+        (3, 3, 5, 5, 1, 0),  # both at the same end: length 1 first
+        (4, 4, 2, None, 2, 2),  # transients push the last end past the grid
+    ],
+)
+def test_coverage_error_names_the_first_tensor_the_end_by_end_loop_misses(
+    steps, band, max_length, dense_window, c, transient
+):
+    family = reconstruct_family(
+        example_model(), TimeGrid(0.0, 0.3, steps), FixedState(TAU0), substeps=2, band=band
+    )
+    config = MemoryConfig(dt=0.3, m=2, c=c, transient_steps=transient)
+    kwargs = {"max_length": max_length, "dense_window": dense_window}
+    with pytest.raises(KeyError) as first:
+        reference_build_tensors(family, config, **kwargs)
+    with pytest.raises(KeyError, match=re.escape(first.value.args[0])):
+        build_tensors(family, config, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"max_length": 3}, {"dense_window": 3}], ids=["max_length", "dense_window"]
+)
+def test_a_set_shorter_than_its_memory_window_is_refused(example_setup, kwargs):
+    _, _, grid, _, family, _ = example_setup
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 4"):
+        build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5), **kwargs)
+
+
+def test_exact_states_of_the_wrong_size_are_refused(example_setup):
+    _, _, grid, _, family, sys_traj = example_setup
+    states = sys_traj[:2] + [np.eye(3) / 3] + sys_traj[3:]
+    with pytest.raises(ValueError, match=r"exact_states must be 2x2, got \(3, 3\) at step 2"):
+        build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5), exact_states=states)
+
+
+def test_a_history_of_at_most_one_state_stores_no_residuals(example_setup):
+    _, _, grid, _, family, sys_traj = example_setup
+    for states in ([], sys_traj[:1]):
+        tensors = build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5), exact_states=states)
+        assert not tensors.residuals
 
 
 @pytest.mark.parametrize(
@@ -279,16 +373,6 @@ def test_residuals_of_correlated_start(example_setup):
     np.testing.assert_allclose(tensors.residuals[1], direct, atol=1e-12)
     for k in range(1, 9):
         assert abs(np.trace(tensors.residuals[k])) < 1e-10
-
-
-def test_residual_argument_errors(example_setup):
-    _, _, grid, _, family, sys_traj = example_setup
-    config = MemoryConfig(dt=grid.dt, m=4, c=5)
-    tensors = build_tensors(family, config)
-    with pytest.raises(ValueError):
-        inhomogeneous_residual(sys_traj, tensors, 0)
-    with pytest.raises(ValueError):
-        inhomogeneous_residual(sys_traj[:3], tensors, 5)
 
 
 def test_full_memory_propagation_is_exact(example_setup):
