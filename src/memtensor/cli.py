@@ -398,9 +398,10 @@ def _state_table(name: str, grid: TimeGrid, states: list, exact=None, **extras) 
     rows = []
     for k, rho in enumerate(states):
         row = [k, grid.time(k), *(float(v) for z in rho.ravel() for v in (z.real, z.imag))]
-        row.append(float(np.trace(rho).real))
-        rows.append(row if exact is None else row + [trace_distance(rho, exact[k])])
+        rows.append(row + [float(np.trace(rho).real)])
     if exact is not None:
+        distances = trace_distance(np.array(states), np.array(exact[: len(states)]))
+        rows = [row + [distance] for row, distance in zip(rows, distances.tolist())]
         columns.append("trace_distance_exact")
     return name, columns, rows, extras
 
@@ -535,10 +536,13 @@ def run_error_sweep(config: dict, inputs: tuple, args) -> list[tuple]:
             # long-time window: both envelopes compared cell-level, since the
             # second-memory-window bound is approximate pointwise
             start = max(2 * m, total // 2)
-            max_error = max(
-                trace_distance(trajectory[k], exact[k]) for k in range(start, total + 1)
+            window = slice(start, total + 1)
+            max_error = float(
+                trace_distance(np.array(trajectory[window]), np.array(exact[window])).max()
             )
-            max_bound = max(error_bound(tensors, memory, k) for k in range(start, total + 1))
+            # the bound depends on k only through the phase of k - 2m
+            phases = {tensors.phase_of(k - 2 * m): k for k in range(start, total + 1)}
+            max_bound = max(error_bound(tensors, memory, k) for k in phases.values())
             unphysical = max_error > 2.0
             rows.append(
                 (

@@ -11,7 +11,11 @@ acting on vectorized operators, with a single global convention:
 * **Hermitian coordinates.** Hermitian operators and the maps that preserve
   Hermiticity are real in the basis of :func:`coordinate_basis`, used here only.
 
-Everything here is a pure function of its inputs; nothing is mutated.
+Everything here is a pure function of its inputs; nothing is mutated. The
+module needs ``numpy`` alone: ``scipy.linalg.expm``, which only the reference
+:func:`matrix_exponential` calls, is imported the first time something reads
+``memtensor.linalg.expm`` (a module ``__getattr__``), so importing the package
+does not load ``scipy``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,17 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+
+
+def __getattr__(name: str):
+    """Import ``scipy.linalg.expm`` as the module global ``expm`` on first
+    read; it stays rebindable like any global."""
+    if name != "expm":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import expm
+
+    globals()["expm"] = expm
+    return expm
 
 
 def _integer(value, name: str, low: int) -> int:
@@ -159,13 +173,15 @@ def matrix_exponential(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """``exp(scale * M)`` via scaling-and-squaring Pade approximation.
 
     ``M`` may be a stack ``(K, n, n)``; each matrix is exponentiated on its
-    own, in one call (``scipy.linalg.expm``). The package's ordered
-    exponentials use :func:`taylor_exponential` instead; this is its
-    reference.
+    own, in one call of the module's ``expm``, ``scipy.linalg.expm`` imported
+    on the first call. The package's ordered exponentials use
+    :func:`taylor_exponential` instead; this is its reference, and the only
+    function that loads ``scipy``.
     """
     m = np.asarray(m)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    expm = globals().get("expm") or __getattr__("expm")
     return expm(scale * m)
 
 
@@ -290,13 +306,18 @@ def operator_norm(s: np.ndarray) -> float | np.ndarray:
     return float(norms) if s.ndim == 2 else norms
 
 
-def trace_norm(x: np.ndarray) -> float:
-    """Sum of singular values, ``tr|X|``."""
-    return float(np.linalg.svd(x, compute_uv=False).sum())
+def trace_norm(x: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values, ``tr|X|``, or their array for a stack
+    ``(..., d, d)``: one batched SVD, the same computation for a matrix as
+    for each matrix of a stack."""
+    x = np.asarray(x)
+    norms = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
+    return float(norms) if x.ndim == 2 else norms
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """``tr|rho - sigma|`` (no factor 1/2; orthogonal pure states give 2)."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """``tr|rho - sigma|`` (no factor 1/2; orthogonal pure states give 2), or
+    their array for stacks of states."""
     return trace_norm(np.asarray(rho) - np.asarray(sigma))
 
 

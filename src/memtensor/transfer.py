@@ -97,6 +97,16 @@ class MemoryConfig:
         _integer(self.transient_steps, "transient_steps", 0)
 
 
+def _read_only(a) -> np.ndarray:
+    """``a`` as an ndarray that refuses writes; a writable input stays
+    writable for its owner, who gets a read-only view."""
+    a = np.asarray(a)
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TransferTensorSet:
     """Transfer tensors keyed by ``(start step, length)`` plus residuals.
@@ -118,12 +128,11 @@ class TransferTensorSet:
             raise ValueError(
                 f"a periodic set stores only starts below transient_steps + c = {phases}"
             )
-        # read-only views: the norm table stays that of the stored arrays
+        # read-only arrays, so the norm table stays that of the stored ones: a
+        # read-only input is stored as it is, a writable one through a view
         for name in ("tensors", "residuals"):
-            views = {key: np.asarray(a).view() for key, a in getattr(self, name).items()}
-            for view in views.values():
-                view.flags.writeable = False
-            object.__setattr__(self, name, MappingProxyType(views))
+            arrays = {key: _read_only(a) for key, a in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(arrays))
 
     def phase_of(self, j: int) -> int:
         """Stored start serving start step ``j`` (``j`` itself inside the
@@ -192,12 +201,13 @@ def build_tensors(
     fill from the right, one length at a time: ``T(l, k)`` for all ends is
     ``map(k-l -> k)`` minus one batched product of the ``l - 1`` entries
     already in each row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``,
-    a slice of ``family.stack``. The stored tensors are views of the rows, and
-    the residuals are one product of each row with the exact states before
-    it. ``max_length`` and ``dense_window`` must be integers of at least
-    ``config.m``, and each exact state ``d_S x d_S`` (``ValueError`` naming
-    the argument); a tensor longer than the family's band or ending past its
-    grid is a ``KeyError`` naming the first such tensor, end by end.
+    a slice of ``family.stack``. The stored tensors are slices of the rows,
+    marked read-only once, and the residuals are one product of each row with
+    the exact states before it. ``max_length`` and ``dense_window`` must be
+    integers of at least ``config.m``, and each exact state ``d_S x d_S``
+    (``ValueError`` naming the argument); a tensor longer than the family's
+    band or ending past its grid is a ``KeyError`` naming the first such
+    tensor, end by end.
     """
     if max_length is None:
         max_length = config.m
@@ -232,6 +242,7 @@ def build_tensors(
             maps = stack[:count, 1:l].reshape(count, (l - 1) * n, n)
             t_l = t_l - rows[l:, :, (top - l + 1) * n :] @ maps
         rows[l:, :, (top - l) * n : (top - l + 1) * n] = t_l
+    rows.flags.writeable = False  # the stored tensors are slices of it
     tensors = {
         (k - l, l): rows[k, :, (top - l) * n : (top - l + 1) * n]
         for k in range(1, last_end + 1)

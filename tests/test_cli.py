@@ -9,6 +9,7 @@ import pytest
 from memtensor import cli
 from memtensor.models import LindbladModel, example_initial_state, model_from_config
 from memtensor.serialization import complex_matrix_to_json
+from memtensor.transfer import error_bound
 
 
 def run_cli(args):
@@ -166,6 +167,33 @@ def test_error_sweep_single_cell(tmp_path):
     assert int(m) == 3 and int(c) == 4
     assert float(error) <= float(bound)
     assert bound_ok == "1" and unphysical == "0"
+
+
+def test_error_sweep_bounds_each_phase_once(tmp_path, monkeypatch):
+    # the bound depends on k only through the phase of k - 2m: one call per
+    # phase gives the maximum over every k of the long-time window
+    calls = []
+
+    def recording(tensors, memory, k):
+        calls.append((tensors, memory, k))
+        return error_bound(tensors, memory, k)
+
+    monkeypatch.setattr(cli, "error_bound", recording)
+    config = {"sweep": {"c_values": [4], "tm_targets": [2.5], "horizon": 15.0}, "substeps": 8}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(["error-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header, rows = read_rows(out / "error_sweep.csv")
+    tensors, memory, _ = calls[0]
+    m, c = memory.m, memory.c
+    total = int(round(15.0 / memory.dt))
+    window = range(max(2 * m, total // 2), total + 1)
+    assert sorted(tensors.phase_of(k - 2 * m) for *_, k in calls) == list(range(c))
+    assert len(window) > c
+    assert float(rows[0][header.index("bound")]) == max(
+        error_bound(tensors, memory, k) for k in window
+    )
 
 
 def test_error_sweep_refuses_policy_without_tensor_reuse(tmp_path, capsys):

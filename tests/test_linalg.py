@@ -346,6 +346,18 @@ def test_trace_norm_is_sum_of_singular_values():
     assert abs(trace_norm(x) - np.linalg.svd(x, compute_uv=False).sum()) < 1e-12
 
 
+def test_trace_norm_of_a_stack_is_that_of_each_matrix():
+    stack = np.array([random_complex(3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    assert isinstance(trace_norm(stack[0, 0]), float)
+    assert isinstance(trace_distance(stack[0, 0], stack[1, 2]), float)
+    norms = trace_norm(stack)
+    assert norms.shape == (2, 3)
+    np.testing.assert_array_equal(norms, [[trace_norm(x) for x in row] for row in stack])
+    distances = trace_distance(stack, stack[::-1])
+    want = [[trace_distance(x, y) for x, y in zip(a, b)] for a, b in zip(stack, stack[::-1])]
+    np.testing.assert_array_equal(distances, want)
+
+
 def test_trace_distance_symmetry_and_triangle():
     for _ in range(5):
         a, b, c = (random_state(3) for _ in range(3))

@@ -762,6 +762,29 @@ def test_norm_table_serves_phases_and_the_set_is_read_only(example_setup):
         tensors.tensors = {}
 
 
+def test_stored_arrays_refuse_writes_and_a_callers_arrays_stay_writable(example_setup):
+    _, _, grid, _, family, sys_traj = example_setup
+    config = MemoryConfig(dt=grid.dt, m=4, c=5)
+    tensors = build_tensors(family, config, max_length=7, exact_states=sys_traj)
+    built = [*tensors.tensors.values(), *tensors.residuals.values()]
+    assert tensors.residuals and not any(a.flags.writeable for a in built)
+    # read-only arrays are stored as they are
+    again = TransferTensorSet(config=config, tensors=dict(tensors.tensors))
+    assert all(again.tensors[key] is t for key, t in tensors.tensors.items())
+    # writable ones through read-only views, leaving the caller's arrays writable
+    mine = {key: np.array(t) for key, t in tensors.tensors.items()}
+    residuals = {k: np.array(r) for k, r in tensors.residuals.items()}
+    copy = TransferTensorSet(config=config, tensors=mine, residuals=residuals)
+    assert all(a.flags.writeable for a in [*mine.values(), *residuals.values()])
+    stored = [*copy.tensors.values(), *copy.residuals.values()]
+    assert not any(a.flags.writeable for a in stored)
+    for key, t in copy.tensors.items():
+        np.testing.assert_array_equal(t, tensors.tensors[key])
+    for array in stored:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
 def test_periodic_set_refuses_starts_past_its_phases(example_setup):
     _, _, grid, _, family, _ = example_setup
     config = MemoryConfig(dt=grid.dt, m=4, c=5, transient_steps=1)
