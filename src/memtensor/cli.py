@@ -330,12 +330,13 @@ def build_inputs(config: dict) -> tuple:
 
 
 def validate_config(config: dict) -> tuple[list[str], list[str], tuple | None]:
-    """Returns (errors, warnings, inputs) for a merged experiment config. The
-    warnings compare ``memory.t_m`` with ``m * dt`` on the default grid;
+    """Returns (errors, warnings, inputs) for a merged experiment config.
     ``inputs`` is :func:`build_inputs` of the config, ``None`` on errors, so
     a run builds its model once. A config that sets ``grid.dt`` fixes the
     grid step of ``tensors`` and ``propagate``, so :func:`resolve_memory`
-    checks its pinned ``memory.c`` here too."""
+    checks its pinned ``memory.c`` here too, and the warnings compare
+    ``memory.t_m`` with ``m * dt``. Without ``grid.dt`` there are none: each
+    runner picks its own grid and warns on it."""
     errors = []
     inputs = None
     try:
@@ -352,13 +353,14 @@ def validate_config(config: dict) -> tuple[list[str], list[str], tuple | None]:
     if errors:  # a section that is not an object fails each of its rows alike
         return list(dict.fromkeys(errors)), [], None
     m, dt = setting(config, "memory.m", 8), setting(config, "grid.dt", None)
-    if dt is not None:  # the grid step of both tensor runners
-        model, _, policy = inputs
-        try:
-            resolve_memory(config, model, dt, policy)
-        except ConfigError as exc:
-            return [str(exc)], [], None
-    return errors, memory_time_warnings(config, m, dt or 0.625), inputs
+    if dt is None:  # each runner checks and warns on its own grid
+        return errors, [], inputs
+    model, _, policy = inputs  # dt is the grid step of both tensor runners
+    try:
+        resolve_memory(config, model, dt, policy)
+    except ConfigError as exc:
+        return [str(exc)], [], None
+    return errors, memory_time_warnings(config, m, dt), inputs
 
 
 def _echo(config: dict, **extra) -> dict:

@@ -22,8 +22,8 @@ discretization of the reconstructed master equation.
 
 All direct objects share one assembly: ``tr_E P_t L_t`` on the left
 (``_KernelContext.left``), the injection ``Q_s L_s P_s - dP_s/ds`` on the
-right (``_KernelContext.inject``) and the ordered exponential of ``Q L`` in
-between. ``nz_kernel_slice`` is the kernel route; ``nz_kernel_direct`` is its
+right (``_KernelContext.inject``) and, in between, ``models.ordered_exponential``
+of ``Q L``. ``nz_kernel_slice`` is the kernel route; ``nz_kernel_direct`` is its
 one-point case and ``kernel_norm_curve`` grows the exponential step by step.
 """
 
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    _integer,
     apply_superop,
     devectorize,
     embed_environment_superop,
@@ -48,6 +49,7 @@ from .linalg import (
 from .models import (
     LindbladModel,
     TimeGrid,
+    _finite,
     generator_stack,
     midpoints,
     ordered_exponential,
@@ -71,7 +73,7 @@ class ProjectorChoice:
     derivative_step: float = 1 / 64
 
     def __post_init__(self):
-        if self.derivative_step <= 0:
+        if _finite(self.derivative_step, "derivative_step") <= 0:
             raise ValueError(f"derivative_step must be positive, got {self.derivative_step}")
 
 
@@ -86,16 +88,11 @@ class _KernelContext:
     Hermitian coordinates: ``P_t`` weights the embeddings ``X -> X (x) e_k``
     of the environment's basis elements by the coordinates of ``tau(t)``."""
 
-    def __init__(self, model, choice, rho_se0, t0, integration_substep=None, x_env=None):
+    def __init__(self, model, choice, rho_se0, t0, substep, x_env=None):
         self.model = model
         self.choice = choice
         layout = model.layout
-        self.t0 = t0
-        if integration_substep is None:
-            integration_substep = choice.derivative_step
-        self.refs = ReferenceStates(
-            choice.policy, model, rho_se0, t0=t0, substep=integration_substep
-        )
+        self.refs = ReferenceStates(choice.policy, model, rho_se0, t0=t0, substep=substep)
         de = layout.dim_environment
         elements = devectorize(from_coordinates(np.eye(de * de)), de)
         self.trace_e = superop_to_coordinates(trace_out_superop(layout, "system")).real
@@ -120,7 +117,7 @@ class _KernelContext:
         p_s = self.projectors([s])[0]
         out = (self.eye - p_s) @ generator_stack(self.model, [s])[0] @ p_s
         h, tau = self.choice.derivative_step, lambda t: self.refs.coordinates([t])[0]
-        if s - h >= self.t0 - 1e-12:
+        if s - h >= self.refs.t0 - 1e-12:
             d_tau = (tau(s + h) - tau(s - h)) / (2 * h)
         else:  # second-order one-sided difference at the start of the window
             d_tau = (-3 * tau(s) + 4 * tau(s + h) - tau(s + 2 * h)) / (2 * h)
@@ -130,24 +127,16 @@ class _KernelContext:
         """Stack of ``Q_t L_t`` at each of ``times``."""
         return (self.eye - self.projectors(times)) @ generator_stack(self.model, times)
 
-    def ordered_q_exponential(self, s, t, substeps, start):
-        """Time-ordered exponential of ``Q L`` over ``[s, t]`` applied to ``start``."""
-        if t == s:
-            return start
-        times, h = midpoints(s, t, substeps)
-        return ordered_exponential(self.q_generators, times, h, start)
-
 
 def nz_generator_direct(
     model: LindbladModel,
     choice: ProjectorChoice,
     t: float,
     rho_se0: np.ndarray | None = None,
-    x_env: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time-local generator ``tr_E{P_t L_t P_t (. (x) x)}`` on the system,
     with reference states started from ``rho_se0`` at time 0."""
-    ctx = _KernelContext(model, choice, rho_se0, 0.0, x_env=x_env)
+    ctx = _KernelContext(model, choice, rho_se0, 0.0, choice.derivative_step)
     return superop_from_coordinates(ctx.left(t) @ ctx.projectors([t])[0] @ ctx.embed_x)
 
 
@@ -199,7 +188,7 @@ def nz_kernel_slice(
         b - a for a, b in zip(s_sorted, s_sorted[1:] + [t])
     )
     ctx = _KernelContext(
-        model, choice, rho_se0, 0.0, integration_substep=segment / substeps, x_env=x_env
+        model, choice, rho_se0, 0.0, segment / _integer(substeps, "substeps", 1), x_env
     )
     # warm the reference-state cache in ascending order; the suffix loop
     # below walks backwards (time-dependent reference states depend on the
@@ -211,7 +200,8 @@ def nz_kernel_slice(
     kernels = {}
     upper = t
     for s in reversed(s_sorted):
-        suffix = suffix @ ctx.ordered_q_exponential(s, upper, substeps, ctx.eye)
+        times, h = midpoints(s, upper, substeps)
+        suffix = suffix @ ordered_exponential(ctx.q_generators, times, h, ctx.eye)
         upper = s
         kernels[s] = left @ suffix @ ctx.inject(s) @ ctx.embed_x
     return [(s, superop_from_coordinates(kernels[s])) for s in s_sorted]
@@ -230,14 +220,15 @@ def nz_inhomogeneity(
 
     Vanishes when the post-preparation joint state is a product whose
     environment factor matches the reference state (the complement projector
-    annihilates it).
+    annihilates it). A ``t`` below 0 is a ``ValueError``.
     """
-    ctx = _KernelContext(
-        model, choice, rho_se0, 0.0, integration_substep=t / substeps if t > 0 else None
-    )
+    if _finite(t, "t") < 0:
+        raise ValueError(f"t must be >= 0 (the preparation time), got {t}")
+    # at t = 0 (a zero substep) every reference state asked for is the start
+    ctx = _KernelContext(model, choice, rho_se0, 0.0, t / _integer(substeps, "substeps", 1))
     prepared = to_coordinates(extend_to_joint(preparation, model.layout) @ vectorize(rho_se0))
     vec = (ctx.eye - ctx.projectors([0.0])[0]) @ prepared
-    vec = ctx.ordered_q_exponential(0.0, t, substeps, vec)
+    vec = ordered_exponential(ctx.q_generators, *midpoints(0.0, t, substeps), vec)
     return devectorize(from_coordinates(ctx.left(t) @ vec), model.layout.dim_system)
 
 
@@ -353,7 +344,6 @@ def kernel_norm_curve(
     grid: TimeGrid,
     rho_se0: np.ndarray | None = None,
     substeps: int = 64,
-    x_env: np.ndarray | None = None,
 ) -> list[tuple[str, float, float]]:
     """Norm of ``K(t, t0)`` along the grid for each projector choice.
 
@@ -363,14 +353,14 @@ def kernel_norm_curve(
     the coordinates is orthonormal, so they give the operator norms.
     """
     rows = []
+    substep = grid.dt / _integer(substeps, "substeps", 1)
     for choice in choices:
-        ctx = _KernelContext(
-            model, choice, rho_se0, grid.t0, integration_substep=grid.dt / substeps, x_env=x_env
-        )
+        ctx = _KernelContext(model, choice, rho_se0, grid.t0, substep)
         block = ctx.inject(grid.t0) @ ctx.embed_x  # stepped on as G(t, t0) grows
         label = policy_label(choice.policy)
         for j in range(1, grid.steps + 1):
-            block = ctx.ordered_q_exponential(grid.time(j - 1), grid.time(j), substeps, block)
+            times, h = midpoints(grid.time(j - 1), grid.time(j), substeps)
+            block = ordered_exponential(ctx.q_generators, times, h, block)
             t = grid.time(j)
             rows.append((label, t, operator_norm(ctx.left(t) @ block)))
     return rows

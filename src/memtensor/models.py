@@ -216,8 +216,8 @@ def steps_per_period(model: LindbladModel, dt: float) -> int | None:
 
 
 def midpoints(s: float, t: float, substeps: int) -> tuple[np.ndarray, float]:
-    """Substep midpoints of ``[s, t]`` and the substep size."""
-    h = (t - s) / substeps
+    """Substep midpoints of ``[s, t]`` and the substep size (``substeps >= 1``)."""
+    h = (t - s) / _integer(substeps, "substeps", 1)
     return s + (np.arange(substeps) + 0.5) * h, h
 
 

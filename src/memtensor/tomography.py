@@ -35,7 +35,6 @@ forming an inhomogeneous term.
 from __future__ import annotations
 
 import bisect
-from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -132,8 +131,9 @@ class ReferenceStates:
     them one by one, in order. It plans every substep first (earlier queries
     of the call count as cached), then walks the states through the chunks
     of :func:`~memtensor.models.hermitian_step_chunks`, each generator scaled
-    by its own substep. The frozen-system generator ``tr_S L (sigma (x) .)``
-    is assembled from real pieces built once. The initial joint state and
+    by its own substep, caching each state as it is built (the times are
+    committed last). The frozen-system generator ``tr_S L (sigma (x) .)`` is
+    assembled from real pieces built once. The initial joint state and
     ``sigma(t)`` enter through their Hermitian parts.
 
     :meth:`coordinates` returns the cached real coordinates of ``tau`` (the
@@ -203,9 +203,7 @@ class ReferenceStates:
                 raise ValueError(f"reference state requested at t={t} before t0={self.t0}")
         known = list(self._times)
         keys = []  # the cached time that answers each query
-        starts, stores = {}, {}  # substep index -> time it starts from / is cached at
-        midpoint_runs, sizes = [], []
-        offset = 0  # substeps planned so far
+        runs, midpoint_runs, sizes = [], [], []
         for t in times:
             t = max(t, self.t0)
             t_start = known[bisect.bisect_right(known, t) - 1]
@@ -214,30 +212,28 @@ class ReferenceStates:
                 continue
             n = max(1, int(np.ceil((t - t_start) / self.substep - 1e-9)))
             mids, h = midpoints(t_start, t, n)
-            starts[offset] = t_start
             for k in [*range(32, n, 32), n]:  # waypoints, then t itself
-                cached = t if k == n else t_start + k * h
-                bisect.insort(known, cached)
-                stores[offset + k - 1] = cached
+                bisect.insort(known, t if k == n else t_start + k * h)
+            runs.append((t_start, t, n, h))
             midpoint_runs.append(mids)
             sizes.append(np.full(n, h))
             keys.append(t)
-            offset += n
-        values = ChainMap({}, self._cache)  # new states go to the first map
-        if midpoint_runs:
+        if runs:
             # a chunk's joint generators, not its exponentials, are the largest stack
             chunks = hermitian_step_chunks(
                 self._generators, np.concatenate(midpoint_runs), np.concatenate(sizes),
                 self._n, stack_dim=self._layout.dim_joint ** 2,
             )
-            for k, step in enumerate(step for steps in chunks for step in steps):
-                state = step @ (values[starts[k]] if k in starts else state)
-                if k in stores:
-                    values[stores[k]] = state
-        # committed only once every state is built
-        self._cache.update(values.maps[0])
+            steps = (step for chunk in chunks for step in chunk)
+            for t_start, t, n, h in runs:
+                state = self._cache[t_start]
+                for k in range(1, n + 1):
+                    state = next(steps) @ state
+                    if k == n or k % 32 == 0:
+                        self._cache[t if k == n else t_start + k * h] = state
+        # the new times become reachable only once every state is built
         self._times = known
-        coords = np.reshape([values[key] for key in keys], (-1, self._n))
+        coords = np.reshape([self._cache[key] for key in keys], (-1, self._n))
         return coords @ self._trace_s.T if isinstance(self.policy, TrueEnvironment) else coords
 
     def _generators(self, times: np.ndarray) -> np.ndarray:

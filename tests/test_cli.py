@@ -484,6 +484,22 @@ def test_memory_time_warning_uses_the_experiment_grid(tmp_path, capsys):
     assert "warning" in err and "memory.t_m" in err
 
 
+def test_validate_compares_the_memory_time_only_on_a_grid_the_config_sets(tmp_path, capsys):
+    # without grid.dt each runner warns on its own grid: tensors on dt = pi/5
+    # (m*dt = 8 pi/5), propagate on dt = 0.625 (m*dt = 5.0)
+    for t_m in (8 * math.pi / 5, 5.0):
+        assert _run_config(tmp_path, "validate", {"memory": {"m": 8, "t_m": t_m}}) == 0
+        out = capsys.readouterr().out
+        assert "warning" not in out and "config ok" in out
+    grid = {"dt": math.pi / 5}
+    assert _run_config(tmp_path, "validate", {"grid": grid, "memory": {"m": 8, "t_m": 5.0}}) == 0
+    out = capsys.readouterr().out
+    assert "warning: memory.t_m=5.0" in out and "config ok" in out
+    config = {"grid": grid, "memory": {"m": 8, "t_m": 8 * math.pi / 5}}
+    assert _run_config(tmp_path, "validate", config) == 0
+    assert "warning" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "sweep, key",
     [

@@ -12,6 +12,7 @@ from memtensor.linalg import (
     partial_trace,
     right_mult_superop,
     trace_norm,
+    trace_out_superop,
     vectorize,
 )
 from memtensor.models import (
@@ -22,6 +23,7 @@ from memtensor.models import (
     evolve_state,
     example_initial_state,
     example_model,
+    liouvillian,
     propagator,
 )
 from memtensor.tomography import (
@@ -189,6 +191,55 @@ def test_reference_inputs_enter_through_their_hermitian_part():
 def test_kernel_rejects_bad_interval():
     with pytest.raises(ValueError):
         nz_kernel_direct(example_model(), ProjectorChoice(FixedState(TAU0)), 1.0, 1.0)
+
+
+FIXED = ProjectorChoice(FixedState(TAU0))
+KERNEL_ROUTES = {
+    "nz_kernel_direct": lambda n: nz_kernel_direct(example_model(), FIXED, 0.5, 1.5, n),
+    "nz_kernel_slice": lambda n: nz_kernel_slice(example_model(), FIXED, 1.5, [0.5, 1.0], n),
+    "nz_inhomogeneity": lambda n: nz_inhomogeneity(
+        example_model(), FIXED, np.eye(4), example_initial_state(), 1.0, n
+    ),
+    "kernel_norm_curve": lambda n: kernel_norm_curve(
+        example_model(), [FIXED], TimeGrid(0.0, 0.5, 2), substeps=n
+    ),
+    "convergence_study": lambda n: convergence_study(
+        example_model(), [1.0], [2], FIXED, map_substeps=4, kernel_substeps=n
+    ),
+}
+
+
+@pytest.mark.parametrize("substeps", [0, -1, 2.5, True, "4"])
+@pytest.mark.parametrize("route", KERNEL_ROUTES)
+def test_kernel_routes_refuse_a_substep_count_that_is_not_a_positive_integer(route, substeps):
+    # a fractional count would stretch the interval, and 0 would divide by zero
+    with pytest.raises(ValueError, match="substeps must be an integer >= 1"):
+        KERNEL_ROUTES[route](substeps)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf"), True, "0.1"])
+def test_projector_choice_refuses_a_derivative_step_that_is_not_a_positive_number(step):
+    with pytest.raises(ValueError, match="derivative_step must be"):
+        ProjectorChoice(FixedState(TAU0), step)
+
+
+@pytest.mark.parametrize("policy", all_policies(), ids=POLICY_IDS)
+def test_inhomogeneity_refuses_a_time_before_the_preparation(policy):
+    rho0 = example_initial_state()
+    for t, message in [(-1.0, "t must be >= 0"), (float("nan"), "t must be a finite number")]:
+        with pytest.raises(ValueError, match=message):
+            nz_inhomogeneity(example_model(), ProjectorChoice(policy), np.eye(4), rho0, t)
+
+
+@pytest.mark.parametrize("policy", all_policies(), ids=POLICY_IDS)
+def test_inhomogeneity_at_the_preparation_time(policy):
+    # J(0, 0) = tr_E P_0 L_0 Q_0 A rho: the ordered exponential is the identity
+    model, rho0 = example_model(), example_initial_state()
+    tau = getattr(policy, "tau", partial_trace(rho0, LAYOUT, "environment"))
+    p, q = projector_superop(tau, LAYOUT)
+    want = trace_out_superop(LAYOUT, "system") @ p @ liouvillian(model, 0.0) @ q @ vectorize(rho0)
+    got = nz_inhomogeneity(model, ProjectorChoice(policy), np.eye(4), rho0, 0.0)
+    np.testing.assert_allclose(vectorize(got), want, atol=1e-12)
 
 
 def test_kernel_derivative_step_richardson():

@@ -389,15 +389,17 @@ def test_propagator_cache_refuses_substeps_below_one(substeps):
         PropagatorCache(example_model(), TimeGrid(0.0, 0.5, 2), substeps)
 
 
-@pytest.mark.parametrize("substeps", [2.5, True])
-@pytest.mark.parametrize("build", ["propagator", "cache"])
+@pytest.mark.parametrize("substeps", [2.5, True, 0, "4"])
+@pytest.mark.parametrize("build", ["propagator", "cache", "midpoints"])
 def test_substeps_must_be_an_integer(build, substeps):
     model = example_model()
     with pytest.raises(ValueError, match="substeps must be an integer"):
         if build == "propagator":
             propagator(model, 0.0, 0.5, substeps)
-        else:
+        elif build == "cache":
             PropagatorCache(model, TimeGrid(0.0, 0.5, 2), substeps)
+        else:  # every time-ordered product lays out its substeps here
+            midpoints(0.0, 0.5, substeps)
 
 
 def test_propagator_rejects_non_hermitian_hamiltonian_at_a_midpoint():
