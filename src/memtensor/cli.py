@@ -539,9 +539,7 @@ def run_error_sweep(config: dict, inputs: tuple, args) -> list[tuple]:
             # second-memory-window bound is approximate pointwise
             start = max(2 * m, total // 2)
             window = slice(start, total + 1)
-            max_error = float(
-                trace_distance(np.array(trajectory[window]), np.array(exact[window])).max()
-            )
+            max_error = float(trace_distance(trajectory[window], np.array(exact[window])).max())
             # the bound depends on k only through the phase of k - 2m
             phases = {tensors.phase_of(k - 2 * m): k for k in range(start, total + 1)}
             max_bound = max(error_bound(tensors, memory, k) for k in phases.values())

@@ -224,8 +224,10 @@ def nz_inhomogeneity(
     """
     if _finite(t, "t") < 0:
         raise ValueError(f"t must be >= 0 (the preparation time), got {t}")
-    # at t = 0 (a zero substep) every reference state asked for is the start
-    ctx = _KernelContext(model, choice, rho_se0, 0.0, t / _integer(substeps, "substeps", 1))
+    count = _integer(substeps, "substeps", 1)
+    # at t = 0 every reference state asked for is the start, so any substep serves
+    substep = t / count if t > 0 else choice.derivative_step
+    ctx = _KernelContext(model, choice, rho_se0, 0.0, substep)
     prepared = to_coordinates(extend_to_joint(preparation, model.layout) @ vectorize(rho_se0))
     vec = (ctx.eye - ctx.projectors([0.0])[0]) @ prepared
     vec = ordered_exponential(ctx.q_generators, *midpoints(0.0, t, substeps), vec)
@@ -381,7 +383,11 @@ def convergence_study(
     returns ``(t, N, ||dt^2 K - T(N)|| / ||T(N)||)``; the joint state
     ``rho_se0`` is taken at time 0. The tensor route and the
     projection-operator route agree in the ``N -> infinity`` limit.
+    ``kernel_substeps`` and ``map_substeps`` must be integers of at least 1
+    (``ValueError`` naming the argument).
     """
+    _integer(kernel_substeps, "kernel_substeps", 1)
+    _integer(map_substeps, "map_substeps", 1)
     rows = []
     for t in t_values:
         kernel = nz_kernel_direct(

@@ -34,7 +34,8 @@ CONVENTIONS = {
 
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()  # [[[re, im], ...], ...]
 
 
 def _check_header(doc: dict, fmt: str) -> None:

@@ -60,6 +60,7 @@ from .models import (
     LindbladModel,
     PropagatorCache,
     TimeGrid,
+    _finite,
     cache_for,
     generator_stack,
     hermitian_step_chunks,
@@ -125,7 +126,8 @@ class ReferenceStates:
     ``substep`` up to ``t``, and caches ``t`` and a waypoint every 32
     substeps, so repeated or monotone queries stay cheap. The midpoints
     therefore follow the queries: a true-environment state depends on the
-    order of earlier queries at about 1e-5 relative.
+    order of earlier queries at about 1e-5 relative. A ``substep`` that is
+    not a finite positive number (or is a bool) is a ``ValueError`` naming it.
 
     :meth:`states` serves a whole list of queries with the result of asking
     them one by one, in order. It plans every substep first (earlier queries
@@ -150,6 +152,8 @@ class ReferenceStates:
         t0: float = 0.0,
         substep: float = 1 / 64,
     ):
+        if _finite(substep, "substep") <= 0:
+            raise ValueError(f"substep must be positive, got {substep!r}")
         self.policy = policy
         self.model = model
         self.t0 = t0

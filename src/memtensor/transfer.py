@@ -39,10 +39,11 @@ every propagated state is Hermitian by construction. Row ``k`` of the recursion,
 ``[T(k-m, m) ... T(k-1, 1)]``, maps the window of the ``m`` previous states
 to state ``k``; ``L = c*ceil(m/c)`` rows compose into a block that maps a
 window straight to the next ``L`` states. Once a row reaches back no further
-than the transients of a periodic set, it depends only on its phase and every
-block is the same matrix, each built once, so the cost per step does not grow
-with the horizon. The same block gives :func:`stability_radius`, the growth
-per period of the truncated propagation.
+than the transients of a periodic set, it depends only on its phase; as ``L``
+is a whole number of periods, every block from there on is one matrix, built
+once, so the cost per step does not grow with the horizon. The same block
+gives :func:`stability_radius`, the growth per period of the truncated
+propagation.
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ class _Rows:
     to state ``k``. Tensors resolve through :meth:`TransferTensorSet._key_of`.
     From step ``periodic_from = transient_steps + m`` on (never in a dense
     set) every start in a row is served by its phase, so rows and blocks
-    there depend only on ``k mod c`` and are built once.
+    there depend only on ``k mod c``; rows are built once per phase, and a
+    block is built where it is asked for.
     """
 
     def __init__(self, tensors: TransferTensorSet, d: int):
@@ -283,7 +285,6 @@ class _Rows:
         stack = np.reshape([tensors.tensors[key] for key in keys], (-1, self.n, self.n))
         self._real = dict(zip(keys, superop_to_coordinates(stack).real))
         self._rows: dict = {}  # phase past `periodic_from` -> row
-        self._blocks: dict = {}  # phase past `periodic_from` -> block
 
     def _phase(self, k: int):
         if self.periodic_from is None or k < self.periodic_from:
@@ -306,19 +307,13 @@ class _Rows:
         """``(L*n, m*n)`` map from the window before step ``k`` to the states
         ``k .. k + L - 1`` (``L = block_steps``); its last ``m*n`` rows are
         the window map over ``L / c`` periods."""
-        phase = self._phase(k)
-        if phase in self._blocks:
-            return self._blocks[phase]
         m, n, steps = self.m, self.n, self.block_steps
         # rows 0..m*n-1: the window itself; then each state in window terms
         ext = np.zeros(((m + steps) * n, m * n))
         ext[: m * n] = np.eye(m * n)
         for i in range(steps):
             ext[(m + i) * n : (m + i + 1) * n] = self.row(k + i) @ ext[i * n : (i + m) * n]
-        block = ext[m * n :]
-        if phase is not None:
-            self._blocks[phase] = block
-        return block
+        return ext[m * n :]
 
 
 def propagate(
@@ -326,7 +321,7 @@ def propagate(
     seed_states: list[np.ndarray],
     total_steps: int,
     include_residuals: bool = False,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Propagate to ``total_steps`` using the memory-truncated decomposition.
 
     ``seed_states`` are exact states at steps ``0..len(seed)-1``. For each
@@ -337,14 +332,20 @@ def propagate(
     seed must span the full memory window. Outputs are never re-positivized:
     positivity loss diagnoses a too-severe memory cutoff.
 
+    Returns one complex ``(total_steps + 1, d, d)`` array: a copy of the
+    seeds, then the propagated states. Every seed must be ``d x d``, of one
+    shape, with ``d**2`` the tensors' size, else ``ValueError`` naming
+    ``seed_states``.
+
     Every step runs in real Hermitian coordinates, where a tensor followed by
     :func:`~memtensor.linalg.hermitize` is one real matrix, so each output is
     Hermitian by construction (seed states are returned as given). Steps
     adding a residual, and the last ``< L = c*ceil(m/c)`` steps, run one row
     at a time; the rest run in blocks mapping the ``m``-state window straight
     to the next ``L`` states. Past the transients of a periodic set every
-    block is the same matrix, built once, so the cost per step does not
-    depend on the horizon; a dense set builds each block from its own rows.
+    block has the same phase, so one block, fetched once, serves the whole
+    periodic stretch and the cost per step does not depend on the horizon; a
+    dense set, and the transients, build each block from its own rows.
     """
     _integer(total_steps, "total_steps", 0)
     m = tensors.config.m
@@ -356,8 +357,22 @@ def propagate(
             f"seed of {n_seed} states does not cover the memory window of {m} "
             f"steps; provide more seed states or include residuals"
         )
-    seeds = [np.array(s, dtype=complex) for s in seed_states[: total_steps + 1]]
-    d = seeds[0].shape[0]
+    shapes = {np.shape(s) for s in seed_states}
+    first = np.shape(seed_states[0])
+    d = first[0] if len(first) == 2 else 0
+    if shapes != {(d, d)} or d < 1:
+        raise ValueError(
+            f"seed_states must be d x d matrices of one shape, got shapes {sorted(shapes)}"
+        )
+    size = next((t.shape[0] for t in tensors.tensors.values()), d * d)
+    if size != d * d:
+        raise ValueError(
+            f"seed_states are {d}x{d}, but the tensors act on {size}-dimensional vectors"
+        )
+    # the seeds, copied, head the trajectory
+    trajectory = np.empty((total_steps + 1, d, d), dtype=complex)
+    seeds = trajectory[: min(n_seed, total_steps + 1)]
+    seeds[...] = seed_states[: len(seeds)]
     rows = _Rows(tensors, d)
     n, steps = rows.n, rows.block_steps
     residuals = {
@@ -380,16 +395,29 @@ def propagate(
     while k <= min(max(residuals, default=0), total_steps):
         single(k)
         k += 1
-    while k + steps - 1 <= total_steps:
+    stop = total_steps - steps + 2  # a block starting below it ends by total_steps
+    periodic_from = stop if rows.periodic_from is None else min(rows.periodic_from, stop)
+    while k < periodic_from:  # transients and dense sets: each block from its own rows
         out = hist[(m + k) * n : (m + k + steps) * n]
         rows.block(k).dot(hist[k * n : (k + m) * n], out=out)
         k += steps
+    if k < stop:  # L is a whole number of periods: every later block has this phase
+        dot, count = rows.block(k).dot, -(-(stop - k) // steps)
+        # block j reads the m states before step k + j*L and writes the L from there
+        windows = hist[k * n : (k + count * steps) * n].reshape(count, -1)[:, : m * n]
+        outs = hist[(m + k) * n : (m + k + count * steps) * n].reshape(count, -1)
+        for window, out in zip(windows, outs):
+            dot(window, out=out)
+        k += count * steps
     while k <= total_steps:
         single(k)
         k += 1
-    # back to d x d once, each state exactly Hermitian
-    states = devectorize(from_coordinates(hist[(m + len(seeds)) * n :].reshape(-1, n)), d)
-    return seeds + list(states)
+    # back to d x d, each state exactly Hermitian, a chunk of states at a time:
+    # temporaries that stay in cache make it about twice as fast as one pass
+    coords, states = hist[(m + len(seeds)) * n :].reshape(-1, n), trajectory[len(seeds) :]
+    for i in range(0, len(coords), 1024):
+        states[i : i + 1024] = devectorize(from_coordinates(coords[i : i + 1024]), d)
+    return trajectory
 
 
 def propagate_correlation_free(
@@ -399,7 +427,7 @@ def propagate_correlation_free(
     config: MemoryConfig,
     total_steps: int,
     substeps: int = 64,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Tensor-propagate a correlated initial state without residual terms.
 
     Each decomposition branch ``X_a (x) tau_a`` starts uncorrelated, and its
@@ -416,7 +444,8 @@ def propagate_correlation_free(
     tensor-construction window (period + memory); propagation continues to
     ``total_steps`` regardless of the grid length. The joint steps do not
     depend on the branch, so every branch reads one
-    :class:`~memtensor.models.PropagatorCache`.
+    :class:`~memtensor.models.PropagatorCache`. Returns one complex
+    ``(total_steps + 1, d, d)`` array, as :func:`propagate` does.
     """
     if abs(config.dt - grid.dt) > 1e-12 * grid.dt:
         raise ValueError(f"config.dt={config.dt!r} differs from the grid's dt={grid.dt!r}")
@@ -434,14 +463,11 @@ def propagate_correlation_free(
             model, grid, FixedState(tau), substeps=substeps, band=config.m, cache=cache
         )
         tensors = build_tensors(family, config)
-        branch = propagate(tensors, [sys_op], total_steps, include_residuals=True)
-        if combined is None:
-            combined = [coeff * rho for rho in branch]
-        else:
-            combined = [acc + coeff * rho for acc, rho in zip(combined, branch)]
+        branch = coeff * propagate(tensors, [sys_op], total_steps, include_residuals=True)
+        combined = branch if combined is None else combined + branch
     if combined is None:
         raise ValueError("decomposition has no nonzero terms")
-    return [hermitize(rho) for rho in combined]
+    return hermitize(combined)
 
 
 def error_bound(tensors: TransferTensorSet, config: MemoryConfig, k: int) -> float:
@@ -491,7 +517,7 @@ def stability_radius(tensors: TransferTensorSet) -> float:
 
     The window map sends the ``m`` states before a step past the transients
     to the ``m`` states ``L = c*ceil(m/c)`` steps later: the
-    last ``m*d^2`` rows of the block :func:`propagate` caches there. Its
+    last ``m*d^2`` rows of the block :func:`propagate` steps with there. Its
     spectral radius, to the power ``c/L``, is the growth per period. Trace
     preservation pins an eigenvalue at 1, so a stable truncation gives 1 and
     a radius above 1 flags a cutoff whose propagation diverges, without an

@@ -217,6 +217,12 @@ def test_kernel_routes_refuse_a_substep_count_that_is_not_a_positive_integer(rou
         KERNEL_ROUTES[route](substeps)
 
 
+@pytest.mark.parametrize("argument", ["kernel_substeps", "map_substeps"])
+def test_convergence_study_names_the_bad_substep_count(argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer >= 1"):
+        convergence_study(example_model(), [1.0], [2], FIXED, **{argument: 0})
+
+
 @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf"), True, "0.1"])
 def test_projector_choice_refuses_a_derivative_step_that_is_not_a_positive_number(step):
     with pytest.raises(ValueError, match="derivative_step must be"):

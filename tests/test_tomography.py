@@ -126,6 +126,15 @@ def test_true_environment_requires_input():
         ReferenceStates(TrueEnvironment(), example_model())
 
 
+@pytest.mark.parametrize("substep", [0, 0.0, -0.1, math.nan, math.inf, True, "0.1"])
+@pytest.mark.parametrize("policy", [FixedState(np.eye(2) / 2), TrueEnvironment()],
+                         ids=["fixed", "true-env"])
+def test_reference_states_refuse_a_substep_that_is_not_a_positive_number(policy, substep):
+    # unchecked, 0 would divide by zero and a negative or boolean step would integrate
+    with pytest.raises(ValueError, match="substep must be"):
+        ReferenceStates(policy, example_model(), example_initial_state(), substep=substep)
+
+
 def test_frozen_system_matches_rapid_reset_limit():
     # oracle: joint evolution with the system reset to sigma every delta,
     # extrapolating the reset interval to zero

@@ -432,6 +432,64 @@ def test_propagate_seed_validation(example_setup):
         propagate(tensors, [], 10)
 
 
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        [np.eye(3) / 3],
+        [np.eye(2) / 2, np.eye(3) / 3],
+        [np.ones((2, 3)) / 2],
+        [np.ones(4) / 4],
+        [np.eye(1)],  # 1 divides every tensor count: the 4x4 tensors would reshape to 1x1
+    ],
+    ids=["3x3", "ragged", "2x3", "vector", "1x1"],
+)
+def test_propagate_refuses_malformed_seeds_by_name(example_setup, seeds):
+    _, _, grid, _, family, _ = example_setup
+    tensors = build_tensors(family, MemoryConfig(dt=grid.dt, m=2, c=5))
+    with pytest.raises(ValueError, match="seed_states"):
+        propagate(tensors, seeds, 10, include_residuals=True)
+
+
+def test_propagate_returns_one_complex_array_and_copies_the_seeds(example_setup):
+    _, _, grid, _, family, sys_traj = example_setup
+    tensors = build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5), exact_states=sys_traj)
+    seeds = [np.array(rho) for rho in sys_traj[:4]]
+    kept = [rho.copy() for rho in seeds]
+    for total in (0, 2, 3, 40):  # fewer steps than seeds, as many, more
+        trajectory = propagate(tensors, seeds, total, include_residuals=True)
+        assert isinstance(trajectory, np.ndarray)
+        assert trajectory.shape == (total + 1, 2, 2) and trajectory.dtype == complex
+        np.testing.assert_array_equal(trajectory[: len(seeds)], kept[: total + 1])
+        trajectory[:] = 0
+        for rho, want in zip(seeds, kept):
+            np.testing.assert_array_equal(rho, want)
+    # real seeds come back as complex copies too
+    trajectory = propagate(tensors, [np.eye(2) / 2], 12, include_residuals=True)
+    assert trajectory.dtype == complex and trajectory.shape == (13, 2, 2)
+
+
+def test_periodic_propagation_fetches_its_block_once(example_setup, monkeypatch):
+    from memtensor import transfer
+
+    _, _, grid, _, family, sys_traj = example_setup
+    tensors = build_tensors(family, MemoryConfig(dt=grid.dt, m=4, c=5, transient_steps=3))
+    calls = []
+    block = transfer._Rows.block
+
+    def counting(self, k):
+        calls.append(k)
+        return block(self, k)
+
+    monkeypatch.setattr(transfer._Rows, "block", counting)
+    counts = []
+    for total in (10**3, 10**4):
+        calls.clear()
+        propagate(tensors, sys_traj[:4], total)
+        counts.append(len(calls))
+    # the transient blocks before step transient_steps + m = 7, then one
+    assert counts[0] == counts[1] == 2
+
+
 def test_propagate_outputs_hermitian_unit_trace(example_setup):
     _, _, grid, _, family, sys_traj = example_setup
     config = MemoryConfig(dt=grid.dt, m=6, c=5)
@@ -580,6 +638,26 @@ def test_correlation_free_builds_one_cache_for_all_branches(monkeypatch):
     combined = propagate_correlation_free(model, decomp, window, config, total, substeps=48)
     assert len(built) == 1 and sum(c != 0 for c, _, _ in decomp.terms) == 4
     np.testing.assert_array_equal(combined, hermitize(want))
+
+
+def test_correlation_free_returns_the_stacked_branch_sum():
+    # the per-state combination, state by state: one array, bit for bit
+    from memtensor.tomography import decompose_initial_state
+
+    model, dt, total = example_model(), math.pi / 4, 30
+    decomp = decompose_initial_state(example_initial_state(), LAYOUT)
+    config = MemoryConfig(dt=dt, m=8, c=4)
+    window = TimeGrid(0.0, dt, 13)
+    combined = None
+    for coeff, sys_op, tau in decomp.terms:
+        family = reconstruct_family(model, window, FixedState(tau), substeps=48, band=config.m)
+        branch = propagate(build_tensors(family, config), [sys_op], total, include_residuals=True)
+        terms = [coeff * rho for rho in branch]
+        combined = terms if combined is None else [a + b for a, b in zip(combined, terms)]
+    want = np.array([hermitize(rho) for rho in combined])
+    got = propagate_correlation_free(model, decomp, window, config, total, substeps=48)
+    assert isinstance(got, np.ndarray) and got.shape == (total + 1, 2, 2)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_correlation_free_skips_a_branch_of_zero_weight(monkeypatch):
