@@ -11,8 +11,6 @@ integrated states settles at the memory-cutoff level and stays there; it
 does not grow with the horizon.
 """
 
-import numpy as np
-
 from memtensor import (
     FixedState,
     MemoryConfig,
@@ -40,7 +38,7 @@ cache = PropagatorCache(model, grid, substeps=48)
 
 print("exactly integrating the joint dynamics (the oracle for this demo)...")
 joint = evolve_state(rho0, model, grid, cache=cache)
-exact = [partial_trace(r, LAYOUT, "system") for r in joint]
+exact = partial_trace(joint, LAYOUT, "system")
 
 print(f"reconstructing maps within an {m}-step band and building tensors...")
 family = reconstruct_family(
@@ -55,7 +53,7 @@ tensors = build_tensors(
 print(f"propagating from the first {m} exact states to wt = {total * dt:g}...\n")
 trajectory = propagate(tensors, exact[:m], total, include_residuals=True)
 
-errors = np.array([trace_distance(trajectory[k], exact[k]) for k in range(total + 1)])
+errors = trace_distance(trajectory, exact)
 print(f"{'wt':>6}  {'pop(excited)':>13}  {'Re coherence':>13}  {'error':>10}")
 for k in range(0, total + 1, 16):
     rho = trajectory[k]

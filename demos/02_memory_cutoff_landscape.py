@@ -46,7 +46,7 @@ for c in (6, 8, 12, 14):  # steps per driving period; dt = pi / c
     grid = TimeGrid(0.0, dt, total)
     cache = PropagatorCache(model, grid, substeps=48)
     joint = evolve_state(rho0, model, grid, cache=cache)
-    exact = [partial_trace(r, LAYOUT, "system") for r in joint]
+    exact = partial_trace(joint, LAYOUT, "system")
     for target in (1.25, 2.5, 5.0, 10.0):
         m = max(1, round(target / dt))
         if not 1.24 <= m * dt <= 10.01:

@@ -49,7 +49,7 @@ print(f"propagating {len(decomp.terms)} branches to wt = {total * dt:.0f} (m = {
 combined = propagate_correlation_free(model, decomp, window, config, total, substeps=48)
 
 joint = evolve_state(rho0, model, TimeGrid(0.0, dt, total), substeps=48)
-exact = [partial_trace(r, LAYOUT, "system") for r in joint]
+exact = partial_trace(joint, LAYOUT, "system")
 errors = [trace_distance(combined[k], exact[k]) for k in range(total + 1)]
 
 print(f"\n{'wt':>6}  {'pop(excited)':>13}  {'error':>10}")

@@ -384,16 +384,16 @@ def _run_memory(config: dict, model: LindbladModel, dt: float, policy):
     return memory, commensurate
 
 
-def _exact_states(inputs: tuple, grid: TimeGrid, substeps: int, cache=None) -> list:
-    """Exact reduced system states of the inputs' joint evolution on ``grid``."""
+def _exact_states(inputs: tuple, grid: TimeGrid, substeps: int, cache=None) -> np.ndarray:
+    """Exact reduced states ``(N + 1, d_S, d_S)`` of the inputs' evolution on ``grid``."""
     model, rho0, _ = inputs
     joint = evolve_state(rho0, model, grid, substeps, cache=cache)
-    return [partial_trace(rho, model.layout, "system") for rho in joint]
+    return partial_trace(joint, model.layout, "system")
 
 
-def _state_table(name: str, grid: TimeGrid, states: list, exact=None, **extras) -> tuple:
-    """CSV output of a reduced trajectory: step, wt, rho elements (re/im),
-    trace_re, and trace_distance_exact to ``exact`` when it is given."""
+def _state_table(name: str, grid: TimeGrid, states: np.ndarray, exact=None, **extras) -> tuple:
+    """CSV output of a reduced trajectory array: step, wt, rho elements
+    (re/im), trace_re, and trace_distance_exact to ``exact`` when it is given."""
     d = len(states[0])
     entries = [f"rho{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im")]
     columns = ["step", "wt", *entries, "trace_re"]
@@ -402,7 +402,7 @@ def _state_table(name: str, grid: TimeGrid, states: list, exact=None, **extras) 
         row = [k, grid.time(k), *(float(v) for z in rho.ravel() for v in (z.real, z.imag))]
         rows.append(row + [float(np.trace(rho).real)])
     if exact is not None:
-        distances = trace_distance(np.array(states), np.array(exact[: len(states)]))
+        distances = trace_distance(states, exact[: len(states)])
         rows = [row + [distance] for row, distance in zip(rows, distances.tolist())]
         columns.append("trace_distance_exact")
     return name, columns, rows, extras
@@ -539,7 +539,7 @@ def run_error_sweep(config: dict, inputs: tuple, args) -> list[tuple]:
             # second-memory-window bound is approximate pointwise
             start = max(2 * m, total // 2)
             window = slice(start, total + 1)
-            max_error = float(trace_distance(trajectory[window], np.array(exact[window])).max())
+            max_error = float(trace_distance(trajectory[window], exact[window]).max())
             # the bound depends on k only through the phase of k - 2m
             phases = {tensors.phase_of(k - 2 * m): k for k in range(start, total + 1)}
             max_bound = max(error_bound(tensors, memory, k) for k in phases.values())

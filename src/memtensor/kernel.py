@@ -310,13 +310,13 @@ def discrete_kernel_series(
 
 
 def master_equation_rhs(
-    series: KernelSeries, trajectory: list[np.ndarray], j: int
+    series: KernelSeries, trajectory: np.ndarray | list, j: int
 ) -> np.ndarray:
     """Discrete master-equation right-hand side at step ``j``.
 
-    ``generator[j] rho_j + dt * sum_i kernel[(j, i)] rho_i + inhomogeneity[j]``,
-    matching the forward difference ``(rho_{j+1} - rho_j)/dt`` to first order
-    in the grid spacing.
+    ``generator[j] rho_j + dt * sum_i kernel[(j, i)] rho_i + inhomogeneity[j]``
+    over the ``(N + 1, d_S, d_S)`` array (or list) ``trajectory``, matching the
+    forward difference ``(rho_{j+1} - rho_j)/dt`` to first order in ``dt``.
     """
     if j < 1 or j not in series.generator:
         raise ValueError(f"right-hand side needs 1 <= j < grid steps, got {j}")

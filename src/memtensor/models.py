@@ -385,21 +385,26 @@ def evolve_state(
     grid: TimeGrid,
     substeps: int = 64,
     cache: PropagatorCache | None = None,
-) -> list[np.ndarray]:
-    """Joint trajectory ``[rho(t_0), ..., rho(t_N)]`` from initial state ``rho0``.
+) -> np.ndarray:
+    """Joint trajectory ``rho(t_0), ..., rho(t_N)`` from initial state ``rho0``:
+    one complex ``(N + 1, d, d)`` array, headed by a copy of ``rho0`` as given.
 
     A passed ``cache`` must serve ``model`` on ``grid`` (see :func:`cache_for`).
     The state walks the cache's real steps; the later states are exactly Hermitian.
     """
+    rho0 = np.asarray(rho0)
     validate_density_operator(rho0)
     d = model.layout.dim_joint
     if rho0.shape != (d, d):
         raise ValueError(f"state shape {rho0.shape} does not match joint dimension {d}")
     cache = cache_for(model, grid, substeps, cache)
-    coords = [to_coordinates(vectorize(rho0)).real]  # of its Hermitian part
+    coords = np.empty((grid.steps + 1, d * d))
+    coords[0] = to_coordinates(vectorize(rho0)).real  # of its Hermitian part
     for j in range(grid.steps):
-        coords.append(cache.step(j) @ coords[-1])
-    return [np.array(rho0, dtype=complex), *devectorize(from_coordinates(np.array(coords[1:])), d)]
+        coords[j + 1] = cache.step(j) @ coords[j]
+    states = devectorize(from_coordinates(coords), d)
+    states[0] = rho0
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -384,13 +384,14 @@ def reconstruct_family(
 
 def choi_matrix(s: np.ndarray) -> np.ndarray:
     """Unnormalized Choi matrix ``sum_ij E_ij (x) S(E_ij)``."""
+    s = np.asarray(s, dtype=complex)
     d2 = s.shape[0]
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise ValueError(f"superoperator size {d2} is not a perfect square")
     # s[(l, k), (j, i)] = S(E_ij)[k, l] under column stacking; the Choi
     # entry at ((i, k), (j, l)) is that same number
-    s4 = np.asarray(s, dtype=complex).reshape(d, d, d, d)
+    s4 = s.reshape(d, d, d, d)
     return s4.transpose(3, 1, 2, 0).reshape(d2, d2)
 
 
@@ -403,6 +404,7 @@ class CptpReport:
 
 def check_cptp(s: np.ndarray, tol: float = 1e-8) -> CptpReport:
     """Trace preservation and complete positivity of a superoperator matrix."""
+    s = np.asarray(s)
     d = int(round(np.sqrt(s.shape[0])))
     costate = vectorize(np.eye(d)).conj()
     trace_dev = float(np.max(np.abs(costate @ s - costate)))
@@ -491,6 +493,7 @@ def decompose_initial_state(rho_se0: np.ndarray, layout: SpaceLayout) -> StateDe
     a valid environment state; the system operators are the dual frame, which
     is linearly independent with exactly ``d_S**2`` elements.
     """
+    rho_se0 = np.asarray(rho_se0)
     validate_density_operator(rho_se0)
     ds, de = layout.dim_system, layout.dim_environment
     if rho_se0.shape != (layout.dim_joint,) * 2:

@@ -136,10 +136,10 @@ class TransferTensorSet:
             object.__setattr__(self, name, MappingProxyType(arrays))
 
     def phase_of(self, j: int) -> int:
-        """Stored start serving start step ``j`` (``j`` itself inside the
-        transients, the first period and in a dense set)."""
+        """Stored start serving start step ``j``: ``j`` itself in a dense set and
+        below ``transient_steps + c``, where a negative ``j`` has no tensor."""
         base = self.config.transient_steps
-        if self.dense or 0 <= j < base + self.config.c:
+        if self.dense or j < base + self.config.c:
             return j
         return (j - base) % self.config.c + base
 
@@ -171,7 +171,7 @@ def build_tensors(
     family: DynamicalMapFamily,
     config: MemoryConfig,
     max_length: int | None = None,
-    exact_states: list[np.ndarray] | None = None,
+    exact_states: np.ndarray | list | None = None,
     dense_window: int | None = None,
 ) -> TransferTensorSet:
     """Build transfer tensors from a dynamical map family.
@@ -186,8 +186,8 @@ def build_tensors(
     max_length : int, optional
         Longest tensor to store (default ``config.m``; the error bound needs
         ``2*m - 1``).
-    exact_states : list of ndarray, optional
-        Exact ``d_S x d_S`` system states at steps ``0..k``; stores the
+    exact_states : ndarray ``(k + 1, d_S, d_S)`` or list of ndarray, optional
+        Exact system states at steps ``0..k``; stores the
         residuals ``rho_j - sum_l T(l, end j) rho_{j-l}``, ``j = 1..min(m, k)``
         (tensors at their own starts; traceless if the maps preserve trace).
     dense_window : int, optional
@@ -251,7 +251,7 @@ def build_tensors(
     }
     if exact_states is None:
         return TransferTensorSet(config=config, tensors=tensors, dense=dense)
-    states = np.array(exact_states[: config.m + 1], dtype=complex).reshape(-1, d, d)
+    states = np.asarray(exact_states[: config.m + 1], dtype=complex).reshape(-1, d, d)
     history = vectorize(states)
     residuals = {
         k: states[k] - devectorize(rows[k, :, (top - k) * n :] @ history[:k].reshape(-1), d)
@@ -318,7 +318,7 @@ class _Rows:
 
 def propagate(
     tensors: TransferTensorSet,
-    seed_states: list[np.ndarray],
+    seed_states: np.ndarray | list,
     total_steps: int,
     include_residuals: bool = False,
 ) -> np.ndarray:
@@ -369,10 +369,7 @@ def propagate(
         raise ValueError(
             f"seed_states are {d}x{d}, but the tensors act on {size}-dimensional vectors"
         )
-    # the seeds, copied, head the trajectory
-    trajectory = np.empty((total_steps + 1, d, d), dtype=complex)
-    seeds = trajectory[: min(n_seed, total_steps + 1)]
-    seeds[...] = seed_states[: len(seeds)]
+    seeds = np.array(seed_states[: total_steps + 1], dtype=complex)
     rows = _Rows(tensors, d)
     n, steps = rows.n, rows.block_steps
     residuals = {
@@ -412,11 +409,9 @@ def propagate(
     while k <= total_steps:
         single(k)
         k += 1
-    # back to d x d, each state exactly Hermitian, a chunk of states at a time:
-    # temporaries that stay in cache make it about twice as fast as one pass
-    coords, states = hist[(m + len(seeds)) * n :].reshape(-1, n), trajectory[len(seeds) :]
-    for i in range(0, len(coords), 1024):
-        states[i : i + 1024] = devectorize(from_coordinates(coords[i : i + 1024]), d)
+    # back to d x d, each state exactly Hermitian, headed by the seeds as given
+    trajectory = devectorize(from_coordinates(hist[m * n :].reshape(-1, n)), d)
+    trajectory[: len(seeds)] = seeds
     return trajectory
 
 

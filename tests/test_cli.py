@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from memtensor import cli
+from memtensor.linalg import partial_trace
 from memtensor.models import LindbladModel, example_initial_state, model_from_config
 from memtensor.serialization import complex_matrix_to_json
 from memtensor.transfer import error_bound
@@ -194,6 +195,23 @@ def test_error_sweep_bounds_each_phase_once(tmp_path, monkeypatch):
     assert float(rows[0][header.index("bound")]) == max(
         error_bound(tensors, memory, k) for k in window
     )
+
+
+def test_error_sweep_traces_out_each_trajectory_in_one_call(tmp_path, monkeypatch):
+    # one partial_trace for the fixed reference state, one for the cell's grid
+    calls = []
+
+    def recording(x, layout, keep="system"):
+        calls.append(np.shape(x))
+        return partial_trace(x, layout, keep)
+
+    monkeypatch.setattr(cli, "partial_trace", recording)
+    config = {"sweep": {"c_values": [4], "tm_targets": [2.5], "horizon": 15.0}, "substeps": 8}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(["error-sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    total = int(round(15.0 / (math.pi / 4)))
+    assert calls == [(4, 4), (total + 1, 4, 4)]
 
 
 def test_error_sweep_refuses_policy_without_tensor_reuse(tmp_path, capsys):

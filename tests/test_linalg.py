@@ -14,6 +14,7 @@ from memtensor.linalg import (
     hermitize,
     left_mult_superop,
     expm_action,
+    from_coordinates,
     matrix_exponential,
     operator_norm,
     partial_trace,
@@ -230,6 +231,20 @@ def test_hermitian_basis(d):
     assert not cached.flags.writeable
     with pytest.raises(ValueError, match="not a square"):
         coordinate_basis(d * d + 1)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_from_coordinates_of_a_long_stack_gives_each_row_its_own_bits(dtype):
+    # 2,500 rows convert in chunks: the same bits as one row at a time
+    rng = np.random.default_rng(7)
+    coords = rng.normal(size=(2500, 4)).astype(dtype)
+    if dtype is complex:
+        coords += 1j * rng.normal(size=coords.shape)
+    whole = from_coordinates(coords)
+    assert whole.shape == coords.shape and whole.dtype == complex
+    np.testing.assert_array_equal(whole, [from_coordinates(row) for row in coords])
+    stacked = from_coordinates(coords.reshape(50, 50, 4))
+    np.testing.assert_array_equal(stacked, whole.reshape(50, 50, 4))
 
 
 def test_matrix_exponential_of_a_stack():

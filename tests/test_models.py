@@ -445,7 +445,13 @@ def test_evolve_state_step_halving_oracle():
 
 def test_evolve_state_preserves_hermiticity_and_trace():
     model = example_model()
-    traj = evolve_state(example_initial_state(), model, TimeGrid(0.0, 0.625, 8), substeps=32)
+    rho0 = example_initial_state()
+    traj = evolve_state(rho0, model, TimeGrid(0.0, 0.625, 8), substeps=32)
+    # one complex array, headed by a copy of rho0 as given
+    assert isinstance(traj, np.ndarray)
+    assert traj.shape == (9, 4, 4) and traj.dtype == complex
+    np.testing.assert_array_equal(traj[0], rho0)
+    assert not np.shares_memory(traj, rho0)
     for rho in traj:
         assert hermiticity_defect(rho) < 1e-10
         assert abs(np.trace(rho) - 1) < 1e-10

@@ -18,6 +18,7 @@ from memtensor.linalg import (
     superop_to_coordinates,
     to_coordinates,
     trace_out_superop,
+    validate_density_operator,
     vectorize,
 )
 from memtensor.models import LindbladModel, PropagatorCache, TimeGrid, evolve_state, liouvillian
@@ -27,7 +28,12 @@ from memtensor.serialization import (
     tensors_from_json,
     tensors_to_json,
 )
-from memtensor.tomography import FixedState, check_cptp, reconstruct_family
+from memtensor.tomography import (
+    FixedState,
+    check_cptp,
+    decompose_initial_state,
+    reconstruct_family,
+)
 from memtensor.transfer import MemoryConfig, build_tensors, propagate
 from test_models import lindblad_rhs, superop_from_action
 from test_tomography import by_route, reference_reconstruct_family
@@ -232,3 +238,23 @@ def test_coordinate_conversions_round_trip_across_layouts(case):
     np.testing.assert_allclose(back, vectorize(x), rtol=0, atol=1e-13)
     op = back.reshape(len(x), len(x)).T
     np.testing.assert_array_equal(op, op.conj().T)  # real coordinates give exact Hermiticity
+
+
+@st.composite
+def correlated_states(draw):
+    """A layout with d_S in {2, 3} and d_E in {1, ..., 4} and a random joint
+    state on it, generically correlated and of full rank."""
+    layout = SpaceLayout(draw(st.sampled_from([2, 3])), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return layout, _random_state(rng, layout.dim_joint)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(correlated_states())
+def test_decomposition_reassembles_correlated_states_from_valid_branches(case):
+    layout, rho = case
+    decomposition = decompose_initial_state(rho, layout)
+    assert len(decomposition.terms) == layout.dim_system**2
+    np.testing.assert_allclose(decomposition.reassemble(), rho, rtol=0, atol=1e-12)
+    for _, _, tau in decomposition.terms:
+        validate_density_operator(tau)

@@ -665,6 +665,21 @@ def test_decompose_maximally_mixed():
             np.testing.assert_allclose(tau, np.eye(2) / 2, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op: evolve_state(op(example_initial_state()), example_model(), TimeGrid(0, 1, 2), 4),
+        lambda op: decompose_initial_state(op(example_initial_state()), LAYOUT).terms,
+        lambda op: check_cptp(op(sandwich_superop(PAULI["X"], PAULI["X"]))),
+        lambda op: choi_matrix(op(sandwich_superop(PAULI["Y"], PAULI["Y"]))),
+    ],
+    ids=["evolve_state", "decompose_initial_state", "check_cptp", "choi_matrix"],
+)
+def test_nested_list_operators_give_what_arrays_give(call):
+    # each reads the operator's shape after np.asarray, never off a list
+    np.testing.assert_equal(call(np.ndarray.tolist), call(np.asarray))
+
+
 def test_decompose_rejects_bad_shapes():
     with pytest.raises(ValueError):
         decompose_initial_state(np.eye(4) / 4, SpaceLayout(2, 3))

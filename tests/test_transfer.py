@@ -422,6 +422,18 @@ def test_dense_set_refuses_starts_past_its_window():
         propagate(tensors, sys_traj[:4], 40, include_residuals=True)
 
 
+def test_negative_starts_have_no_tensor_in_either_kind_of_set(example_setup):
+    # only starts past the first period wrap: -3 is not phase 2 of a c = 5 set
+    _, _, grid, _, family, _ = example_setup
+    config = MemoryConfig(dt=grid.dt, m=4, c=5)
+    periodic = build_tensors(family, config)
+    dense = build_tensors(family, config, dense_window=grid.steps)
+    assert periodic.phase_of(7) == 2 and periodic.phase_of(-3) == -3
+    for tensors in (periodic, dense):
+        with pytest.raises(KeyError, match=r"start=-3 .*length=1"):
+            tensors.tensor(-3, 1)
+
+
 def test_propagate_seed_validation(example_setup):
     _, _, grid, _, family, sys_traj = example_setup
     config = MemoryConfig(dt=grid.dt, m=4, c=5)
