@@ -31,7 +31,9 @@ Tensors are stored keyed by ``(start step, length)``, and one rule,
 step. A periodic set stores exactly the starts ``0 .. transient_steps + c - 1``
 and serves every later start from its phase mod ``c``; a dense set (used when
 the grid spacing is incommensurate with the driving period) stores every start
-of a window and never wraps: a start past its window is a ``KeyError``.
+of a window and never wraps: a start past its window is a ``KeyError``. A set
+copies its tensors once into one read-only stack, and its residuals into
+another, which every reader slices.
 
 Propagation runs in the real Hermitian coordinates of :mod:`~memtensor.linalg`,
 where a tensor followed by taking the Hermitian part is one real matrix:
@@ -49,6 +51,7 @@ propagation.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -98,24 +101,18 @@ class MemoryConfig:
         _integer(self.transient_steps, "transient_steps", 0)
 
 
-def _read_only(a) -> np.ndarray:
-    """``a`` as an ndarray that refuses writes; a writable input stays
-    writable for its owner, who gets a read-only view."""
-    a = np.asarray(a)
-    if a.flags.writeable:
-        a = a.view()
-        a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class TransferTensorSet:
     """Transfer tensors keyed by ``(start step, length)`` plus residuals.
 
     A periodic set stores the starts ``0 .. transient_steps + c - 1``, one
     per phase; a start past them is a ``ValueError``. ``dense`` marks a set
-    stored per start step over a window (no periodic reuse). Both mappings
-    and their arrays are read-only once the set is built.
+    stored per start step over a window (no periodic reuse). Each mapping is
+    copied once into a read-only complex stack, ``(count, n, n)`` tensors and
+    ``(count, d, d)`` residuals (``n = d**2``), and maps its keys to the rows,
+    so a caller's arrays stay the caller's. A key that is not an integer pair
+    ``(start >= 0, length >= 1)`` and tensors or residuals of another shape
+    are a ``ValueError`` naming the key, ``tensors`` or ``residuals``.
     """
 
     config: MemoryConfig
@@ -124,16 +121,38 @@ class TransferTensorSet:
     dense: bool = False
 
     def __post_init__(self):
+        for key in self.tensors:
+            try:
+                start, length = map(operator.index, key)
+            except (TypeError, ValueError):
+                start = length = -1
+            if start < 0 or length < 1:
+                raise ValueError(
+                    f"tensor key {key!r} is not an integer pair (start >= 0, length >= 1)"
+                )
         phases = self.config.transient_steps + self.config.c
         if not self.dense and any(p >= phases for p, _ in self.tensors):
             raise ValueError(
                 f"a periodic set stores only starts below transient_steps + c = {phases}"
             )
-        # read-only arrays, so the norm table stays that of the stored ones: a
-        # read-only input is stored as it is, a writable one through a view
-        for name in ("tensors", "residuals"):
-            arrays = {key: _read_only(a) for key, a in getattr(self, name).items()}
-            object.__setattr__(self, name, MappingProxyType(arrays))
+        # d from the tensors (n = d**2), else from the residuals, else 1
+        shapes = sorted({np.shape(t) for t in self.tensors.values()})
+        n = shapes[0][-1] if shapes and shapes[0] else 1
+        if shapes and (shapes != [(n, n)] or n < 1 or math.isqrt(n) ** 2 != n):
+            raise ValueError(f"tensors must all be one d**2 x d**2 shape, got shapes {shapes}")
+        residual_shapes = sorted({np.shape(r) for r in self.residuals.values()})
+        if not shapes and residual_shapes and residual_shapes[0]:
+            n = residual_shapes[0][-1] ** 2
+        d = math.isqrt(n)
+        if residual_shapes and (residual_shapes != [(d, d)] or d < 1):
+            raise ValueError(f"residuals must all be {d}x{d}, got shapes {residual_shapes}")
+        # one read-only copy per mapping, `_tensors_stack` or `_residuals_stack`
+        for name, size in (("tensors", n), ("residuals", d)):
+            arrays = getattr(self, name)
+            stack = np.array([*arrays.values()], dtype=complex).reshape(-1, size, size)
+            stack.flags.writeable = False
+            object.__setattr__(self, f"_{name}_stack", stack)
+            object.__setattr__(self, name, MappingProxyType(dict(zip(arrays, stack))))
 
     def phase_of(self, j: int) -> int:
         """Stored start serving start step ``j``: ``j`` itself in a dense set and
@@ -157,10 +176,7 @@ class TransferTensorSet:
     @cached_property
     def _norm_table(self) -> dict:
         """Operator norm of every stored tensor, by key, built on first use."""
-        if not self.tensors:
-            return {}
-        norms = operator_norm(np.array(list(self.tensors.values())))
-        return dict(zip(self.tensors, norms.tolist()))
+        return dict(zip(self.tensors, operator_norm(self._tensors_stack).tolist()))
 
     @cached_property
     def _bounds(self) -> dict:  # error_bound's sums by (m, phase of k - 2m), filled on use
@@ -202,10 +218,10 @@ def build_tensors(
     fill from the right, one length at a time: ``T(l, k)`` for all ends is
     ``map(k-l -> k)`` minus one batched product of the ``l - 1`` entries
     already in each row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``,
-    a slice of ``family.stack``. The stored tensors are slices of the rows,
-    marked read-only once, and the residuals are one product of each row with
-    the exact states before it. ``max_length`` and ``dense_window`` must be
-    integers of at least ``config.m``, and each exact state ``d_S x d_S``
+    a slice of ``family.stack``. The set copies the tensors out of the rows,
+    which are freed on return, and the residuals are one product of each row
+    with the exact states before it. ``max_length`` and ``dense_window`` must
+    be integers of at least ``config.m``, and each exact state ``d_S x d_S``
     (``ValueError`` naming the argument); a tensor longer than the family's
     band or ending past its grid is a ``KeyError`` naming the first such
     tensor, end by end.
@@ -243,7 +259,6 @@ def build_tensors(
             maps = stack[:count, 1:l].reshape(count, (l - 1) * n, n)
             t_l = t_l - rows[l:, :, (top - l + 1) * n :] @ maps
         rows[l:, :, (top - l) * n : (top - l + 1) * n] = t_l
-    rows.flags.writeable = False  # the stored tensors are slices of it
     tensors = {
         (k - l, l): rows[k, :, (top - l) * n : (top - l + 1) * n]
         for k in range(1, last_end + 1)
@@ -282,8 +297,8 @@ class _Rows:
         self.periodic_from = None if tensors.dense else config.transient_steps + config.m
         # stored key -> real coordinates, for every length a row can use
         keys = [key for key in tensors.tensors if key[1] <= config.m]
-        stack = np.reshape([tensors.tensors[key] for key in keys], (-1, self.n, self.n))
-        self._real = dict(zip(keys, superop_to_coordinates(stack).real))
+        kept = np.array([l <= config.m for _, l in tensors.tensors], dtype=bool)
+        self._real = dict(zip(keys, superop_to_coordinates(tensors._tensors_stack[kept]).real))
         self._rows: dict = {}  # phase past `periodic_from` -> row
 
     def _phase(self, k: int):
@@ -364,19 +379,17 @@ def propagate(
         raise ValueError(
             f"seed_states must be d x d matrices of one shape, got shapes {sorted(shapes)}"
         )
-    size = next((t.shape[0] for t in tensors.tensors.values()), d * d)
-    if size != d * d:
+    size = tensors._tensors_stack.shape[-1]
+    if tensors.tensors and size != d * d:
         raise ValueError(
             f"seed_states are {d}x{d}, but the tensors act on {size}-dimensional vectors"
         )
     seeds = np.array(seed_states[: total_steps + 1], dtype=complex)
     rows = _Rows(tensors, d)
     n, steps = rows.n, rows.block_steps
-    residuals = {
-        k: to_coordinates(vectorize(r)).real
-        for k, r in tensors.residuals.items()
-        if include_residuals and k <= m
-    }
+    coordinates = to_coordinates(vectorize(tensors._residuals_stack)).real
+    by_step = zip(tensors.residuals, coordinates)
+    residuals = {k: r for k, r in by_step if include_residuals and k <= m}
     # flat history: state k at entries (m + k)*n .. (m + k + 1)*n, behind m
     # zero states, so the window before step k starts at k*n
     hist = np.zeros((total_steps + 1 + m) * n)
@@ -522,7 +535,7 @@ def stability_radius(tensors: TransferTensorSet) -> float:
         raise ValueError("a dense tensor set has no period map")
     if not tensors.tensors:
         raise ValueError("empty tensor set")
-    n = next(iter(tensors.tensors.values())).shape[0]
+    n = tensors._tensors_stack.shape[-1]
     rows = _Rows(tensors, math.isqrt(n))
     window_map = rows.block(rows.periodic_from)[-rows.m * n :]
     radius = float(np.abs(np.linalg.eigvals(window_map)).max())

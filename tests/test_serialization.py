@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,18 @@ def test_malformed_documents_raise_value_error_naming_the_key(kind, section, key
         named = repr(key)
     with pytest.raises(ValueError, match=named):
         load(doc)
+
+
+@pytest.mark.parametrize("key", ["-1,1", "0,0", "0,-2"])
+def test_a_tensor_document_with_an_impossible_key_is_refused(key):
+    # a negative start has no tensor, and a length is at least 1
+    family = _small_family()
+    doc = tensors_to_json(build_tensors(family, MemoryConfig(dt=0.625, m=1, c=3)))
+    tensors_from_json(copy.deepcopy(doc))  # the unedited document loads
+    doc["tensors"][key] = doc["tensors"]["0,1"]
+    named = "tensor key " + re.escape(repr(tuple(int(part) for part in key.split(","))))
+    with pytest.raises(ValueError, match=named):
+        tensors_from_json(doc)
 
 
 # id: (keys added to the maps of a 4-step, band-2 family, keys deleted, text

@@ -442,6 +442,15 @@ def test_propagate_seed_validation(example_setup):
         propagate(tensors, sys_traj[:2], 10, include_residuals=False)
     with pytest.raises(ValueError):
         propagate(tensors, [], 10)
+    # an empty set, with or without residuals, holds no tensor to step with
+    for empty in (TransferTensorSet(config), TransferTensorSet(config, residuals={1: np.eye(2)})):
+        assert tensor_norm_profile(empty) == {}
+        with pytest.raises(KeyError, match="no stored tensors of length m=4"):
+            memory_cutoff_heuristic(empty, config)
+        with pytest.raises(KeyError, match="no transfer tensor"):
+            propagate(empty, sys_traj[:1], 10, include_residuals=True)
+        with pytest.raises(ValueError, match="empty tensor set"):
+            stability_radius(empty)
 
 
 @pytest.mark.parametrize(
@@ -858,21 +867,63 @@ def test_stored_arrays_refuse_writes_and_a_callers_arrays_stay_writable(example_
     tensors = build_tensors(family, config, max_length=7, exact_states=sys_traj)
     built = [*tensors.tensors.values(), *tensors.residuals.values()]
     assert tensors.residuals and not any(a.flags.writeable for a in built)
-    # read-only arrays are stored as they are
-    again = TransferTensorSet(config=config, tensors=dict(tensors.tensors))
-    assert all(again.tensors[key] is t for key, t in tensors.tensors.items())
-    # writable ones through read-only views, leaving the caller's arrays writable
+    # a caller's arrays are copied in: they stay writable, and the set's own
+    # refuse writes
     mine = {key: np.array(t) for key, t in tensors.tensors.items()}
     residuals = {k: np.array(r) for k, r in tensors.residuals.items()}
     copy = TransferTensorSet(config=config, tensors=mine, residuals=residuals)
-    assert all(a.flags.writeable for a in [*mine.values(), *residuals.values()])
+    callers = [*mine.values(), *residuals.values()]
+    assert all(a.flags.writeable for a in callers)
     stored = [*copy.tensors.values(), *copy.residuals.values()]
     assert not any(a.flags.writeable for a in stored)
-    for key, t in copy.tensors.items():
-        np.testing.assert_array_equal(t, tensors.tensors[key])
     for array in stored:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
+    # scaling the caller's arrays afterwards leaves the set as it was built:
+    # its arrays, its cached norms and its propagation
+    profile, heuristic = tensor_norm_profile(copy), memory_cutoff_heuristic(copy, config)
+    for array in callers:
+        array *= 3
+    for key, t in copy.tensors.items():
+        np.testing.assert_array_equal(t, tensors.tensors[key])
+    for k, r in copy.residuals.items():
+        np.testing.assert_array_equal(r, tensors.residuals[k])
+    assert profile == tensor_norm_profile(copy) == tensor_norm_profile(tensors)
+    assert all(profile[(l, p)] == operator_norm(t) for (p, l), t in copy.tensors.items())
+    assert memory_cutoff_heuristic(copy, config) == heuristic
+    assert heuristic == memory_cutoff_heuristic(tensors, config)
+    step = propagate(tensors, sys_traj[:1], 1, include_residuals=True)
+    np.testing.assert_array_equal(propagate(copy, sys_traj[:1], 1, include_residuals=True), step)
+
+
+@pytest.mark.parametrize("key", [(-1, 1), (0, 0), (0, -2), (0.5, 1), (1,), 3, "0,1"], ids=repr)
+def test_a_key_that_is_not_a_start_and_a_length_is_refused(key):
+    config = MemoryConfig(dt=0.1, m=2, c=5)
+    with pytest.raises(ValueError, match=re.escape(f"tensor key {key!r}")):
+        TransferTensorSet(config, {(0, 1): np.eye(4), key: np.eye(4)})
+    with pytest.raises(ValueError, match=re.escape(f"tensor key {key!r}")):
+        TransferTensorSet(config, {key: np.eye(4)}, dense=True)
+
+
+# id: (tensors, residuals, the argument the refusal names)
+UNSTACKABLE = {
+    "mixed-tensor-shapes": ({(0, 1): np.eye(4), (1, 1): np.eye(9)}, {}, "tensors"),
+    "tensor-not-d2": ({(0, 1): np.eye(3)}, {}, "tensors"),
+    "tensor-not-square": ({(0, 1): np.ones((4, 2))}, {}, "tensors"),
+    "tensor-vector": ({(0, 1): np.ones(4)}, {}, "tensors"),
+    "tensor-0x0": ({(0, 1): np.ones((0, 0))}, {}, "tensors"),
+    "3x3-residual-on-2x2-states": ({(0, 1): np.eye(4)}, {1: np.eye(3)}, "residuals"),
+    "residual-of-the-tensors-size": ({(0, 1): np.eye(4)}, {1: np.eye(4)}, "residuals"),
+    "mixed-residual-shapes": ({}, {1: np.eye(2), 2: np.eye(3)}, "residuals"),
+    "residual-0x0": ({}, {1: np.ones((0, 0))}, "residuals"),
+}
+
+
+@pytest.mark.parametrize("tensors, residuals, named", UNSTACKABLE.values(), ids=UNSTACKABLE.keys())
+def test_shapes_one_stack_cannot_hold_are_refused_by_name(tensors, residuals, named):
+    config = MemoryConfig(dt=0.1, m=1, c=5)
+    with pytest.raises(ValueError, match=rf"^{named} must all be"):
+        TransferTensorSet(config, tensors, residuals)
 
 
 def test_periodic_set_refuses_starts_past_its_phases(example_setup):
