@@ -62,7 +62,7 @@ from .tomography import (
     policy_label,
     reconstruct_family,
 )
-from .transfer import MemoryConfig, TransferTensorSet, build_tensors
+from .transfer import MemoryConfig, TransferTensorSet, _end_rows, build_tensors
 
 
 @dataclass(frozen=True)
@@ -383,26 +383,40 @@ def convergence_study(
     returns ``(t, N, ||dt^2 K - T(N)|| / ||T(N)||)``; the joint state
     ``rho_se0`` is taken at time 0. The tensor route and the
     projection-operator route agree in the ``N -> infinity`` limit.
-    ``kernel_substeps`` and ``map_substeps`` must be integers of at least 1
-    (``ValueError`` naming the argument).
+    ``kernel_substeps`` and ``map_substeps`` must be integers of at least 1,
+    and every ``N`` an integer of at least 2 (``ValueError`` naming the
+    argument or ``N``, before any map or kernel is computed).
+
+    Cells of one spacing ``dt`` (say ``(2.5, 16)`` and ``(5.0, 32)``) share
+    one map family, reconstructed on ``TimeGrid(0, dt, largest N)``; its
+    first ``N`` steps are the family of the cell's own grid. ``T(N)`` is
+    ``T(start 0, length N)``, solved from the recursion row of the end ``N``
+    alone (:func:`~memtensor.transfer._end_rows`), not from a dense set of
+    every tensor of the window, and one family is held at a time.
     """
     _integer(kernel_substeps, "kernel_substeps", 1)
     _integer(map_substeps, "map_substeps", 1)
+    for n in n_values:  # the recursion needs two grid points
+        _integer(n, "N", 2)
+    cells = {}  # spacing -> the grid sizes N of its cells
+    for t in t_values:
+        for n in n_values:
+            cells.setdefault(t / n, set()).add(n)
+    full_length = {}  # (spacing, N) -> T(N)
+    for dt, sizes in cells.items():
+        stack = reconstruct_family(
+            model, TimeGrid(0.0, dt, max(sizes)), choice.policy, substeps=map_substeps,
+            rho_se0=rho_se0,
+        ).stack
+        for n in sizes:  # T(N, end N) is the first block of the end's row
+            full_length[dt, n] = _end_rows(stack, range(n, n + 1), n)[0, :, : stack.shape[-1]]
+        del stack  # freed before the next family is built
     rows = []
     for t in t_values:
         kernel = nz_kernel_direct(
             model, choice, 0.0, t, substeps=kernel_substeps, rho_se0=rho_se0
         )
         for n in n_values:
-            if n < 2:
-                raise ValueError(f"tensor recursion needs at least 2 grid points, got N={n}")
-            grid = TimeGrid(0.0, t / n, n)
-            family = reconstruct_family(
-                model, grid, choice.policy, substeps=map_substeps, rho_se0=rho_se0
-            )
-            config = MemoryConfig(dt=grid.dt, m=n, c=n)
-            tensors = build_tensors(family, config, dense_window=n)
-            t_n = tensors.tensor(0, n)
-            scaled_kernel = grid.dt ** 2 * kernel
-            rows.append((t, n, operator_norm(scaled_kernel - t_n) / operator_norm(t_n)))
+            t_n = full_length[t / n, n]
+            rows.append((t, n, operator_norm((t / n) ** 2 * kernel - t_n) / operator_norm(t_n)))
     return rows

@@ -264,10 +264,12 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     degree ``d`` and the number ``s`` of sub-intervals minimise ``d * s``
     subject to ``||scale * M||_1 <= s * theta[d]``, with the exact 1-norm,
     and each sub-interval's series stops early once two consecutive terms
-    fall below the unit roundoff relative to the sum. ``B`` is an
-    ``n``-vector or an ``(n, w)`` block; the cost is ``d * s`` products of
-    ``M`` with ``B``, against about ten ``n x n`` products for ``expm``. A
-    real ``M`` and ``B`` stay real.
+    fall below the unit roundoff relative to the sum. The sum's norm is taken
+    only when they fall below it relative to the running total of the terms'
+    norms, an upper bound on it, so the series stops where a test of every
+    term would stop it. ``B`` is an ``n``-vector or an ``(n, w)`` block; the
+    cost is ``d * s`` products of ``M`` with ``B``, against about ten
+    ``n x n`` products for ``expm``. A real ``M`` and ``B`` stay real.
     """
     m = np.asarray(m)
     out = np.array(b, dtype=np.result_type(m, b, float))
@@ -282,13 +284,15 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     )
     term = out
     for _ in range(s):
-        previous = _inf_norm(term)
+        previous = bound = _inf_norm(term)
         for j in range(1, degree + 1):
             term = m @ term
             term *= scale / (s * j)
             current = _inf_norm(term)
             out += term
-            if previous + current <= 2.0**-53 * _inf_norm(out):
+            bound += current  # >= ||out||: out's norm is needed only below it
+            tiny = previous + current
+            if tiny <= 2.0**-53 * bound * (1 + 1e-9) and tiny <= 2.0**-53 * _inf_norm(out):
                 break
             previous = current
         term = out

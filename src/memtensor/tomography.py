@@ -35,6 +35,7 @@ forming an inhomogeneous term.
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -64,7 +65,6 @@ from .models import (
     cache_for,
     generator_stack,
     hermitian_step_chunks,
-    midpoints,
 )
 
 
@@ -131,12 +131,14 @@ class ReferenceStates:
 
     :meth:`states` serves a whole list of queries with the result of asking
     them one by one, in order. It plans every substep first (earlier queries
-    of the call count as cached), then walks the states through the chunks
-    of :func:`~memtensor.models.hermitian_step_chunks`, each generator scaled
-    by its own substep, caching each state as it is built (the times are
-    committed last). The frozen-system generator ``tr_S L (sigma (x) .)`` is
-    assembled from real pieces built once. The initial joint state and
-    ``sigma(t)`` enter through their Hermitian parts.
+    of the call count as cached), in plain floats by the operations of
+    :func:`~memtensor.models.midpoints`, and converts the planned midpoints
+    and substep sizes to one array each. It then walks the states through
+    the chunks of :func:`~memtensor.models.hermitian_step_chunks`, each
+    generator scaled by its own substep, caching each state as it is built
+    (the times are committed last). The frozen-system generator
+    ``tr_S L (sigma (x) .)`` is assembled from real pieces built once. The
+    initial joint state and ``sigma(t)`` enter through their Hermitian parts.
 
     :meth:`coordinates` returns the cached real coordinates of ``tau`` (the
     true-environment marginal and the frozen start through one real ``tr_S``
@@ -207,25 +209,26 @@ class ReferenceStates:
                 raise ValueError(f"reference state requested at t={t} before t0={self.t0}")
         known = list(self._times)
         keys = []  # the cached time that answers each query
-        runs, midpoint_runs, sizes = [], [], []
+        runs, mids, sizes = [], [], []  # mids and sizes: one entry per substep
         for t in times:
             t = max(t, self.t0)
             t_start = known[bisect.bisect_right(known, t) - 1]
             if t - t_start < 1e-13:
                 keys.append(t_start)
                 continue
-            n = max(1, int(np.ceil((t - t_start) / self.substep - 1e-9)))
-            mids, h = midpoints(t_start, t, n)
+            # the float operations of models.midpoints, one substep at a time
+            n = max(1, math.ceil((t - t_start) / self.substep - 1e-9))
+            h = (t - t_start) / n
             for k in [*range(32, n, 32), n]:  # waypoints, then t itself
                 bisect.insort(known, t if k == n else t_start + k * h)
             runs.append((t_start, t, n, h))
-            midpoint_runs.append(mids)
-            sizes.append(np.full(n, h))
+            mids += [t_start + (i + 0.5) * h for i in range(n)]
+            sizes += [h] * n
             keys.append(t)
         if runs:
             # a chunk's joint generators, not its exponentials, are the largest stack
             chunks = hermitian_step_chunks(
-                self._generators, np.concatenate(midpoint_runs), np.concatenate(sizes),
+                self._generators, np.array(mids), np.array(sizes),
                 self._n, stack_dim=self._layout.dim_joint ** 2,
             )
             steps = (step for chunk in chunks for step in chunk)

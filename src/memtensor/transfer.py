@@ -214,13 +214,11 @@ def build_tensors(
         stores the starts ``0 .. transient_steps + c - 1`` and serves every
         later start from its phase.
 
-    The rows ``[T(L, k) ... T(1, k)]`` of every end ``k`` are one array and
-    fill from the right, one length at a time: ``T(l, k)`` for all ends is
-    ``map(k-l -> k)`` minus one batched product of the ``l - 1`` entries
-    already in each row with the maps ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``,
-    a slice of ``family.stack``. The set copies the tensors out of the rows,
-    which are freed on return, and the residuals are one product of each row
-    with the exact states before it. ``max_length`` and ``dense_window`` must
+    The rows ``[T(L, k) ... T(1, k)]`` of every end ``k`` are one array,
+    filled by forward substitution over the lengths from slices of
+    ``family.stack`` (:func:`_end_rows`). The set copies the tensors out of
+    the rows, which are freed on return, and the residuals are one product
+    of each row with the exact states before it. ``max_length`` and ``dense_window`` must
     be integers of at least ``config.m``, and each exact state ``d_S x d_S``
     (``ValueError`` naming the argument); a tensor longer than the family's
     band or ending past its grid is a ``KeyError`` naming the first such
@@ -249,16 +247,7 @@ def build_tensors(
             f"map family does not cover tensor (start={i}, length={l}): "
             f"its grid has {steps} steps and its band is {band}"
         )
-    # rows[k] = [T(top, k) ... T(1, k)]; length l fills columns (top-l)*n ..
-    # for the ends l .. last_end, whose starts are 0 .. last_end - l
-    rows = np.empty((last_end + 1, n, top * n), dtype=complex)
-    for l in range(1, top + 1):
-        count = last_end - l + 1
-        t_l = stack[:count, l]
-        if l > 1:  # minus the filled part of each row times map(k-l -> k-l+g)
-            maps = stack[:count, 1:l].reshape(count, (l - 1) * n, n)
-            t_l = t_l - rows[l:, :, (top - l + 1) * n :] @ maps
-        rows[l:, :, (top - l) * n : (top - l + 1) * n] = t_l
+    rows = _end_rows(stack, range(last_end + 1), top)  # rows[k]: end k
     tensors = {
         (k - l, l): rows[k, :, (top - l) * n : (top - l + 1) * n]
         for k in range(1, last_end + 1)
@@ -273,6 +262,32 @@ def build_tensors(
         for k in range(1, len(states))
     }
     return TransferTensorSet(config=config, tensors=tensors, residuals=residuals, dense=dense)
+
+
+def _end_rows(stack: np.ndarray, ends: range, top: int) -> np.ndarray:
+    """Rows ``[T(top, k) ... T(1, k)]`` of the ends ``k`` in ``ends``, one
+    ``(n, top*n)`` row per end, from a family's ``stack``; ``top`` is at most
+    the last end.
+
+    Forward substitution, one length at a time: ``T(l, k)`` for every end
+    ``k >= l`` of the range is ``map(k-l -> k)`` minus one batched product
+    of the ``l - 1`` entries already in each row with the maps
+    ``map(k-l -> k-l+g)``, ``g = l-1 .. 1``. The columns of lengths above
+    ``k`` are left unset. The systems of different ends are independent, so
+    a range of one end costs that end's row alone and gives the same bits.
+    """
+    n = stack.shape[-1]
+    first, stop = ends.start, ends.stop
+    rows = np.empty((len(ends), n, top * n), dtype=complex)
+    for l in range(1, top + 1):
+        lo = max(l, first)  # the first end with a tensor of length l
+        starts = slice(lo - l, stop - l)
+        t_l = stack[starts, l]
+        if l > 1:  # minus the filled part of each row times map(k-l -> k-l+g)
+            maps = stack[starts, 1:l].reshape(stop - lo, (l - 1) * n, n)
+            t_l = t_l - rows[lo - first :, :, (top - l + 1) * n :] @ maps
+        rows[lo - first :, :, (top - l) * n : (top - l + 1) * n] = t_l
+    return rows
 
 
 class _Rows:

@@ -34,6 +34,7 @@ from memtensor.tomography import (
     decompose_initial_state,
     reconstruct_family,
 )
+from memtensor import kernel as kernel_module
 from memtensor.kernel import (
     KernelSeries,
     ProjectorChoice,
@@ -599,6 +600,52 @@ def test_convergence_study_rejects_degenerate_grid():
         convergence_study(
             example_model(), [1.0], [1], ProjectorChoice(FixedState(TAU0))
         )
+
+
+@pytest.mark.parametrize("bad", [1, 0, 4.0, True, "4"])
+def test_convergence_study_refuses_a_bad_grid_size_before_any_kernel_work(monkeypatch, bad):
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel or map work before every N was checked")
+
+    monkeypatch.setattr(kernel_module, "nz_kernel_direct", fail)
+    monkeypatch.setattr(kernel_module, "reconstruct_family", fail)
+    with pytest.raises(ValueError, match=f"^N must be an integer >= 2, got {bad!r}"):
+        convergence_study(example_model(), [1.0], [4, bad], FIXED)
+
+
+@pytest.mark.parametrize("policy", [FixedState(TAU0), TrueEnvironment()], ids=["fixed", "true-env"])
+@pytest.mark.parametrize(
+    "t_values, n_values, families",
+    [((1.0, 2.0), (4, 8), 3), ((1.0, 1.5), (3, 5), 4)],
+    ids=["shared-spacings", "distinct-spacings"],
+)
+def test_convergence_study_rows_are_the_per_cell_reference(
+    monkeypatch, policy, t_values, n_values, families
+):
+    # one family per spacing and the end row of N give each cell's own bits:
+    # a family on the cell's grid, then the dense tensor set of its window
+    model, rho0, choice = example_model(), example_initial_state(), ProjectorChoice(policy)
+    grids = []
+
+    def recording(model, grid, *args, **kwargs):
+        grids.append(grid)
+        return reconstruct_family(model, grid, *args, **kwargs)
+
+    monkeypatch.setattr(kernel_module, "reconstruct_family", recording)
+    rows = convergence_study(
+        model, t_values, n_values, choice, rho0, map_substeps=8, kernel_substeps=32
+    )
+    assert len(grids) == families
+    want = []
+    for t in t_values:
+        kernel = nz_kernel_direct(model, choice, 0.0, t, substeps=32, rho_se0=rho0)
+        for n in n_values:
+            grid = TimeGrid(0.0, t / n, n)
+            family = reconstruct_family(model, grid, policy, substeps=8, rho_se0=rho0)
+            config = MemoryConfig(dt=grid.dt, m=n, c=n)
+            t_n = build_tensors(family, config, dense_window=n).tensor(0, n)
+            want.append((t, n, operator_norm(grid.dt ** 2 * kernel - t_n) / operator_norm(t_n)))
+    np.testing.assert_array_equal(rows, want)
 
 
 def test_array_holding_classes_compare_and_hash_by_identity():

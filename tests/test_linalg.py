@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from memtensor.linalg import (
+    _TAYLOR_THETA,
     SpaceLayout,
+    _inf_norm,
     apply_superop,
     devectorize,
     embed_environment_superop,
@@ -334,6 +336,54 @@ def test_expm_action_matches_the_exponential(norm):
     vector = block[:, 0]
     np.testing.assert_allclose(
         expm_action(m, vector, 0.5), want[:, 0], rtol=0, atol=1e-13 * np.abs(want).max()
+    )
+
+
+def _expm_action_testing_every_term(m, b, scale):
+    """The series of ``expm_action`` with the sum's norm taken after every
+    term; also returns how many sub-intervals stopped early."""
+    out = np.array(b, dtype=np.result_type(m, b, float))
+    norm = abs(scale) * float(np.abs(m).sum(axis=0).max())
+    degree, s = min(
+        ((d, int(np.ceil(norm / theta))) for d, theta in _TAYLOR_THETA.items()),
+        key=lambda pair: pair[0] * pair[1],
+    )
+    stops, term = 0, out
+    for _ in range(s):
+        previous = _inf_norm(term)
+        for j in range(1, degree + 1):
+            term = m @ term
+            term *= scale / (s * j)
+            current = _inf_norm(term)
+            out += term
+            if previous + current <= 2.0**-53 * _inf_norm(out):
+                stops += 1
+                break
+            previous = current
+        term = out
+    return out, stops, s
+
+
+@pytest.mark.parametrize(
+    "norm, decay, stops",
+    [(1e-3, 0.0, lambda s: 0), (0.8, 0.0, lambda s: 1), (40.0, 0.0, lambda s: s),
+     (10.0, 0.9, lambda s: 0)],
+    ids=["full-degree", "early-stop", "sub-intervals", "cancelling-sum"],
+)
+def test_expm_action_stops_where_a_test_of_every_term_stops(norm, decay, stops):
+    # the norm of the sum is taken lazily; the stop, and so every bit, is kept.
+    # A decaying M makes the sum far smaller than its terms' norms.
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    m *= (1 - decay) * norm / np.abs(m).sum(axis=0).max()
+    m -= decay * norm * np.eye(12)
+    block = rng.standard_normal((12, 3)) + 0j
+    want, stopped, intervals = _expm_action_testing_every_term(m, block, 1.0)
+    assert stopped == stops(intervals) and (intervals > 1) == (norm > 10)
+    np.testing.assert_array_equal(expm_action(m, block), want)
+    vector = block[:, 0]
+    np.testing.assert_array_equal(
+        expm_action(m, vector), _expm_action_testing_every_term(m, vector, 1.0)[0]
     )
 
 

@@ -30,6 +30,7 @@ from memtensor.tomography import FixedState, reconstruct_family
 from memtensor.transfer import (
     MemoryConfig,
     TransferTensorSet,
+    _end_rows,
     build_tensors,
     error_bound,
     memory_cutoff_heuristic,
@@ -227,6 +228,24 @@ def test_recursion_matches_reference_loop(families, name, memory, kwargs):
     assert built.residuals.keys() == residuals.keys() == set(range(1, m + 1))
     for k, r in residuals.items():
         np.testing.assert_allclose(built.residuals[k], r, rtol=0, atol=1e-14, err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize("name", ["qutrit", "example"])
+def test_end_rows_of_a_range_of_ends_are_build_tensors_bits(families, name):
+    # the recursion of one end, or of a few, is that of all ends: same bits
+    family, _ = families[name]
+    steps, n = family.grid.steps, family.stack.shape[-1]
+    config = MemoryConfig(dt=family.grid.dt, m=steps, c=steps)
+    built = build_tensors(family, config, dense_window=steps)
+    for ends in [*(range(k, k + 1) for k in range(1, steps + 1)), range(3, 7)]:
+        top = ends[-1]
+        rows = _end_rows(family.stack, ends, top)
+        for row, k in zip(rows, ends):
+            for l in range(1, k + 1):
+                np.testing.assert_array_equal(
+                    row[:, (top - l) * n : (top - l + 1) * n], built.tensor(k - l, l),
+                    err_msg=f"ends={ends}, k={k}, l={l}",
+                )
 
 
 @pytest.mark.parametrize(
