@@ -227,7 +227,8 @@ def taylor_exponential(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    norm = abs(scale) * float(np.abs(m).sum(axis=1).max(initial=0.0))
+    # column sums by one contiguous reduction, the bits of ``sum(axis=1)``
+    norm = abs(scale) * float(np.einsum("kij->kj", np.abs(m)).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError("stack has non-finite entries")
     squarings = 0
@@ -252,50 +253,76 @@ def taylor_exponential(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return out
 
 
-def _inf_norm(x: np.ndarray) -> float:
-    """Max row sum of ``|x|``; a vector counts as one column."""
-    return float(np.abs(x).reshape(x.shape[0], -1).sum(axis=1).max())
-
-
 def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """``exp(scale * M) @ B`` without forming the exponential.
 
     Truncated Taylor series with scaling (Al-Mohy and Higham 2011): the
     degree ``d`` and the number ``s`` of sub-intervals minimise ``d * s``
     subject to ``||scale * M||_1 <= s * theta[d]``, with the exact 1-norm,
-    and each sub-interval's series stops early once two consecutive terms
-    fall below the unit roundoff relative to the sum. The sum's norm is taken
-    only when they fall below it relative to the running total of the terms'
-    norms, an upper bound on it, so the series stops where a test of every
-    term would stop it. ``B`` is an ``n``-vector or an ``(n, w)`` block; the
-    cost is ``d * s`` products of ``M`` with ``B``, against about ten
-    ``n x n`` products for ``expm``. A real ``M`` and ``B`` stay real.
+    and each sub-interval's series stops at the first term ``T_j`` with
+    ``||T_j-1|| + ||T_j|| <= 2^-53 ||sum||`` (infinity norms). ``B`` is an
+    ``n``-vector or an ``(n, w)`` block; the cost is ``d * s`` products of
+    ``M`` with ``B``, against about ten ``n x n`` products for ``expm``.
+
+    Besides its product, a term costs one scaling, one addition and the
+    largest entry ``e_j`` of ``|T_j|``, taken into one real buffer that the
+    call allocates once: ``e_j <= ||T_j|| <= w e_j``, so ``||T_0|| + w sum
+    e_j`` bounds the norm of the sum. The exact norms, row sums of the
+    buffer, are taken only when the two latest terms' floors fall below
+    2^-53 of that bound (with a 1e-9 margin for rounding), so the series
+    stops where a test with every norm exact would stop it, bit for bit.
+    A real ``M`` and ``B`` stay real; the result is C-ordered. A non-finite
+    ``M``, ``B`` or ``scale * M`` is a ``ValueError`` naming it, read off
+    the 1-norm and the first norm of ``B``, which the series needs anyway.
     """
     m = np.asarray(m)
-    out = np.array(b, dtype=np.result_type(m, b, float))
+    out = np.array(b, dtype=np.result_type(m, b, float), order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[1] != out.shape[0]:
         raise ValueError(f"need a square matrix and a block of its size, got {m.shape}, {out.shape}")
-    norm = abs(scale) * float(np.abs(m).sum(axis=0).max())
+    norm_m = float(np.abs(m).sum(axis=0).max())
+    if not math.isfinite(norm_m):
+        raise ValueError("M has non-finite entries")
+    absolute = np.empty(out.shape)  # |term| or |out|, one at a time
+    rows = absolute.reshape(len(out), -1)  # a vector is one column
+    width = rows.shape[1]
+
+    def inf_norm(x: np.ndarray) -> float:
+        np.abs(x, out=absolute)
+        return float(rows.sum(axis=1).max())
+
+    previous = inf_norm(out)
+    if not math.isfinite(previous):
+        raise ValueError("B has non-finite entries")
+    norm = abs(scale) * norm_m
+    if not math.isfinite(norm):
+        raise ValueError(f"scale * M is not finite (scale = {scale!r})")
     if norm == 0.0:
         return out
     degree, s = min(
-        ((d, int(np.ceil(norm / theta))) for d, theta in _TAYLOR_THETA.items()),
+        ((d, math.ceil(norm / theta)) for d, theta in _TAYLOR_THETA.items()),
         key=lambda pair: pair[0] * pair[1],
     )
-    term = out
-    for _ in range(s):
-        previous = bound = _inf_norm(term)
+    for interval in range(s):
+        if interval:
+            previous = inf_norm(out)
+        # ``previous`` is the last term's norm, or only its floor while that
+        # term is ``held``; ``ceiling`` bounds the sum's norm
+        ceiling, term, held = previous, out, None
         for j in range(1, degree + 1):
             term = m @ term
             term *= scale / (s * j)
-            current = _inf_norm(term)
+            floor = float(np.abs(term, out=absolute).max())
             out += term
-            bound += current  # >= ||out||: out's norm is needed only below it
-            tiny = previous + current
-            if tiny <= 2.0**-53 * bound * (1 + 1e-9) and tiny <= 2.0**-53 * _inf_norm(out):
+            ceiling += width * floor
+            if previous + floor > 2.0**-53 * ceiling * (1 + 1e-9):
+                previous, held = floor, term
+                continue
+            if held is not None:
+                previous = inf_norm(held)
+            current = inf_norm(term)
+            if previous + current <= 2.0**-53 * inf_norm(out):
                 break
-            previous = current
-        term = out
+            previous, held = current, None
     return out
 
 

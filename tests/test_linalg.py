@@ -1,12 +1,13 @@
 """Vectorization conventions, partial trace, norms."""
 
+import math
+
 import numpy as np
 import pytest
 
 from memtensor.linalg import (
     _TAYLOR_THETA,
     SpaceLayout,
-    _inf_norm,
     apply_superop,
     devectorize,
     embed_environment_superop,
@@ -29,6 +30,7 @@ from memtensor.linalg import (
     validate_density_operator,
     vectorize,
 )
+from memtensor.models import PAULI, LindbladModel, generator_stack
 
 RNG = np.random.default_rng(20260811)
 
@@ -339,6 +341,11 @@ def test_expm_action_matches_the_exponential(norm):
     )
 
 
+def _inf_norm(x):
+    """Max row sum of ``|x|``; a vector counts as one column."""
+    return float(np.abs(x).reshape(len(x), -1).sum(axis=1).max())
+
+
 def _expm_action_testing_every_term(m, b, scale):
     """The series of ``expm_action`` with the sum's norm taken after every
     term; also returns how many sub-intervals stopped early."""
@@ -364,27 +371,90 @@ def _expm_action_testing_every_term(m, b, scale):
     return out, stops, s
 
 
-@pytest.mark.parametrize(
-    "norm, decay, stops",
-    [(1e-3, 0.0, lambda s: 0), (0.8, 0.0, lambda s: 1), (40.0, 0.0, lambda s: s),
-     (10.0, 0.9, lambda s: 0)],
-    ids=["full-degree", "early-stop", "sub-intervals", "cancelling-sum"],
-)
-def test_expm_action_stops_where_a_test_of_every_term_stops(norm, decay, stops):
-    # the norm of the sum is taken lazily; the stop, and so every bit, is kept.
-    # A decaying M makes the sum far smaller than its terms' norms.
+def _random_generator(norm, decay):
+    """A complex 12x12 ``M`` of 1-norm ``norm``, the scale 1 and the generator
+    for the block; a decaying ``M`` makes the sum far smaller than its terms'
+    norms."""
     rng = np.random.default_rng(1)
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     m *= (1 - decay) * norm / np.abs(m).sum(axis=0).max()
     m -= decay * norm * np.eye(12)
-    block = rng.standard_normal((12, 3)) + 0j
-    want, stopped, intervals = _expm_action_testing_every_term(m, block, 1.0)
-    assert stopped == stops(intervals) and (intervals > 1) == (norm > 10)
-    np.testing.assert_array_equal(expm_action(m, block), want)
+    return m, 1.0, rng
+
+
+def _spin_bath_generator():
+    """The real 256x256 generator, in Hermitian coordinates, of a qubit with
+    XX and cos(2t) YY exchange to each qubit of a d_E = 8 spin bath (Z fields
+    2.9, 3.0, 3.1, amplitude damping at rate 0.5), at the first midpoint of
+    a pi/5 step in 16 substeps, with the substep pi/80 as the scale and a
+    generator for the block."""
+
+    def on(system, k, op):
+        factors = [PAULI["I"]] * 3
+        factors[k] = op
+        return np.kron(system, np.kron(factors[0], np.kron(factors[1], factors[2])))
+
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    static = 0.5 * on(PAULI["Z"], 0, PAULI["I"])
+    static = static + sum(
+        0.5 * field * on(PAULI["I"], k, PAULI["Z"]) + on(PAULI["X"], k, PAULI["X"])
+        for k, field in enumerate([2.9, 3.0, 3.1])
+    )
+    model = LindbladModel(
+        SpaceLayout(2, 8), static,
+        jump_terms=[(on(PAULI["I"], k, lower), 0.5) for k in range(3)],
+        period=math.pi,
+        drives=[(on(PAULI["Y"], k, PAULI["Y"]), 2.0, 0.0) for k in range(3)],
+    )
+    return generator_stack(model, [math.pi / 160])[0], math.pi / 80, np.random.default_rng(2)
+
+
+STOP_CASES = {
+    "full-degree": (lambda: _random_generator(1e-3, 0.0), lambda s: 0),
+    "early-stop": (lambda: _random_generator(0.8, 0.0), lambda s: 1),
+    "sub-intervals": (lambda: _random_generator(40.0, 0.0), lambda s: s),
+    "cancelling-sum": (lambda: _random_generator(10.0, 0.9), lambda s: 0),
+    "spin-bath": (_spin_bath_generator, lambda s: s),
+}
+
+
+@pytest.mark.parametrize(
+    "case, width",
+    [(case, width) for case in STOP_CASES for width in (3, 4, 16)],
+    ids=[case + ("" if width == 3 else f"-real-{width}") for case in STOP_CASES for width in (3, 4, 16)],
+)
+def test_expm_action_stops_where_a_test_of_every_term_stops(case, width):
+    # exact norms are taken only where the stop may fire; the stop, and so
+    # every bit, is kept. Width 3 is a complex block, 4 and 16 real ones.
+    generator, stops = STOP_CASES[case]
+    m, scale, rng = generator()
+    block = rng.standard_normal((len(m), width))
+    if width == 3:
+        block = block + 0j
+    want, stopped, intervals = _expm_action_testing_every_term(m, block, scale)
+    assert stopped == stops(intervals)
+    assert (intervals > 1) == (abs(scale) * np.abs(m).sum(axis=0).max() > 10)
+    np.testing.assert_array_equal(expm_action(m, block, scale), want)
     vector = block[:, 0]
     np.testing.assert_array_equal(
-        expm_action(m, vector), _expm_action_testing_every_term(m, vector, 1.0)[0]
+        expm_action(m, vector, scale), _expm_action_testing_every_term(m, vector, scale)[0]
     )
+
+
+@pytest.mark.parametrize(
+    "which, value", [("M", np.nan), ("M", np.inf), ("B", np.nan), ("B", -np.inf)]
+)
+def test_expm_action_refuses_non_finite_input_naming_it(which, value):
+    m, block = random_complex(4), random_complex(4, 2)
+    (m if which == "M" else block)[1, 1] = value
+    with pytest.raises(ValueError, match=f"^{which} has non-finite entries$"):
+        expm_action(m, block, 0.5)
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan])
+def test_expm_action_refuses_a_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        expm_action(random_complex(4), random_complex(4, 2), scale)
 
 
 def test_expm_action_edge_cases():

@@ -483,6 +483,53 @@ def test_example_generator_periodicity():
         )
 
 
+def split_by_envelope(model):
+    """The model without drives, and one drive-only model per envelope group:
+    their generators are the static part and each group's term."""
+    groups = {}
+    for op, w, phi in model.drives:
+        groups.setdefault((w, phi), []).append((op, w, phi))
+    static = LindbladModel(model.layout, model.static, model.jump_terms)
+    zero = np.zeros_like(model.static)
+    return static, [LindbladModel(model.layout, zero, drives=g) for g in groups.values()]
+
+
+@pytest.mark.parametrize("k", [1, 64])
+def test_generator_stack_of_one_envelope_group_is_static_plus_envelope_times_drive(k):
+    # the example drive has phase 0, so its drive-only generator at t = 0 is
+    # the drive superoperator itself (cos 0 = 1)
+    model = example_model()
+    static_model, (drive_model,) = split_by_envelope(model)
+    static = generator_stack(static_model, [0.0])[0]
+    drive = generator_stack(drive_model, [0.0])[0]
+    ((_, w, phi),) = model.drives
+    assert phi == 0.0
+    times = RNG.uniform(0.0, 10.0, k)
+    want = [static + e * drive for e in np.cos(w * times + phi)]
+    np.testing.assert_array_equal(generator_stack(model, times), want)
+
+
+def test_generator_stack_sums_its_envelope_groups():
+    # XX and ZZ share the envelope cos(t), YY has cos(2t + 0.5)
+    xx, yy, zz = (np.kron(PAULI[p], PAULI[p]) for p in "XYZ")
+    pump = np.kron(PAULI["I"], np.array([[0, 1], [0, 0]], dtype=complex))
+    model = LindbladModel(
+        SpaceLayout(2, 2), 0.5 * np.kron(PAULI["Z"], PAULI["I"]), jump_terms=[(pump, 0.3)],
+        period=2 * math.pi, drives=[(xx, 1.0, 0.0), (yy, 2.0, 0.5), (0.7 * zz, 1.0, 0.0)],
+    )
+    static_model, drive_models = split_by_envelope(model)
+    assert len(drive_models) == 2
+    times = RNG.uniform(0.0, 10.0, 64)
+    want = generator_stack(static_model, times) + sum(generator_stack(g, times) for g in drive_models)
+    got = generator_stack(model, times)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+    np.testing.assert_allclose(
+        superop_from_coordinates(got[0]),
+        superop_from_action(lambda rho: lindblad_rhs(model, times[0], rho), 4),
+        rtol=0, atol=1e-13,
+    )
+
+
 ZI = np.kron(PAULI["Z"], PAULI["I"])
 
 MALFORMED_MODELS = {
