@@ -253,7 +253,7 @@ def taylor_exponential(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return out
 
 
-def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def expm_action(m: np.ndarray | list | tuple, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """``exp(scale * M) @ B`` without forming the exponential.
 
     Truncated Taylor series with scaling (Al-Mohy and Higham 2011): the
@@ -263,6 +263,10 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     ``||T_j-1|| + ||T_j|| <= 2^-53 ||sum||`` (infinity norms). ``B`` is an
     ``n``-vector or an ``(n, w)`` block; the cost is ``d * s`` products of
     ``M`` with ``B``, against about ten ``n x n`` products for ``expm``.
+    ``M`` is a square matrix or a sequence of square diagonal blocks that
+    tile ``B``'s rows in order: each product is then one per block, of its
+    rows alone, and the 1-norm the largest over the blocks; everything else
+    is taken over the whole ``B``, as for the dense matrix.
 
     Besides its product, a term costs one scaling, one addition and the
     largest entry ``e_j`` of ``|T_j|``, taken into one real buffer that the
@@ -275,11 +279,14 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     ``M``, ``B`` or ``scale * M`` is a ``ValueError`` naming it, read off
     the 1-norm and the first norm of ``B``, which the series needs anyway.
     """
-    m = np.asarray(m)
-    out = np.array(b, dtype=np.result_type(m, b, float), order="C")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[1] != out.shape[0]:
-        raise ValueError(f"need a square matrix and a block of its size, got {m.shape}, {out.shape}")
-    norm_m = float(np.abs(m).sum(axis=0).max())
+    blocks = [np.asarray(x) for x in ((m,) if np.ndim(m[0]) < 2 else m)]
+    out = np.array(b, dtype=np.result_type(*blocks, b, float), order="C")
+    ends = np.cumsum([len(x) for x in blocks])
+    if any(x.ndim != 2 or x.shape[0] != x.shape[1] for x in blocks) or ends[-1] != len(out):
+        raise ValueError(f"need square diagonal blocks that tile the rows of B, got "
+                         f"{[x.shape for x in blocks]}, {out.shape}")
+    parts = [slice(end - len(x), end) for x, end in zip(blocks, ends)]
+    norm_m = float(np.max([np.abs(x).sum(axis=0).max() for x in blocks]))
     if not math.isfinite(norm_m):
         raise ValueError("M has non-finite entries")
     absolute = np.empty(out.shape)  # |term| or |out|, one at a time
@@ -309,7 +316,9 @@ def expm_action(m: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
         # term is ``held``; ``ceiling`` bounds the sum's norm
         ceiling, term, held = previous, out, None
         for j in range(1, degree + 1):
-            term = m @ term
+            term, previous_term = np.empty_like(out), term
+            for block, part in zip(blocks, parts):
+                np.matmul(block, previous_term[part], out=term[part])
             term *= scale / (s * j)
             floor = float(np.abs(term, out=absolute).max())
             out += term

@@ -24,8 +24,9 @@ each substep acts on a block as a truncated Taylor action.
 one period of them when the generator repeats on the grid, which
 :func:`steps_per_period` alone decides: after 1 step without drives, after
 ``period / dt`` on a grid commensurate with a declared period, else never.
-``act`` steps a coordinate block without building one; :func:`liouvillian`,
-:func:`propagator` and ``adjacent`` return operator space.
+``act`` steps a coordinate block without building one, on the diagonal
+blocks of :func:`sector_generators`; :func:`liouvillian`, :func:`propagator`
+and ``adjacent`` return operator space.
 
 The driven, dissipative two-qubit model used throughout the test-suite and
 demos is provided by :func:`example_model` / :func:`example_initial_state`.
@@ -198,6 +199,32 @@ class LindbladModel:
         """``H(t) = H_0 + sum_k cos(w_k t + phi_k) H_k``."""
         return self.static + sum(math.cos(w * t + phi) * op for op, w, phi in self.drives)
 
+    @property
+    def sectors(self) -> tuple:
+        """The coordinate sectors no generator mixes: the connected components
+        of the support graph (entry ``(i, j)`` links ``i`` and ``j``), each
+        ascending, ordered by their smallest index. Found on first use."""
+        return self._sector_layout[0]
+
+    @functools.cached_property
+    def _sector_layout(self) -> tuple:
+        """:attr:`sectors`, each grown from its smallest index across every
+        link at once, and each support entry's flat place in the sector
+        blocks laid end to end."""
+        n = self.layout.dim_joint ** 2
+        rows, cols = np.divmod(self._support, n)
+        seen, first, place, sectors = np.zeros(n, dtype=bool), np.empty(n, int), np.empty(n, int), []
+        while (left := np.flatnonzero(~seen)).size:
+            size, reached = 0, np.zeros(n, dtype=bool)
+            reached[left[0]] = True
+            while size < (size := np.count_nonzero(reached)):  # until a pass adds none
+                reached[cols[reached[rows]]] = reached[rows[reached[cols]]] = True
+            sectors.append(np.flatnonzero(reached))
+            first[sectors[-1]] = sum(len(s) ** 2 for s in sectors[:-1]) + size * np.arange(size)
+            place[sectors[-1]] = np.arange(size)
+            seen |= reached
+        return tuple(sectors), first[rows] + place[cols]
+
 
 # Byte cap of one real ``(K, n, n)`` generator or exponential stack: whole
 # substep batches for small joint spaces, one matrix at a time for large ones,
@@ -254,7 +281,8 @@ def ordered_exponential(
     are coordinates, an ``n``-vector or ``(n, m)`` matrix (the identity gives
     the propagator itself). The steps of :func:`hermitian_step_chunks` apply
     in order; with ``action`` each substep is a truncated Taylor action
-    (:func:`~memtensor.linalg.expm_action`) instead, the same product to
+    (:func:`~memtensor.linalg.expm_action`) instead, of a generator or of the
+    diagonal blocks that ``generators`` may give per time, the same product to
     rounding for ``d`` products of ``n x n`` by ``n x m`` per substep (a
     degree-``d`` series). A complex block is carried as its interleaved real
     view, so every product is real.
@@ -284,14 +312,29 @@ def generator_stack(model: LindbladModel, times) -> np.ndarray:
     nonzero (3% of them on a d_E = 8 spin bath), is computed: one
     contraction, one addition in place, and one write into a zeroed stack,
     the bits of the dense sum."""
+    n = model.layout.dim_joint ** 2
+    return _support_scatter(model, times, model._support, n * n).reshape(-1, n, n)
+
+
+def _support_scatter(model: LindbladModel, times, places: np.ndarray, size: int) -> np.ndarray:
+    """The generators at ``times`` on the model's support, written to
+    ``places`` of zeroed rows of ``size``: one contraction and one scatter."""
     frequencies, phases = model._envelopes
     envelopes = np.cos(np.outer(times, frequencies) + phases)
     values = np.einsum("kg,gp->kp", envelopes, model._support_values[1:])
     values += model._support_values[0]
-    n = model.layout.dim_joint ** 2
-    out = np.zeros((len(envelopes), n * n))
-    out[:, model._support] = values
-    return out.reshape(-1, n, n)
+    out = np.zeros((len(envelopes), size))
+    out[:, places] = values
+    return out
+
+
+def sector_generators(model: LindbladModel, times) -> zip:
+    """The diagonal blocks of :func:`generator_stack` on ``model.sectors``, the
+    same bits in one scatter: per time, the tuple of its real sector blocks."""
+    sizes = [len(sector) for sector in model.sectors]
+    flat = _support_scatter(model, times, model._sector_layout[1], sum(k * k for k in sizes))
+    blocks = np.split(flat, np.cumsum([k * k for k in sizes])[:-1], axis=1)
+    return zip(*(block.reshape(-1, k, k) for block, k in zip(blocks, sizes)))
 
 
 def liouvillian(model: LindbladModel, t: float) -> np.ndarray:
@@ -353,9 +396,10 @@ class PropagatorCache:
         return sum(p not in self._steps for p in range(phases))
 
     def _ordered(self, i: int, start: np.ndarray, action: bool = False) -> np.ndarray:
-        """The midpoint product of step ``i``'s phase applied to ``start``."""
+        """The midpoint product of step ``i``'s phase applied to ``start``;
+        by ``action`` on the sector blocks, their rows in sector order."""
         times, h = midpoints(self.grid.time(i), self.grid.time(i + 1), self.substeps)
-        generators = functools.partial(generator_stack, self.model)
+        generators = functools.partial(sector_generators if action else generator_stack, self.model)
         return ordered_exponential(generators, times, h, start, action)
 
     def step(self, i: int) -> np.ndarray:
@@ -371,10 +415,17 @@ class PropagatorCache:
 
     def act(self, i: int, block: np.ndarray) -> np.ndarray:
         """``step(i) @ block`` of a ``(d^2, w)`` coordinate block, each substep
-        a truncated Taylor action (see :func:`ordered_exponential`): the same
-        product to rounding. Nothing is built or cached: cheaper than ``step``
-        when ``w`` is small beside ``d^2`` and the step is unbuilt."""
-        return self._ordered(self._phase(i), block, action=True)
+        a truncated Taylor action (see :func:`ordered_exponential`) on the
+        model's sector blocks, the rows taken into sector order and back once
+        per call: the same product to rounding. Nothing is built or cached:
+        cheaper than ``step`` when ``w`` is small beside ``d^2`` and the step
+        is unbuilt."""
+        p, block, order = self._phase(i), np.asarray(block), np.concatenate(self.model.sectors)
+        if block.shape[:1] != order.shape:
+            raise ValueError(f"block of shape {block.shape} does not have {len(order)} rows")
+        out = self._ordered(p, block[order], action=True)
+        out[order] = out.copy()  # back in coordinate order
+        return out
 
 
 def cache_for(

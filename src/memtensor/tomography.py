@@ -38,7 +38,6 @@ import bisect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -293,12 +292,30 @@ class DynamicalMapFamily:
 
     @property
     def maps(self) -> Mapping:
-        steps, band = self.grid.steps, self.band
-        return MappingProxyType({
-            (i, i + g): self.stack[i, g]
-            for i in range(steps)
-            for g in range(1, min(band, steps - i) + 1)
-        })
+        return _MapView(self)
+
+
+class _MapView(Mapping):
+    """A family's maps keyed by ``(i, j)``, looked up through ``map(i, j)``,
+    counted by arithmetic and iterated in order of ``(i, j)``: no dict."""
+
+    def __init__(self, family: DynamicalMapFamily):
+        self._family = family
+
+    def __getitem__(self, key):
+        try:
+            return self._family.map(*key)
+        except (TypeError, IndexError):  # not a pair of grid indices
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        steps, band = self._family.grid.steps, self._family.band
+        return ((i, j) for i in range(steps) for j in range(i + 1, min(i + band, steps) + 1))
+
+    def __len__(self):
+        steps = self._family.grid.steps
+        band = min(self._family.band, steps)
+        return band * (steps - band) + band * (band + 1) // 2
 
 
 def steps_by_action(n: int, width: int, unbuilt: int) -> bool:
@@ -308,8 +325,10 @@ def steps_by_action(n: int, width: int, unbuilt: int) -> bool:
     the call steps (the maps of its stepped starts times ``d_S^2``) and
     ``unbuilt`` the step phases its cache has not built. In real coordinates
     a dense step costs, per substep, a Taylor series of about eight ``n^3``
-    products; an action substep about 17 products of ``n^2`` per column. The
-    break-even is near the rule, ``2 * width = unbuilt * n``.
+    products; an action substep about 17 products of ``sum n_s^2`` per
+    column, over the model's sectors (``n^2 / 2`` on the spin bath). The rule,
+    ``2 * width = unbuilt * n``, still counts ``n^2`` on purpose: no workload
+    sits near it, so a cheaper action moves no route.
     """
     return 2 * width < unbuilt * n
 

@@ -469,6 +469,67 @@ def test_expm_action_edge_cases():
         expm_action(np.zeros((4, 3)), random_complex(3, 2))
 
 
+def _sector_blocks(sizes, norm, rng):
+    """Random real diagonal blocks of ``sizes``, scaled to the 1-norm
+    ``norm``; a random order of the rows that tiles them; and the dense
+    matrix that acts as the blocks do on the rows in that order."""
+    blocks = [rng.standard_normal((k, k)) for k in sizes]
+    largest = max(np.abs(x).sum(axis=0).max() for x in blocks)
+    blocks = [x * norm / largest for x in blocks]
+    order = rng.permutation(sum(sizes))
+    dense = np.zeros((len(order),) * 2)
+    for x, rows in zip(blocks, np.split(order, np.cumsum(sizes)[:-1])):
+        dense[np.ix_(rows, rows)] = x
+    return blocks, order, dense
+
+
+@pytest.mark.parametrize("norm", [0.05, 3.0, 40.0])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("width", [None, 5], ids=["vector", "block"])
+def test_expm_action_on_blocks_matches_the_permuted_dense_call(norm, kind, width):
+    # the blocks act on the rows in sector order; the dense matrix on the rows
+    # as they stand. Only the products differ: each block multiplies its rows.
+    rng = np.random.default_rng(31)
+    blocks, order, dense = _sector_blocks([5, 3, 8], norm, rng)
+    b = rng.standard_normal((16,) if width is None else (16, width))
+    if kind == "complex":
+        b = b + 1j * rng.standard_normal(b.shape)
+    want = expm_action(dense, b, 0.5)
+    got = np.empty_like(want)
+    got[order] = expm_action(blocks, b[order], 0.5)
+    assert got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+
+def test_expm_action_of_one_block_is_the_dense_call_bit_for_bit():
+    blocks, _, _ = _sector_blocks([12], 3.0, np.random.default_rng(5))
+    b = random_complex(12, 4)
+    np.testing.assert_array_equal(expm_action(blocks, b, 0.5), expm_action(blocks[0], b, 0.5))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_expm_action_refuses_a_non_finite_block(which, value):
+    blocks, _, _ = _sector_blocks([5, 3, 8], 1.0, np.random.default_rng(7))
+    blocks[which][1, 0] = value
+    with pytest.raises(ValueError, match="^M has non-finite entries$"):
+        expm_action(blocks, random_complex(16, 2), 0.5)
+
+
+@pytest.mark.parametrize("sizes, rows", [([5, 3, 8], 15), ([5, 3, 8], 17), ([5, 3], 16)])
+def test_expm_action_refuses_blocks_that_do_not_tile_b(sizes, rows):
+    blocks, _, _ = _sector_blocks(sizes, 1.0, np.random.default_rng(9))
+    with pytest.raises(ValueError, match="tile"):
+        expm_action(blocks, random_complex(rows, 2), 0.5)
+
+
+def test_expm_action_refuses_a_block_that_is_not_square():
+    blocks, _, _ = _sector_blocks([5, 3, 8], 1.0, np.random.default_rng(11))
+    blocks[1] = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="square"):
+        expm_action(blocks, random_complex(16, 2), 0.5)
+
+
 def test_norms_trivial_values():
     assert abs(operator_norm(np.eye(4)) - 1.0) < 1e-14
     rho = random_state(3)

@@ -1,6 +1,9 @@
 """Lindblad models, Liouvillians, time-ordered propagators, example model."""
 
+import functools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +38,13 @@ from memtensor.models import (
     model_from_config,
     ordered_exponential,
     propagator,
+    sector_generators,
     steps_per_period,
 )
+
+# the benchmark's spin-bath model builder is not a package module; import it by path
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import spin_bath_config  # noqa: E402
 
 RNG = np.random.default_rng(8451)
 
@@ -381,6 +389,125 @@ def test_propagator_cache_act_checks_the_declared_period():
     np.testing.assert_array_equal(cache.act(4, block), cache.act(0, block))
     with pytest.raises(ValueError, match="outside grid"):
         cache.act(8, block)
+
+
+def _with_system_x(model):
+    """``model`` with a system-only ``X`` added to ``H_0``: it flips the
+    system parity that splits the example's coordinates in two."""
+    static = model.static + np.kron(PAULI["X"], np.eye(model.layout.dim_environment))
+    return LindbladModel(model.layout, static, model.jump_terms, model.period, model.drives)
+
+
+def _spin_bath():
+    return model_from_config(spin_bath_config((2.9, 3.0, 3.1)))
+
+
+def _diagonal_model():
+    """A static diagonal ``H`` on a 4-level joint space, no jumps: each
+    diagonal coordinate is a sector alone, each off-diagonal pair one of two."""
+    return LindbladModel(SpaceLayout(2, 2), np.diag([0.0, 1.0, 3.0, 7.0]).astype(complex))
+
+
+def _pumped_qubit():
+    """A qubit pumped by ``|1><0|``, nothing else: its population link runs
+    one way, from ``p_0`` to ``p_1``, so a search must follow links both ways."""
+    return LindbladModel(SpaceLayout(2, 1), np.zeros((2, 2)), [(np.array([[0, 0], [1, 0]]), 1.0)])
+
+
+SECTOR_MODELS = {
+    "example": (example_model, [8, 8]),
+    "spin-bath": (_spin_bath, [128, 128]),
+    "system-x": (lambda: _with_system_x(example_model()), [16]),
+    "diagonal": (_diagonal_model, [1] * 4 + [2] * 6),
+    "pumped-qubit": (_pumped_qubit, [2, 1, 1]),
+}
+
+
+def _components(model):
+    """The components of the support graph by a breadth-first search, one
+    index at a time: the reference for ``LindbladModel.sectors``."""
+    n = model.layout.dim_joint ** 2
+    links = {i: set() for i in range(n)}
+    for i, j in zip(*np.divmod(model._support, n)):
+        links[int(i)].add(int(j))
+        links[int(j)].add(int(i))
+    seen, components = set(), []
+    for root in range(n):
+        if root not in seen:
+            queue, component = [root], {root}
+            while queue:
+                for k in links[queue.pop()] - component:
+                    component.add(k)
+                    queue.append(k)
+            seen |= component
+            components.append(sorted(component))
+    return components
+
+
+@pytest.mark.parametrize("case", SECTOR_MODELS)
+def test_sectors_are_the_components_of_the_support_graph(case):
+    build, sizes = SECTOR_MODELS[case]
+    model = build()
+    assert [len(sector) for sector in model.sectors] == sizes
+    # each ascending, ordered by smallest index: the search's own order
+    assert [sector.tolist() for sector in model.sectors] == _components(model)
+    assert model.sectors is model.sectors  # found once
+
+
+@pytest.mark.parametrize("count", [1, 64])
+@pytest.mark.parametrize("case", ["example", "spin-bath", "diagonal", "pumped-qubit"])
+def test_generator_stack_is_plus_zero_off_the_sector_blocks(case, count):
+    model = SECTOR_MODELS[case][0]()
+    times = np.linspace(0.1, 3.0, count)
+    stack = generator_stack(model, times)
+    owner = np.empty(model.layout.dim_joint ** 2, dtype=int)
+    for k, sector in enumerate(model.sectors):
+        owner[sector] = k
+    off = stack[:, owner[:, None] != owner[None, :]]
+    assert (off == 0).all() and not np.signbit(off).any()
+    # the sector blocks are its diagonal blocks, bit for bit
+    blocks = list(sector_generators(model, times))
+    assert len(blocks) == count
+    for generator, parts in zip(stack, blocks):
+        assert len(parts) == len(model.sectors)
+        for sector, block in zip(model.sectors, parts):
+            np.testing.assert_array_equal(block, generator[np.ix_(sector, sector)])
+
+
+@pytest.mark.parametrize("complex_block", [False, True], ids=["real", "complex"])
+def test_act_of_a_one_sector_model_is_the_dense_action_walk_bit_for_bit(complex_block):
+    model = _with_system_x(example_model())
+    assert len(model.sectors) == 1
+    substeps = 8
+    grid = TimeGrid(0.0, model.period / 4, 4)
+    cache = PropagatorCache(model, grid, substeps)
+    block = RNG.standard_normal((16, 6))
+    if complex_block:
+        block = block + 1j * RNG.standard_normal((16, 6))
+    for i in range(grid.steps):
+        times, h = midpoints(grid.time(i), grid.time(i + 1), substeps)
+        generators = functools.partial(generator_stack, model)
+        want = ordered_exponential(generators, times, h, block, action=True)
+        np.testing.assert_array_equal(cache.act(i, block), want)
+
+
+@pytest.mark.parametrize("case", ["example", "diagonal", "pumped-qubit"])
+def test_act_on_sector_blocks_is_the_step(case):
+    model = SECTOR_MODELS[case][0]()
+    cache = PropagatorCache(model, TimeGrid(0.0, 0.4, 2), 8)
+    block = RNG.standard_normal((model.layout.dim_joint ** 2, 5))
+    for i, vector in [(0, False), (1, True)]:
+        start = block[:, 0] if vector else block
+        got = cache.act(i, start)
+        assert got.shape == start.shape
+        np.testing.assert_allclose(got, cache.step(i) @ start, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("rows", [15, 17])
+def test_propagator_cache_act_refuses_a_block_of_the_wrong_row_count(rows):
+    cache = PropagatorCache(example_model(), TimeGrid(0.0, 0.5, 2), 4)
+    with pytest.raises(ValueError, match="block"):
+        cache.act(0, np.ones((rows, 3)))
 
 
 @pytest.mark.parametrize("substeps", [0, -1])

@@ -3,6 +3,7 @@
 import bisect
 import math
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 from unittest import mock
 
@@ -383,6 +384,28 @@ def test_family_banded():
         family.maps[(0, 1)] = np.eye(4)
     with pytest.raises(ValueError, match="stack"):
         DynamicalMapFamily(grid, family.policy, family.stack[:4])
+
+
+@pytest.mark.parametrize("steps, band", [(1, 1), (5, 2), (5, 5), (7, 3), (6, 9)])
+def test_maps_is_a_view_of_the_stack_without_a_dict(steps, band):
+    grid = TimeGrid(0.0, 0.5, steps)
+    stack = RNG.standard_normal((steps, band + 1, 4, 4)) + 0j
+    family = DynamicalMapFamily(grid, FixedState(np.eye(2) / 2), stack)
+    maps = family.maps
+    want = [(i, j) for i in range(steps) for j in range(i + 1, min(i + band, steps) + 1)]
+    assert isinstance(maps, Mapping) and not isinstance(maps, dict)
+    assert len(maps) == len(want) and list(maps) == want and list(maps.keys()) == want
+    for (key, lam), (i, j) in zip(maps.items(), want):
+        assert key == (i, j) and np.shares_memory(lam, stack)
+        np.testing.assert_array_equal(lam, stack[i, j - i])
+    assert all(key in maps for key in want)
+    for absent in [(0, 0), (1, 0), (0, band + 1), (steps, steps + 1), (-1, 0), 5, (0,), (0, 1, 2),
+                   (0.5, 1), "ab"]:
+        assert absent not in maps and maps.get(absent) is None
+        with pytest.raises(KeyError):
+            maps[absent]
+    with pytest.raises(TypeError):
+        maps[(0, 1)] = np.eye(4)
 
 
 def test_policy_consistency_for_product_initial_state():
